@@ -29,8 +29,8 @@ for pair in nested_loop_join(factor_sites, enhancers):
     )
 
 # Negative thresholds turn the join into a near-miss finder: regions
-# that do NOT overlap but sit close. An unbounded variant would be a
-# cross join, so the sweep insists on a centre-distance cap.
+# that do NOT overlap but sit close. The gap allowance bounds the
+# sweep's window; the centre-distance cap filters further.
 near_misses = sweep_join(
     factor_sites, enhancers, JoinFilter(min_bp=-200, max_centre_distance=250)
 )

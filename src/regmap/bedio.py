@@ -9,12 +9,14 @@ erroneous-region search.
 
 Coordinates accept only ASCII digits with an optional leading ``-``,
 keeping the parse locale-independent.
+
+``scan_bed`` is the one line scanner. ``parse_bed`` builds RawRegion
+records from its rows; ``columns.read_bed_columns`` builds arrays.
 """
 
 from __future__ import annotations
 
 import io
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Literal
@@ -27,12 +29,12 @@ __all__ = [
     "ParseReport",
     "parse_bed",
     "parse_bed_file",
+    "scan_bed",
     "write_bed",
     "load_catalog",
     "load_catalog_file",
 ]
 
-_INT_RE = re.compile(r"^-?[0-9]+$")
 _SKIP_PREFIXES = ("#", "track", "browser")
 
 CATALOG_HEADER = ("name", "factor", "cell_line", "treatment", "assembly", "path")
@@ -84,20 +86,78 @@ def _iter_lines(source: str | Path | IO | Iterable[str]) -> Iterator[str]:
         yield line
 
 
-def _check_line(fields: list[str]) -> str | None:
-    """Return a rejection reason for one split data line, or None."""
-    if len(fields) < 3:
-        return "too few columns"
-    chrom = fields[0]
+def _chrom_reason(chrom: str) -> str | None:
     if not chrom:
         return "empty chromosome"
     if any(c.isspace() for c in chrom):
         return "chromosome contains whitespace"
-    if not _INT_RE.match(fields[1]):
-        return "non-integer start"
-    if not _INT_RE.match(fields[2]):
-        return "non-integer end"
     return None
+
+
+def _is_int(text: str) -> bool:
+    # ASCII only: str.isdigit alone would accept e.g. Arabic-Indic digits.
+    return text.isascii() and (
+        text.isdigit() or (text[:1] == "-" and text[1:].isdigit())
+    )
+
+
+def scan_bed(
+    source: str | Path | IO | Iterable[str],
+    mode: Literal["strict", "permissive"] = "strict",
+) -> tuple[list[str], list[int], list[int], list[int], ParseReport]:
+    """The one BED line scanner: accepted rows as parallel columns.
+
+    Returns ``(names, codes, starts, ends, report)``: row i lies on
+    chromosome ``names[codes[i]]``, and the name table lists each
+    chromosome once, in order of first appearance. Each distinct
+    chromosome name is checked once. In strict mode the first malformed
+    line raises BedParseError; in permissive mode malformed lines are
+    recorded in the report and skipped.
+    """
+    if mode not in ("strict", "permissive"):
+        raise ValueError(f"unknown parse mode: {mode!r}")
+    strict = mode == "strict"
+    names: list[str] = []
+    codes: list[int] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    report = ParseReport()
+    # chromosome name -> its code, or the reason the name is rejected
+    seen: dict[str, int | str] = {}
+    for lineno, raw in enumerate(_iter_lines(source), start=1):
+        line = raw.rstrip("\r\n")
+        if not line.strip() or line.startswith(_SKIP_PREFIXES):
+            continue
+        fields = line.split("\t", 3)
+        if len(fields) < 3:
+            reason = "too few columns"
+        else:
+            chrom, start, end = fields[0], fields[1], fields[2]
+            code = seen.get(chrom)
+            if code is None:
+                reason = _chrom_reason(chrom)
+                if reason is None:
+                    code = seen[chrom] = len(names)
+                    names.append(chrom)
+                else:
+                    code = seen[chrom] = reason
+            if code.__class__ is str:
+                reason = code
+            elif not _is_int(start):
+                reason = "non-integer start"
+            elif not _is_int(end):
+                reason = "non-integer end"
+            else:
+                codes.append(code)
+                starts.append(int(start))
+                ends.append(int(end))
+                continue
+        if strict:
+            raise BedParseError(lineno, reason)
+        report.rejects.append((lineno, reason))
+    report.accepted = len(codes)
+    report.rejected = len(report.rejects)
+    return names, codes, starts, ends, report
 
 
 def parse_bed(
@@ -110,24 +170,8 @@ def parse_bed(
     permissive mode malformed lines are recorded in the report and
     skipped, and the parse itself never fails on tab-separated text.
     """
-    if mode not in ("strict", "permissive"):
-        raise ValueError(f"unknown parse mode: {mode!r}")
-    regions: list[RawRegion] = []
-    report = ParseReport()
-    for lineno, raw in enumerate(_iter_lines(source), start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip() or line.startswith(_SKIP_PREFIXES):
-            continue
-        fields = line.split("\t")
-        reason = _check_line(fields)
-        if reason is not None:
-            if mode == "strict":
-                raise BedParseError(lineno, reason)
-            report.rejected += 1
-            report.rejects.append((lineno, reason))
-            continue
-        regions.append(RawRegion(fields[0], int(fields[1]), int(fields[2])))
-        report.accepted += 1
+    names, codes, starts, ends, report = scan_bed(source, mode)
+    regions = [RawRegion(names[c], s, e) for c, s, e in zip(codes, starts, ends)]
     return regions, report
 
 

@@ -294,15 +294,8 @@ NESTED_LOOP_CAP = 10_000
 
 
 def _geo_pair_count(a_regions, b_regions) -> int:
-    """Adjacency-inclusive pair count (closed segments touching).
-
-    Uses the sweep with a zero gap allowance plus a centre-distance
-    bound wide enough to be vacuous, so the window stays bounded.
-    """
-    coords = [r.end for _, r in a_regions] + [r.end for _, r in b_regions]
-    bound = 2 * max(coords, default=1) + 2
-    flt = JoinFilter(min_bp=0, max_centre_distance=float(bound))
-    return len(sweep_join(a_regions, b_regions, flt))
+    """Adjacency-inclusive pair count (closed segments touching)."""
+    return len(sweep_join(a_regions, b_regions, JoinFilter(min_bp=0)))
 
 
 def run_overlap_bench(

@@ -14,11 +14,11 @@ from pathlib import Path
 
 from . import __version__, bench, dbadapter, sqlgen
 from .bedio import load_catalog_file, parse_bed_file, write_bed
+from .columns import read_bed_columns, window_join
 from .joins import (
     JoinFilter,
     nested_loop_join,
     pairwise_mining,
-    sweep_join,
     write_mining_tsv,
     write_pairs_tsv,
 )
@@ -38,12 +38,6 @@ def _open_sink(path: str | None):
     if path is None or path == "-":
         return sys.stdout, False
     return open(path, "w", encoding="utf-8", newline=""), True
-
-
-def _load_id_regions(path: str, start_id: int):
-    raws, _ = parse_bed_file(path, mode="strict")
-    regions = [raw.to_region() for raw in raws]
-    return [(start_id + i, r) for i, r in enumerate(regions)]
 
 
 def cmd_gen(args) -> int:
@@ -67,11 +61,13 @@ def cmd_gen(args) -> int:
 
 
 def cmd_overlap(args) -> int:
-    a = _load_id_regions(args.a, start_id=1)
-    b = _load_id_regions(args.b, start_id=len(a) + 1)
+    a = read_bed_columns(args.a, first_id=1)
+    b = read_bed_columns(args.b, first_id=len(a) + 1)
     flt = JoinFilter(min_bp=args.min_bp, max_centre_distance=args.max_centre_distance)
-    join = sweep_join if args.algorithm == "sweep" else nested_loop_join
-    pairs = join(a, b, flt)
+    if args.algorithm == "sweep":
+        pairs = window_join(a, b, flt)
+    else:
+        pairs = nested_loop_join(a.to_id_regions(), b.to_id_regions(), flt)
     sink, close = _open_sink(args.out)
     try:
         write_pairs_tsv(pairs, sink)

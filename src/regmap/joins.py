@@ -4,9 +4,11 @@ Two join implementations produce identical output:
 
 - ``nested_loop_join`` pairs every same-chromosome combination and is
   the executable reference for the SQL view semantics (it evaluates the
-  four-branch case analysis per pair);
-- ``sweep_join`` sorts each chromosome by start and scans a bounded
-  window, for the same answer in near-linear time.
+  four-branch case analysis per pair); the tests compare against it;
+- ``sweep_join`` runs the one window-join kernel,
+  ``columns.window_join``: each chromosome's B side is sorted by start
+  and every A region scans a window that ``min_bp`` bounds, for any
+  ``min_bp``, so non-overlap (gap) joins need no centre-distance bound.
 
 A pair (a, b) is emitted when its signed bp overlap is at least
 ``min_bp`` and, if a bound is set, its exact centre distance is
@@ -18,8 +20,6 @@ Joins are pure functions over immutable inputs and thread-safe.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -160,57 +160,22 @@ def sweep_join(
     b_regions: Sequence[IdRegion],
     flt: JoinFilter = JoinFilter(),
 ) -> list[OverlapPair]:
-    """Sorted sweep join; identical output to nested_loop_join.
+    """Sorted window join; identical output to nested_loop_join.
 
-    Each chromosome's B side is sorted by start and every A region
-    scans only the window of B starts that could still satisfy the
-    filter. A negative min_bp admits non-overlapping pairs, which is
-    only a bounded window when a centre-distance bound is set; without
-    one the join refuses rather than degenerate to a cross join.
+    Converts both inputs to columns and runs ``columns.window_join``.
+    Coordinates must lie below 2**62.
     """
-    min_bp = flt.min_bp
-    max_cd = flt.max_centre_distance
-    if min_bp < 1 and max_cd is None:
-        raise ValueError(
-            "unbounded non-overlap join: min_bp < 1 requires max_centre_distance"
-        )
+    # Imported here, not at module level: ``import regmap`` must not load
+    # numpy, which would add about 14 MB to every store-only process.
+    from .columns import RegionColumns, window_join
+
     _check_unique_ids(a_regions, "A")
     _check_unique_ids(b_regions, "B")
-
-    # Window shift: pairs need b.start <= a.end - shift and
-    # b.start >= a.start + shift - max_b_len. For min_bp >= 1 the shift
-    # is min_bp itself; for gap joins it is the negated allowance,
-    # never wider than the centre-distance bound.
-    if min_bp >= 1:
-        shift = min_bp
-    else:
-        shift = -min(-min_bp, math.ceil(max_cd))
-
-    a_by_chrom = _by_chrom(a_regions)
-    b_by_chrom = _by_chrom(b_regions)
-    pairs: list[OverlapPair] = []
-    for chrom, a_rows in a_by_chrom.items():
-        b_rows = b_by_chrom.get(chrom)
-        if not b_rows:
-            continue
-        b_rows = sorted(b_rows, key=lambda t: (t[1], t[2]))
-        b_starts = [t[1] for t in b_rows]
-        max_b_len = max(t[2] - t[1] for t in b_rows)
-        for a_id, a_start, a_end in a_rows:
-            i = bisect_left(b_starts, a_start + shift - max_b_len)
-            limit = a_end - shift
-            while i < len(b_starts) and b_starts[i] <= limit:
-                b_id, b_start, b_end = b_rows[i]
-                i += 1
-                bp = case_overlap_coords(a_start, a_end, b_start, b_end)
-                if bp < min_bp:
-                    continue
-                cd = centre_distance_coords(a_start, a_end, b_start, b_end)
-                if max_cd is not None and not cd < max_cd:
-                    continue
-                pairs.append(OverlapPair(a_id, b_id, chrom, bp, cd))
-    pairs.sort(key=lambda p: (p.a_id, p.b_id))
-    return pairs
+    return window_join(
+        RegionColumns.from_id_regions(a_regions),
+        RegionColumns.from_id_regions(b_regions),
+        flt,
+    )
 
 
 def count_overlapping(
@@ -224,10 +189,7 @@ def count_overlapping(
     This is the counting convention of the mining report: each query
     region counts once however many reference regions it hits.
     """
-    if flt.min_bp < 1 and flt.max_centre_distance is None:
-        pairs = nested_loop_join(a_regions, b_regions, flt)
-    else:
-        pairs = sweep_join(a_regions, b_regions, flt)
+    pairs = sweep_join(a_regions, b_regions, flt)
     return len({p.a_id for p in pairs}), len(a_regions)
 
 

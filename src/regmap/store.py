@@ -12,8 +12,10 @@ proximity queries; it holds only valid regions and is dropped whenever
 production changes, so query results are always identical with and
 without it.
 
-Concurrency: many readers or one writer. Mutations are serialized on an
-internal lock; query results are fresh immutable lists.
+Concurrency: any number of reader threads may run beside writers.
+Mutations and index builds are serialized on an internal lock; a query
+reads the index once, so each result is correct for the store either
+before or after a concurrent write. Query results are fresh lists.
 """
 
 from __future__ import annotations
@@ -163,20 +165,25 @@ class RegionStore:
         ]
 
     def build_index(self) -> None:
-        """Build the per-(dataset, chromosome) start-sorted index. Idempotent."""
-        if self._index is not None:
-            return
-        grouped: dict[tuple[str, str], list[StoredRegion]] = {}
-        for row in self._production:
-            if row.region.is_valid():
-                grouped.setdefault((row.dataset, row.region.chrom), []).append(row)
-        index: dict[tuple[str, str], _IndexEntry] = {}
-        for key, rows in grouped.items():
-            rows.sort(key=lambda r: (r.region.start, r.region.end))
-            starts = [r.region.start for r in rows]
-            max_len = max(r.region.end - r.region.start for r in rows)
-            index[key] = (starts, rows, max_len)
-        self._index = index
+        """Build the per-(dataset, chromosome) start-sorted index. Idempotent.
+
+        Built and published under the write lock, so an index never
+        misses rows that a concurrent import committed.
+        """
+        with self._write_lock:
+            if self._index is not None:
+                return
+            grouped: dict[tuple[str, str], list[StoredRegion]] = {}
+            for row in self._production:
+                if row.region.is_valid():
+                    grouped.setdefault((row.dataset, row.region.chrom), []).append(row)
+            index: dict[tuple[str, str], _IndexEntry] = {}
+            for key, rows in grouped.items():
+                rows.sort(key=lambda r: (r.region.start, r.region.end))
+                starts = [r.region.start for r in rows]
+                max_len = max(r.region.end - r.region.start for r in rows)
+                index[key] = (starts, rows, max_len)
+            self._index = index
 
     def drop_index(self) -> None:
         """Discard the index; a no-op when none is built."""
@@ -198,7 +205,9 @@ class RegionStore:
             raise ValueError(f"window must be >= 1, got {window}")
         lo = position - window
         hi = position + window
-        if self._index is None:
+        # One read: a concurrent import may reset self._index at any time.
+        index = self._index
+        if index is None:
             return [
                 row
                 for row in self._production
@@ -207,7 +216,7 @@ class RegionStore:
                 and min(row.region.end, hi) - max(row.region.start, lo) >= 1
             ]
         hits: list[StoredRegion] = []
-        for (_, key_chrom), (starts, rows, max_len) in self._index.items():
+        for (_, key_chrom), (starts, rows, max_len) in index.items():
             if key_chrom != chrom:
                 continue
             # e > lo forces s > lo - len >= lo - max_len

@@ -99,6 +99,90 @@ class TestOverlap:
         assert len(out.splitlines()) == 1
 
 
+class TestOverlapColumnar:
+    """The default (columnar) path against ``--algorithm nested``."""
+
+    MESSY_A = (
+        "# peaks\r\n"
+        "track name=a\n"
+        "browser position chr1:1-100\n"
+        "\n"
+        "chr1\t0\t50\tpeak1\t900\t+\r\n"
+        "chr1\t40\t40\n"
+        "chr2\t10\t30\textra\n"
+        "   \n"
+        "chr1\t45\t45\r\n"
+        "chrUn\t5\t9\n"
+        "chr1\t200\t260\n"
+    )
+    MESSY_B = (
+        "browser hide all\n"
+        "chr1\t45\t60\r\n"
+        "chr1\t40\t40\tzero\n"
+        "\n"
+        "chr2\t0\t15\n"
+        "#chr2\t0\t15\n"
+        "chr1\t270\t300\n"
+        "chr3\t0\t10\n"
+    )
+
+    def overlap(self, capsys, tmp_path, a_text, b_text, *flags):
+        a, b = tmp_path / "a.bed", tmp_path / "b.bed"
+        a.write_bytes(a_text.encode())
+        b.write_bytes(b_text.encode())
+        return [
+            run_cli(capsys, "overlap", "--a", str(a), "--b", str(b), "--algorithm", algo, *flags)
+            for algo in ("sweep", "nested")
+        ]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [(), ("--min-bp", "0"), ("--min-bp", "-20"), ("--min-bp", "-5", "--max-centre-distance", "30")],
+    )
+    def test_messy_files_byte_identical(self, capsys, tmp_path, flags):
+        sweep, nested = self.overlap(capsys, tmp_path, self.MESSY_A, self.MESSY_B, *flags)
+        assert sweep == nested
+        assert sweep[0] == 0 and sweep[2] == ""
+        assert len(sweep[1].splitlines()) > 1
+
+    def test_zero_length_and_crlf_rows_pair(self, capsys, tmp_path):
+        (rc, out, _), _ = self.overlap(capsys, tmp_path, self.MESSY_A, self.MESSY_B, "--min-bp", "0")
+        assert rc == 0
+        # A's six data rows get ids 1..6; B's ids continue at 7
+        assert "2\t8\tchr1\t0\t0\n" in out  # [40,40) vs [40,40)
+        assert "1\t7\tchr1\t5\t27.5\n" in out  # CRLF rows on both sides
+
+    @pytest.mark.parametrize(
+        "a_text, b_text, message",
+        [
+            ("chr1\t0\t5\n\nchr1\t7\n", "chr1\t0\t5\n", "line 3: too few columns"),
+            ("chr1\t0\t5\n", "# h\nchr1\t0\t5\nchr1\t3\tx\n", "line 3: non-integer end"),
+            ("chr1\t١٢\t30\n", "chr1\t0\t5\n", "line 1: non-integer start"),
+            (
+                "chr1\t0\t5\nchr1\t-4\t9\nchr1\t9\t2\n",
+                "chr1\t8\t1\n",
+                "start must be >= 0, got -4",
+            ),
+            ("chr1\t0\t5\n", "chr1\t0\t5\nchr1\t8\t1\n", "end must be >= start, got [8, 1)"),
+            # a malformed B line is found only after A is read and checked
+            ("chr1\t9\t2\n", "chr1\tx\t5\n", "end must be >= start, got [9, 2)"),
+            (
+                "chr1\t0\t4611686018427387904\n",
+                "chr1\t0\t5\n",
+                "coordinate 4611686018427387904 out of range: coordinates must be below 2**62",
+            ),
+            (
+                "chr1\t0\t5\n",
+                "chr1\t0\t99999999999999999999\n",
+                "coordinate 99999999999999999999 out of range: coordinates must be below 2**62",
+            ),
+        ],
+    )
+    def test_errors_exit_1_with_exact_message(self, capsys, tmp_path, a_text, b_text, message):
+        for rc, out, err in self.overlap(capsys, tmp_path, a_text, b_text):
+            assert (rc, out, err) == (1, "", f"regmap: error: {message}\n")
+
+
 class TestMine:
     def test_toy_catalog(self, capsys, tmp_path):
         out = tmp_path / "mine.tsv"

@@ -100,10 +100,14 @@ class TestSweepJoin:
         assert sweep_join(a, []) == []
         assert sweep_join([], a) == []
 
-    def test_refuses_unbounded_non_overlap_join(self):
-        a = ids([GenomicRegion("chr1", 0, 10)])
-        with pytest.raises(ValueError, match="unbounded non-overlap join"):
-            sweep_join(a, a, JoinFilter(min_bp=0))
+    def test_non_overlap_join_needs_no_centre_distance_bound(self):
+        # The window b.start in [a.start + min_bp - widest, a.end - min_bp]
+        # is bounded for every min_bp, so gap joins run without a bound.
+        a = ids(gen_dataset(seed=44, count=150))
+        b = ids(gen_dataset(seed=45, count=150), start=500)
+        for min_bp in (0, -1, -50, -5000):
+            flt = JoinFilter(min_bp=min_bp)
+            assert sweep_join(a, b, flt) == nested_loop_join(a, b, flt)
 
     def test_zero_length_regions_agree_with_nested(self):
         a = ids(

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -212,3 +218,94 @@ class TestAccessors:
         store.import_dataset("zeta", VALID[:1])
         store.import_dataset("alpha", VALID[:1])
         assert store.dataset_names() == ["zeta", "alpha"]
+
+
+class TestConcurrency:
+    def test_probes_beside_imports_see_old_or_new_store(self):
+        def regions(seed, count):
+            return generate_regions(
+                GenConfig(seed=seed, count=count, coord_upper=50_000, max_size=300,
+                          chromosomes=("chr1", "chr2"))
+            )
+
+        base = regions(1, 3000)
+        added = regions(2, 600)
+        batches = [added[i : i + 3] for i in range(0, len(added), 3)]
+        # last_id[k]: the largest id once batches 1..k are imported
+        last_id = [len(base)]
+        for batch in batches:
+            last_id.append(last_id[-1] + len(batch))
+        probes = [("chr1", p) for p in range(0, 50_000, 2500)]
+        final = RegionStore()
+        final.import_dataset("d0", base)
+        for k, batch in enumerate(batches, 1):
+            final.import_dataset(f"d{k}", batch)
+        want = {p: [r.id for r in final.proximity_search(*p, 400)] for p in probes}
+
+        store = RegionStore()
+        store.import_dataset("d0", base)
+        store.build_index()
+        started, committed = [0], [0]  # batches begun / finished by the writer
+        writer_done = threading.Event()
+        seen, failures = [], []
+
+        def read(build):
+            try:
+                while not writer_done.is_set():
+                    for probe in probes:
+                        if build:
+                            store.build_index()
+                        oldest = committed[0]
+                        got = [r.id for r in store.proximity_search(*probe, 400)]
+                        seen.append((probe, got, oldest, started[0]))
+            except Exception as exc:  # reported through failures
+                failures.append(repr(exc))
+
+        def write():
+            try:
+                for k, batch in enumerate(batches, 1):
+                    started[0] = k
+                    store.import_dataset(f"d{k}", batch)
+                    committed[0] = k
+                    store.build_index()
+            finally:
+                writer_done.set()
+
+        threads = [threading.Thread(target=read, args=(i % 2 == 0,)) for i in range(4)]
+        threads.append(threading.Thread(target=write))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        assert seen
+        for probe, got, oldest, newest in seen:
+            # correct for some store state the writer passed through during the probe
+            states = [[i for i in want[probe] if i <= last_id[k]] for k in range(oldest, newest + 1)]
+            assert got in states, (probe, oldest, newest)
+        store.build_index()
+        for probe in probes:
+            assert [r.id for r in store.proximity_search(*probe, 400)] == want[probe]
+
+
+def test_import_regmap_leaves_numpy_unloaded():
+    # The store-mixed benchmark child imports regmap and never joins;
+    # numpy would add about 14 MB to its ~140 MB peak, beyond that
+    # workload's 5% peak_rss_mb bound. Only the joins load it.
+    code = "import sys, regmap, regmap.bedio, regmap.store; print('numpy' in sys.modules)"
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
