@@ -293,11 +293,6 @@ def _db_import_cell(report, backend, files, total, reps) -> None:
 NESTED_LOOP_CAP = 10_000
 
 
-def _geo_pair_count(a_regions, b_regions) -> int:
-    """Adjacency-inclusive pair count (closed segments touching)."""
-    return len(sweep_join(a_regions, b_regions, JoinFilter(min_bp=0)))
-
-
 def run_overlap_bench(
     sizes: Iterable[int],
     reps: int = 3,
@@ -340,7 +335,8 @@ def run_overlap_bench(
                 size,
                 _time_reps(lambda: nested_loop_join(a, b), reps),
             )
-        geo_count = _geo_pair_count(a, b)
+        # adjacency-inclusive: closed segments that touch count too
+        geo_count = len(sweep_join(a, b, JoinFilter(min_bp=0)))
         if geo_count < sweep_count:
             raise AssertionError(
                 f"geo count {geo_count} below overlap count {sweep_count}"

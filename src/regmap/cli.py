@@ -100,7 +100,7 @@ def cmd_mine(args) -> int:
 
 def _parse_locus(text: str) -> tuple[str, int]:
     chrom, _, pos = text.rpartition(":")
-    if not chrom or not pos.isdigit():
+    if not chrom or not (pos.isascii() and pos.isdigit()):
         raise ValueError(f"expected CHROM:POS, got {text!r}")
     return chrom, int(pos)
 

@@ -138,8 +138,10 @@ def overlap_coords(a_start: int, a_end: int, b_start: int, b_end: int) -> int:
     return min(a_end, b_end) - max(a_start, b_start)
 
 
-def case_overlap_coords(a_start: int, a_end: int, b_start: int, b_end: int) -> int:
-    """Signed bp overlap via the four positional branches, first match wins.
+def _case_branch(
+    a_start: int, a_end: int, b_start: int, b_end: int
+) -> tuple[RelativePosition, int]:
+    """First matching positional branch and the bp overlap it computes.
 
     Branch order: A within B, B within A, A left of B, A right of B.
     The branches are exhaustive, and wherever two conditions hold at
@@ -147,14 +149,19 @@ def case_overlap_coords(a_start: int, a_end: int, b_start: int, b_end: int) -> i
     arithmetic path is taken.
     """
     if a_end <= b_end and a_start >= b_start:
-        return a_end - a_start
+        return RelativePosition.A_WITHIN_B, a_end - a_start
     if b_end <= a_end and b_start >= a_start:
-        return b_end - b_start
+        return RelativePosition.B_WITHIN_A, b_end - b_start
     if a_end <= b_end and a_start <= b_start:
-        return a_end - b_start
+        return RelativePosition.A_LEFT_OF_B, a_end - b_start
     if a_end >= b_end and a_start >= b_start:
-        return b_end - a_start
+        return RelativePosition.A_RIGHT_OF_B, b_end - a_start
     raise AssertionError("positional branches are exhaustive")  # pragma: no cover
+
+
+def case_overlap_coords(a_start: int, a_end: int, b_start: int, b_end: int) -> int:
+    """Signed bp overlap via the four positional branches, first match wins."""
+    return _case_branch(a_start, a_end, b_start, b_end)[1]
 
 
 def centre_distance_coords(a_start: int, a_end: int, b_start: int, b_end: int) -> float:
@@ -198,15 +205,7 @@ def classify(a: GenomicRegion, b: GenomicRegion) -> RelativePosition:
     the earliest branch, matching SQL CASE first-match semantics.
     """
     _require_same_chrom(a, b)
-    if a.end <= b.end and a.start >= b.start:
-        return RelativePosition.A_WITHIN_B
-    if b.end <= a.end and b.start >= a.start:
-        return RelativePosition.B_WITHIN_A
-    if a.end <= b.end and a.start <= b.start:
-        return RelativePosition.A_LEFT_OF_B
-    if a.end >= b.end and a.start >= b.start:
-        return RelativePosition.A_RIGHT_OF_B
-    raise AssertionError("positional branches are exhaustive")  # pragma: no cover
+    return _case_branch(a.start, a.end, b.start, b.end)[0]
 
 
 def centre_distance(a: GenomicRegion, b: GenomicRegion) -> float:

@@ -212,7 +212,7 @@ def pairwise_mining(
     Pairs across assemblies are never computed. Rows are grouped by
     assembly, then ordered by (query name, reference name).
     """
-    names = {row.dataset for row in store.rows()}
+    names = set(store.dataset_names())
     for entry in catalog:
         if entry.name not in names:
             raise ValueError(f"catalog dataset {entry.name!r} not imported")

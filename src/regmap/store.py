@@ -1,21 +1,23 @@
 """In-memory region store mirroring the database-side structures.
 
-The store keeps every ingested record, valid or not, in a production
-list with unique, strictly increasing ids. Imports run in three steps
-like the staged bulk load of the SQL backends: fill a staging buffer,
-copy it into production while assigning ids, then empty staging. A
-failed import leaves production untouched, and staging is always empty
-once an import returns.
+Every record, valid or not, is kept with its dataset in import order,
+under store-wide ids 1..N. Datasets are write-once: a write rejects a
+name already present, and no row is ever updated or deleted. Imports
+run in three steps like the staged bulk load of the SQL backends: fill
+a staging buffer, copy it into production while assigning ids, then
+empty staging. A failed import leaves production untouched, and
+staging is always empty once an import returns.
 
-A per-(dataset, chromosome) start-sorted index can be built for
-proximity queries; it holds only valid regions and is dropped whenever
-production changes, so query results are always identical with and
-without it.
+An optional per-(dataset, chromosome) start-sorted index of the valid
+regions serves proximity queries. Once built, each write extends it
+with the new dataset, so results are identical with and without it.
 
 Concurrency: any number of reader threads may run beside writers.
-Mutations and index builds are serialized on an internal lock; a query
-reads the index once, so each result is correct for the store either
-before or after a concurrent write. Query results are fresh lists.
+Writes and index builds and drops are serialized on an internal lock
+and publish new structures instead of mutating published ones. A query
+reads each once, so its result is correct for the store before or after
+a concurrent write; a rowwise insert's dataset is seen either absent or
+with every record it committed. Query results are fresh lists.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 
 from .intervals import GenomicRegion, RawRegion
 
@@ -49,6 +52,21 @@ def _as_raw(region) -> RawRegion:
 _IndexEntry = tuple[list[int], list[StoredRegion], int]
 
 
+def _index_dataset(rows: list[StoredRegion]) -> dict[str, _IndexEntry]:
+    """One dataset's index entries by chromosome; valid rows only."""
+    by_chrom: dict[str, list[StoredRegion]] = {}
+    for row in rows:
+        if row.region.is_valid():
+            by_chrom.setdefault(row.region.chrom, []).append(row)
+    entries: dict[str, _IndexEntry] = {}
+    for chrom, chrom_rows in by_chrom.items():
+        chrom_rows.sort(key=lambda r: (r.region.start, r.region.end))
+        starts = [r.region.start for r in chrom_rows]
+        max_len = max(r.region.end - r.region.start for r in chrom_rows)
+        entries[chrom] = (starts, chrom_rows, max_len)
+    return entries
+
+
 class RegionStore:
     """Region storage with staged imports, searches and an optional index.
 
@@ -58,63 +76,56 @@ class RegionStore:
     """
 
     def __init__(self, capacity: int | None = None):
-        self._production: list[StoredRegion] = []
+        self._by_dataset: dict[str, list[StoredRegion]] = {}
         self._staging: list[RawRegion] = []
-        self._datasets: set[str] = set()
         self._next_id = 1
         self._capacity = capacity
-        self._index: dict[tuple[str, str], _IndexEntry] | None = None
+        self._index: dict[str, dict[str, _IndexEntry]] | None = None
         self._write_lock = threading.Lock()
 
     def __len__(self) -> int:
-        return len(self._production)
+        return self._next_id - 1
 
     @property
     def staging_size(self) -> int:
         return len(self._staging)
 
     def dataset_names(self) -> list[str]:
-        return list(dict.fromkeys(row.dataset for row in self._production))
+        return list(self._by_dataset)
 
     def rows(self) -> list[StoredRegion]:
         """All production rows in id order."""
-        return list(self._production)
+        return list(chain.from_iterable(self._by_dataset.values()))
 
     def regions(self, dataset: str) -> list[StoredRegion]:
         """All rows of one dataset in id order."""
-        return [r for r in self._production if r.dataset == dataset]
+        return list(self._by_dataset.get(dataset, ()))
 
     def valid_regions(self, dataset: str) -> list[tuple[int, GenomicRegion]]:
         """(id, validated region) pairs of one dataset, invalid rows skipped."""
-        out = []
-        for row in self._production:
-            if row.dataset == dataset and row.region.is_valid():
-                out.append((row.id, row.region.to_region()))
-        return out
-
-    def _check_new_dataset(self, name: str) -> None:
-        if name in self._datasets:
-            raise ValueError(f"dataset {name!r} already imported")
+        return [
+            (row.id, row.region.to_region())
+            for row in self._by_dataset.get(dataset, ())
+            if row.region.is_valid()
+        ]
 
     def _check_capacity(self, extra: int) -> None:
-        if self._capacity is not None and len(self._production) + extra > self._capacity:
+        if self._capacity is not None and len(self) + extra > self._capacity:
             raise ValueError(
                 f"store capacity {self._capacity} exceeded "
-                f"({len(self._production)} rows + {extra} new)"
+                f"({len(self)} rows + {extra} new)"
             )
 
-    def _append_rows(self, name: str, regions: list[RawRegion]) -> None:
-        # All-or-nothing: rows are materialized before production grows.
-        rows = []
-        next_id = self._next_id
-        for raw in regions:
-            rows.append(StoredRegion(next_id, name, raw))
-            next_id += 1
-        self._production.extend(rows)
-        self._next_id = next_id
-        if rows:
-            self._datasets.add(name)
-        self._index = None
+    def _commit(self, name: str, raws: list[RawRegion]) -> int:
+        """Publish a dataset with fresh ids (lock held); an empty one is not kept."""
+        if raws:
+            rows = [StoredRegion(i, name, raw) for i, raw in enumerate(raws, self._next_id)]
+            self._by_dataset = {**self._by_dataset, name: rows}
+            self._next_id += len(rows)
+            index = self._index
+            if index is not None:
+                self._index = {**index, name: _index_dataset(rows)}
+        return len(raws)
 
     def import_dataset(self, name: str, regions) -> int:
         """Three-step staged import: stage, copy with ids, empty staging.
@@ -123,46 +134,42 @@ class RegionStore:
         empty. Returns the number of imported rows.
         """
         with self._write_lock:
-            self._check_new_dataset(name)
+            if name in self._by_dataset:
+                raise ValueError(f"dataset {name!r} already imported")
             try:
                 self._staging = [_as_raw(r) for r in regions]
                 self._check_capacity(len(self._staging))
-                self._append_rows(name, self._staging)
-                return len(self._staging)
+                return self._commit(name, self._staging)
             finally:
                 self._staging = []
 
     def insert_regions_batch(self, name: str, regions) -> int:
         """Insert all regions as one atomic append (single transaction)."""
-        with self._write_lock:
-            self._check_new_dataset(name)
-            raws = [_as_raw(r) for r in regions]
-            self._check_capacity(len(raws))
-            self._append_rows(name, raws)
-            return len(raws)
+        return self.import_dataset(name, regions)
 
     def insert_regions_rowwise(self, name: str, regions) -> int:
         """Insert regions one at a time (autocommit semantics).
 
-        On failure at record k the first k-1 records stay committed.
+        On failure at record k the first k-1 records stay committed;
+        they are published together when the call ends.
         """
         with self._write_lock:
-            self._check_new_dataset(name)
-            count = 0
-            for r in regions:
-                raw = _as_raw(r)
-                self._check_capacity(1)
-                self._append_rows(name, [raw])
-                count += 1
-            return count
+            if name in self._by_dataset:
+                raise ValueError(f"dataset {name!r} already imported")
+            raws: list[RawRegion] = []
+            try:
+                for r in regions:
+                    raw = _as_raw(r)
+                    self._check_capacity(len(raws) + 1)
+                    raws.append(raw)
+            finally:
+                self._commit(name, raws)
+            return len(raws)
 
     def find_invalid(self) -> list[StoredRegion]:
         """All rows with start < 0 or end < start, in id order (full scan)."""
-        return [
-            row
-            for row in self._production
-            if row.region.start < 0 or row.region.end < row.region.start
-        ]
+        rows = chain.from_iterable(self._by_dataset.values())
+        return [row for row in rows if not row.region.is_valid()]
 
     def build_index(self) -> None:
         """Build the per-(dataset, chromosome) start-sorted index. Idempotent.
@@ -171,23 +178,15 @@ class RegionStore:
         misses rows that a concurrent import committed.
         """
         with self._write_lock:
-            if self._index is not None:
-                return
-            grouped: dict[tuple[str, str], list[StoredRegion]] = {}
-            for row in self._production:
-                if row.region.is_valid():
-                    grouped.setdefault((row.dataset, row.region.chrom), []).append(row)
-            index: dict[tuple[str, str], _IndexEntry] = {}
-            for key, rows in grouped.items():
-                rows.sort(key=lambda r: (r.region.start, r.region.end))
-                starts = [r.region.start for r in rows]
-                max_len = max(r.region.end - r.region.start for r in rows)
-                index[key] = (starts, rows, max_len)
-            self._index = index
+            if self._index is None:
+                self._index = {
+                    name: _index_dataset(rows) for name, rows in self._by_dataset.items()
+                }
 
     def drop_index(self) -> None:
         """Discard the index; a no-op when none is built."""
-        self._index = None
+        with self._write_lock:
+            self._index = None
 
     @property
     def has_index(self) -> bool:
@@ -197,28 +196,28 @@ class RegionStore:
         """Valid regions on chrom sharing >= 1 base with the half-open
         window [position - window, position + window).
 
-        Uses the sorted index when built, a linear scan otherwise; the
-        two paths return identical results. Unknown chromosomes yield
-        an empty list.
+        Uses the index when built, a linear scan otherwise; unknown
+        chromosomes yield an empty list.
         """
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         lo = position - window
         hi = position + window
-        # One read: a concurrent import may reset self._index at any time.
+        # One read: a concurrent write or drop may replace self._index.
         index = self._index
         if index is None:
             return [
                 row
-                for row in self._production
+                for row in chain.from_iterable(self._by_dataset.values())
                 if row.region.chrom == chrom
                 and row.region.is_valid()
                 and min(row.region.end, hi) - max(row.region.start, lo) >= 1
             ]
         hits: list[StoredRegion] = []
-        for (_, key_chrom), (starts, rows, max_len) in index.items():
-            if key_chrom != chrom:
+        for by_chrom in index.values():
+            if (entry := by_chrom.get(chrom)) is None:
                 continue
+            starts, rows, max_len = entry
             # e > lo forces s > lo - len >= lo - max_len
             i = bisect_left(starts, lo - max_len + 1)
             while i < len(starts) and starts[i] <= hi - 1:

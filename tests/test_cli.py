@@ -244,11 +244,13 @@ class TestSearch:
     def test_bad_locus_format(self, capsys, tmp_path):
         bed = tmp_path / "x.bed"
         bed.write_text("chr1\t0\t10\n")
-        rc, _, err = run_cli(
-            capsys, "search", "--store-from", str(bed), "--near", "oops"
-        )
-        assert rc == 1
-        assert "CHROM:POS" in err
+        # non-ASCII digits: Arabic-Indic twelve, superscript two
+        for locus in ("oops", "chr1:\u0661\u0662", "chr1:\u00b2"):
+            rc, _, err = run_cli(
+                capsys, "search", "--store-from", str(bed), "--near", locus
+            )
+            assert rc == 1
+            assert err == f"regmap: error: expected CHROM:POS, got {locus!r}\n"
 
 
 class TestSqlgen:

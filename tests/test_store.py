@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regmap import store as store_module
 from regmap.bench import GenConfig, generate_regions, make_invalid_rows
-from regmap.intervals import RawRegion
+from regmap.intervals import RawRegion, overlap_coords
 from regmap.store import RegionStore
 
 
@@ -203,6 +204,63 @@ class TestIndexLifecycle:
         assert [row.id for row in hits] == [2]
 
 
+WRITE_OPS = st.tuples(
+    st.sampled_from(["import_dataset", "insert_regions_batch", "insert_regions_rowwise"]),
+    st.sampled_from(["d1", "d2", "d3", "d4", "d5"]),
+    st.lists(
+        st.builds(RawRegion, st.sampled_from(["chr1", "chr2"]),
+                  st.integers(-20, 200), st.integers(-20, 200)),
+        max_size=8,
+    ),
+)
+INDEX_OPS = st.sampled_from([("build_index",), ("drop_index",)])
+PROBES = [(c, p, w) for c in ("chr1", "chr2", "chr3") for p in range(-10, 220, 30) for w in (1, 25)]
+
+
+class TestIndexInvariant:
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(st.none(), st.integers(0, 30)),
+           st.lists(st.one_of(WRITE_OPS, INDEX_OPS), max_size=15))
+    def test_writes_and_index_ops_keep_index_equal_to_scan(self, capacity, ops):
+        store = RegionStore(capacity=capacity)
+        committed = []  # (id, dataset, region) of every row, in id order
+        indexed = False
+        for op, *args in ops:
+            if not args:
+                getattr(store, op)()
+                indexed = op == "build_index"
+            else:
+                name, regions = args
+                room = len(regions) if capacity is None else capacity - len(committed)
+                if name in {row[1] for row in committed}:
+                    fails, kept = True, []
+                elif op == "insert_regions_rowwise":  # keeps the prefix that fits
+                    fails, kept = len(regions) > room, regions[:room]
+                else:  # all or nothing
+                    fails = len(regions) > room
+                    kept = [] if fails else regions
+                if fails:
+                    with pytest.raises(ValueError):
+                        getattr(store, op)(name, regions)
+                else:
+                    assert getattr(store, op)(name, regions) == len(regions)
+                committed += [(len(committed) + i, name, r) for i, r in enumerate(kept, 1)]
+            assert store.has_index == indexed
+            rows = store.rows()
+            assert [(r.id, r.dataset, r.region) for r in rows] == committed
+            assert len(store) == len(committed)
+            assert store.find_invalid() == [r for r in rows if not r.region.is_valid()]
+            assert store.dataset_names() == list(dict.fromkeys(r.dataset for r in rows))
+            for chrom, position, window in PROBES:
+                scan = [
+                    r for r in rows
+                    if r.region.chrom == chrom and r.region.is_valid()
+                    and overlap_coords(r.region.start, r.region.end,
+                                       position - window, position + window) >= 1
+                ]
+                assert store.proximity_search(chrom, position, window) == scan
+
+
 class TestAccessors:
     def test_valid_regions_converts_and_filters(self):
         store = RegionStore()
@@ -292,6 +350,35 @@ class TestConcurrency:
         store.build_index()
         for probe in probes:
             assert [r.id for r in store.proximity_search(*probe, 400)] == want[probe]
+
+    def test_drop_index_beside_a_write_is_not_undone(self, monkeypatch):
+        # A write extends the index it finds. Hold one write inside that
+        # extension while another thread drops the index: the drop must
+        # wait for the write, not be undone when the write publishes.
+        in_write, dropped = threading.Event(), threading.Event()
+        index_dataset = store_module._index_dataset
+
+        def held_index_dataset(rows):
+            in_write.set()
+            dropped.wait(timeout=0.2)  # a drop that skips the write lock lands here
+            return index_dataset(rows)
+
+        def drop():
+            in_write.wait(timeout=60)
+            store.drop_index()
+            dropped.set()
+
+        store = RegionStore()
+        store.import_dataset("d1", VALID)
+        store.build_index()
+        monkeypatch.setattr(store_module, "_index_dataset", held_index_dataset)
+        dropper = threading.Thread(target=drop)
+        dropper.start()
+        store.import_dataset("d2", VALID)
+        dropper.join(timeout=60)
+        assert not dropper.is_alive()
+        assert in_write.is_set() and dropped.is_set()
+        assert not store.has_index
 
 
 def test_import_regmap_leaves_numpy_unloaded():
