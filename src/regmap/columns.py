@@ -2,10 +2,13 @@
 
 A region set is held as parallel arrays: an ``int32`` chromosome code
 indexing a name table, plus ``int64`` start, end and id arrays. Rows
-are validated once, vectorised, when the columns are built. Objects
-are built only at the API edge: ``window_join`` returns the emitted
-OverlapPair rows, and ``RegionColumns.to_id_regions`` gives the
-(id, GenomicRegion) lists the reference join takes.
+are validated once, vectorised, when the columns are built, from a BED
+file, from (id, GenomicRegion) lists or from store rows. The window
+join has two public ends over one per-chromosome loop: ``window_join``
+builds the emitted OverlapPair rows, and ``window_count`` counts the
+distinct A rows that have a pair, for the mining report, building no
+object. ``RegionColumns.to_id_regions`` gives the (id, GenomicRegion)
+lists the reference join takes.
 
 Coordinates must lie below ``COORD_LIMIT`` (2**62), so the sum of two
 coordinates and every window bound fit in ``int64``; a larger one is
@@ -27,6 +30,7 @@ import numpy as np
 from .bedio import scan_bed
 from .intervals import GenomicRegion
 from .joins import JoinFilter, OverlapPair
+from .store import StoredRegion
 
 __all__ = [
     "COORD_LIMIT",
@@ -34,6 +38,7 @@ __all__ = [
     "RegionColumns",
     "read_bed_columns",
     "window_join",
+    "window_count",
 ]
 
 COORD_LIMIT = 1 << 62
@@ -70,6 +75,26 @@ class RegionColumns:
             [r.start for _, r in regions],
             [r.end for _, r in regions],
             np.array([rid for rid, _ in regions], dtype=np.int64),
+        )
+
+    @classmethod
+    def from_stored(cls, rows: Sequence[StoredRegion]) -> "RegionColumns":
+        """Columns of the valid store rows, under their store ids, in the given order.
+
+        Rows with ``start < 0`` or ``end < start`` are dropped, as
+        ``RegionStore.valid_regions`` drops them.
+        """
+        valid = [
+            row for row in rows if row.region.start >= 0 and row.region.end >= row.region.start
+        ]
+        codes: dict[str, int] = {}
+        chrom = [codes.setdefault(row.region.chrom, len(codes)) for row in valid]
+        return _build(
+            tuple(codes),
+            chrom,
+            [row.region.start for row in valid],
+            [row.region.end for row in valid],
+            np.array([row.id for row in valid], dtype=np.int64),
         )
 
     def to_id_regions(self) -> list[IdRegion]:
@@ -144,32 +169,9 @@ def window_join(a: RegionColumns, b: RegionColumns, flt: JoinFilter) -> list[Ove
     for every ``min_bp``. Candidates are expanded with ``np.repeat``,
     gathered and filtered exactly, in chunks of CANDIDATE_CHUNK.
     """
-    # Signed overlaps of coordinates in [0, 2**62) lie in (-2**62, 2**62),
-    # so clamping min_bp changes no result and keeps the bounds in int64.
-    min_bp = min(max(flt.min_bp, 1 - COORD_LIMIT), COORD_LIMIT)
-    max_cd = flt.max_centre_distance
-    # A pair with centre distance < D has bp overlap >= -ceil(D), which
-    # can narrow the window of a gap join.
-    reach = min_bp
-    if max_cd is not None and math.isfinite(max_cd):
-        reach = max(min_bp, -math.ceil(max_cd))
-    twice_bound = None if max_cd is None else 2 * max_cd
-
-    a_order = np.argsort(a.chrom, kind="stable")
-    b_order = np.lexsort((b.start, b.chrom))
-    a_bounds = _groups(a.chrom, a_order, len(a.names))
-    b_bounds = _groups(b.chrom, b_order, len(b.names))
-    b_codes = {name: code for code, name in enumerate(b.names)}
     found = []
-    for code, name in enumerate(a.names):
-        j = b_codes.get(name)
-        if j is None or b_bounds[j] == b_bounds[j + 1]:
-            continue
-        ar = a_order[a_bounds[code] : a_bounds[code + 1]]
-        br = b_order[b_bounds[j] : b_bounds[j + 1]]
-        for a_rows, b_rows, bp, twice in _join_chromosome(
-            a.start[ar], a.end[ar], b.start[br], b.end[br], min_bp, reach, twice_bound
-        ):
+    for code, ar, br, chunks in _chromosome_chunks(a, b, flt):
+        for a_rows, b_rows, bp, twice in chunks:
             found.append((ar[a_rows], br[b_rows], np.full(len(bp), code, np.int32), bp, twice))
     if not found:
         return []
@@ -187,6 +189,53 @@ def window_join(a: RegionColumns, b: RegionColumns, flt: JoinFilter) -> list[Ove
             twice[order].tolist(),
         )
     ]
+
+
+def window_count(a: RegionColumns, b: RegionColumns, flt: JoinFilter) -> int:
+    """Number of distinct A rows in at least one pair of A x B passing ``flt``.
+
+    The same window join as ``window_join``; it marks hit rows instead
+    of building pairs.
+    """
+    hit = np.zeros(len(a), dtype=bool)
+    for _, ar, _, chunks in _chromosome_chunks(a, b, flt):
+        for a_rows, _, _, _ in chunks:
+            hit[ar[a_rows]] = True
+    return int(np.count_nonzero(hit))
+
+
+def _chromosome_chunks(a: RegionColumns, b: RegionColumns, flt: JoinFilter):
+    """Yield (code, A rows, B rows, chunks) for each chromosome both sides hold.
+
+    ``code`` indexes ``a.names``; the row arrays map the chromosome's
+    local rows to rows of ``a`` and of ``b`` (B sorted by start);
+    ``chunks`` is ``_join_chromosome`` on them.
+    """
+    # Signed overlaps of coordinates in [0, 2**62) lie in (-2**62, 2**62),
+    # so clamping min_bp changes no result and keeps the bounds in int64.
+    min_bp = min(max(flt.min_bp, 1 - COORD_LIMIT), COORD_LIMIT)
+    max_cd = flt.max_centre_distance
+    # A pair with centre distance < D has bp overlap >= -ceil(D), which
+    # can narrow the window of a gap join.
+    reach = min_bp
+    if max_cd is not None and math.isfinite(max_cd):
+        reach = max(min_bp, -math.ceil(max_cd))
+    twice_bound = None if max_cd is None else 2 * max_cd
+
+    a_order = np.argsort(a.chrom, kind="stable")
+    b_order = np.lexsort((b.start, b.chrom))
+    a_bounds = _groups(a.chrom, a_order, len(a.names))
+    b_bounds = _groups(b.chrom, b_order, len(b.names))
+    b_codes = {name: code for code, name in enumerate(b.names)}
+    for code, name in enumerate(a.names):
+        j = b_codes.get(name)
+        if j is None or b_bounds[j] == b_bounds[j + 1]:
+            continue
+        ar = a_order[a_bounds[code] : a_bounds[code + 1]]
+        br = b_order[b_bounds[j] : b_bounds[j + 1]]
+        yield code, ar, br, _join_chromosome(
+            a.start[ar], a.end[ar], b.start[br], b.end[br], min_bp, reach, twice_bound
+        )
 
 
 def _join_chromosome(a_start, a_end, b_start, b_end, min_bp, reach, twice_bound):

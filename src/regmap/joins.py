@@ -15,6 +15,13 @@ A pair (a, b) is emitted when its signed bp overlap is at least
 strictly below ``max_centre_distance``. Output is ordered by
 (a_id, b_id) so runs are byte-comparable.
 
+The mining report builds no region or pair objects: each catalog
+dataset's valid store rows become ``columns.RegionColumns`` once, the
+first time a pair needs them, and each ordered pair is one
+``columns.window_count``, the number of distinct query rows the same
+window join hits. ``count_overlapping`` gives that count for
+(id, GenomicRegion) lists.
+
 Joins are pure functions over immutable inputs and thread-safe.
 """
 
@@ -188,9 +195,14 @@ def count_overlapping(
 
     This is the counting convention of the mining report: each query
     region counts once however many reference regions it hits.
+    Coordinates must lie below 2**62.
     """
-    pairs = sweep_join(a_regions, b_regions, flt)
-    return len({p.a_id for p in pairs}), len(a_regions)
+    from .columns import RegionColumns, window_count
+
+    _check_unique_ids(a_regions, "A")
+    _check_unique_ids(b_regions, "B")
+    a = RegionColumns.from_id_regions(a_regions)
+    return window_count(a, RegionColumns.from_id_regions(b_regions), flt), len(a)
 
 
 def overlap_percentage(overlapping: int, total: int, digits: int = 2) -> float:
@@ -212,19 +224,29 @@ def pairwise_mining(
     Pairs across assemblies are never computed. Rows are grouped by
     assembly, then ordered by (query name, reference name).
     """
+    from .columns import RegionColumns, window_count
+
     names = set(store.dataset_names())
     for entry in catalog:
         if entry.name not in names:
             raise ValueError(f"catalog dataset {entry.name!r} not imported")
-    regions = {entry.name: store.valid_regions(entry.name) for entry in catalog}
+    # Each dataset's valid rows become columns once, when a pair first
+    # needs them; a dataset with no same-assembly partner is never built.
+    columns: dict[str, RegionColumns] = {}
+
+    def columns_of(name: str) -> RegionColumns:
+        if name not in columns:
+            columns[name] = RegionColumns.from_stored(store.regions(name))
+        return columns[name]
+
     rows: list[MiningRow] = []
     for query in catalog:
         for ref in catalog:
             if query.name == ref.name or query.assembly != ref.assembly:
                 continue
-            overlapping, total = count_overlapping(
-                regions[query.name], regions[ref.name], flt
-            )
+            a = columns_of(query.name)
+            overlapping = window_count(a, columns_of(ref.name), flt)
+            total = len(a)
             rows.append(
                 MiningRow(
                     assembly=query.assembly,

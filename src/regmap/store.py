@@ -175,8 +175,12 @@ class RegionStore:
         """Build the per-(dataset, chromosome) start-sorted index. Idempotent.
 
         Built and published under the write lock, so an index never
-        misses rows that a concurrent import committed.
+        misses rows that a concurrent import committed. When an index
+        exists the call returns without taking the lock: writes extend
+        it, and only ``drop_index`` removes it.
         """
+        if self._index is not None:
+            return
         with self._write_lock:
             if self._index is None:
                 self._index = {

@@ -1,14 +1,15 @@
 import io
+import re
 from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regmap.bedio import load_catalog_file, parse_bed_file
+from regmap.bedio import CatalogEntry, load_catalog_file, parse_bed_file
 from regmap.bench import GenConfig, generate_regions
 from regmap.data import toy_catalog_path
-from regmap.intervals import GenomicRegion
+from regmap.intervals import GenomicRegion, RawRegion
 from regmap.joins import (
     JoinFilter,
     OverlapPair,
@@ -280,6 +281,105 @@ class TestPairwiseMining:
         catalog, _ = load_toy()
         with pytest.raises(ValueError, match="not imported"):
             pairwise_mining(catalog, RegionStore())
+
+
+def reference_mining(catalog, store, flt):
+    """The mining report from valid_regions and the reference join."""
+    rows = []
+    for q in catalog:
+        for ref in catalog:
+            if q.name == ref.name or q.assembly != ref.assembly:
+                continue
+            q_regions = store.valid_regions(q.name)
+            pairs = nested_loop_join(q_regions, store.valid_regions(ref.name), flt)
+            hits, total = len({p.a_id for p in pairs}), len(q_regions)
+            pct = Decimal(hits * 100) / Decimal(total) if total else Decimal(0)
+            pct = float(pct.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+            rows.append((q.assembly, q.name, ref.name, total, hits, pct))
+    return sorted(rows)
+
+
+def entry(name, assembly):
+    return CatalogEntry(name, "TF", "cell", None, assembly, f"{name}.bed")
+
+
+def row_strategy(chroms):
+    # start < 0 or a negative length makes an invalid row
+    return st.builds(
+        lambda c, s, n: RawRegion(c, s, s + n),
+        st.sampled_from(chroms),
+        st.integers(-20, 300),
+        st.integers(-30, 80),
+    )
+
+
+@st.composite
+def mining_catalogs(draw):
+    """(catalog, {name: rows}) with invalid rows, an all-invalid dataset,
+    a chromosome no partner holds and two assemblies."""
+    datasets = {
+        # every row invalid: query_total 0, percentage 0.00
+        "void": ("hg19", [RawRegion("chr1", -5, 10), RawRegion("chr2", 40, 30)]),
+        # chrM is on no other dataset
+        "mito": ("hg19", draw(st.lists(row_strategy(["chrM"]), min_size=1, max_size=6))),
+    }
+    for k in range(draw(st.integers(3, 5))):
+        assembly = ("hg19", "mm9")[k % 2] if k < 2 else draw(st.sampled_from(["hg19", "mm9"]))
+        chroms = draw(st.lists(st.sampled_from(["chr1", "chr2", "chr3"]),
+                               min_size=1, max_size=3, unique=True))
+        # min_size=1: the store keeps no empty dataset
+        rows = draw(st.lists(row_strategy(chroms), min_size=1, max_size=25))
+        datasets[f"d{k}"] = (assembly, rows)
+    order = draw(st.permutations(sorted(datasets)))
+    catalog = [entry(name, datasets[name][0]) for name in order]
+    return catalog, {name: rows for name, (_, rows) in datasets.items()}
+
+
+class TestMiningDifferential:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        mining_catalogs(),
+        st.sampled_from([1, 0, -50]),
+        st.sampled_from([None, 0.5, 3]),
+    )
+    def test_matches_reference(self, case, min_bp, max_cd):
+        catalog, datasets = case
+        store = RegionStore()
+        for e in catalog:
+            store.import_dataset(e.name, datasets[e.name])
+        flt = JoinFilter(min_bp=min_bp, max_centre_distance=max_cd)
+        got = [
+            (r.assembly, r.query_name, r.ref_name, r.query_total, r.overlapping, r.percentage)
+            for r in pairwise_mining(catalog, store, flt)
+        ]
+        assert got == reference_mining(catalog, store, flt)
+        assert any(r[1] == "void" and r[3] == 0 and r[5] == 0.0 for r in got)
+
+    @staticmethod
+    def out_of_range_store(bad):
+        store = RegionStore()
+        store.import_dataset("a", [RawRegion("chr1", 0, 10), RawRegion("chr1", 5, 20)])
+        store.import_dataset("b", [RawRegion("chr1", 8, 12), RawRegion("chr1", -1, 2**70)])
+        store.import_dataset("bad", bad)
+        return store
+
+    def test_lone_assembly_out_of_range_is_never_built(self):
+        # "bad" has no mm9 partner, so it is never joined; b's invalid
+        # row with end 2**70 is dropped like every invalid row.
+        store = self.out_of_range_store([RawRegion("chr1", 0, 2**62)])
+        catalog = [entry("a", "hg19"), entry("b", "hg19"), entry("bad", "mm9")]
+        rows = pairwise_mining(catalog, store)
+        assert [(r.query_name, r.ref_name, r.overlapping, r.query_total) for r in rows] == [
+            ("a", "b", 2, 2),
+            ("b", "a", 1, 1),
+        ]
+
+    def test_paired_out_of_range_raises_its_message(self):
+        store = self.out_of_range_store([RawRegion("chr1", 0, 5), RawRegion("chr1", 3, 2**62 + 7)])
+        catalog = [entry("a", "hg19"), entry("b", "hg19"), entry("bad", "hg19")]
+        message = f"coordinate {2**62 + 7} out of range: coordinates must be below 2**62"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pairwise_mining(catalog, store)
 
 
 class TestTsvOutput:

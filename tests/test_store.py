@@ -380,12 +380,30 @@ class TestConcurrency:
         assert in_write.is_set() and dropped.is_set()
         assert not store.has_index
 
+    def test_build_index_on_an_indexed_store_takes_no_lock(self):
+        # A writer holding the lock must not stall a build that has
+        # nothing to do: with an index present, build_index returns at once.
+        store = RegionStore()
+        store.import_dataset("d1", VALID)
+        store.build_index()
+        returned = threading.Event()
+        with store._write_lock:
+            builder = threading.Thread(target=lambda: (store.build_index(), returned.set()))
+            builder.start()
+            assert returned.wait(timeout=5)
+        builder.join(timeout=60)
+        assert store.has_index
+
 
 def test_import_regmap_leaves_numpy_unloaded():
     # The store-mixed benchmark child imports regmap and never joins;
     # numpy would add about 14 MB to its ~140 MB peak, beyond that
-    # workload's 5% peak_rss_mb bound. Only the joins load it.
-    code = "import sys, regmap, regmap.bedio, regmap.store; print('numpy' in sys.modules)"
+    # workload's 5% peak_rss_mb bound. Only the joins load it, inside
+    # the calls that join.
+    code = (
+        "import sys, regmap, regmap.bedio, regmap.store, regmap.joins; "
+        "print('numpy' in sys.modules)"
+    )
     src = Path(__file__).resolve().parent.parent / "src"
     result = subprocess.run(
         [sys.executable, "-c", code],
