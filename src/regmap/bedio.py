@@ -10,8 +10,11 @@ erroneous-region search.
 Coordinates accept only ASCII digits with an optional leading ``-``,
 keeping the parse locale-independent.
 
-``scan_bed`` is the one line scanner. ``parse_bed`` builds RawRegion
-records from its rows; ``columns.read_bed_columns`` builds arrays.
+``scan_bed`` is the one line scanner and the rulebook: it alone decides
+that a line is malformed, and why. ``parse_bed`` builds RawRegion
+records from its rows. ``columns.read_bed_columns`` builds arrays with
+a numpy fast path that only accepts; it hands every other line to
+``scan_numbered``, which is ``scan_bed``'s rules over numbered lines.
 """
 
 from __future__ import annotations
@@ -87,9 +90,11 @@ def _iter_lines(source: str | Path | IO | Iterable[str]) -> Iterator[str]:
 
 
 def _chrom_reason(chrom: str) -> str | None:
+    """Why a chromosome name is rejected, or None when it is accepted."""
     if not chrom:
         return "empty chromosome"
-    if any(c.isspace() for c in chrom):
+    # split() cuts at exactly the characters str.isspace() accepts
+    if chrom.split() != [chrom]:
         return "chromosome contains whitespace"
     return None
 
@@ -116,7 +121,17 @@ def scan_bed(
     """
     if mode not in ("strict", "permissive"):
         raise ValueError(f"unknown parse mode: {mode!r}")
-    strict = mode == "strict"
+    return scan_numbered(enumerate(_iter_lines(source), start=1), strict=mode == "strict")
+
+
+def scan_numbered(
+    numbered: Iterable[tuple[int, str]], strict: bool
+) -> tuple[list[str], list[int], list[int], list[int], ParseReport]:
+    """``scan_bed``'s rules over (line number, line) pairs.
+
+    The columnar reader sends here each line its fast path does not
+    accept, under its line number in the file.
+    """
     names: list[str] = []
     codes: list[int] = []
     starts: list[int] = []
@@ -124,7 +139,7 @@ def scan_bed(
     report = ParseReport()
     # chromosome name -> its code, or the reason the name is rejected
     seen: dict[str, int | str] = {}
-    for lineno, raw in enumerate(_iter_lines(source), start=1):
+    for lineno, raw in numbered:
         line = raw.rstrip("\r\n")
         if not line.strip() or line.startswith(_SKIP_PREFIXES):
             continue

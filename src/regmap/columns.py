@@ -8,7 +8,13 @@ join has two public ends over one per-chromosome loop: ``window_join``
 builds the emitted OverlapPair rows, and ``window_count`` counts the
 distinct A rows that have a pair, for the mining report, building no
 object. ``RegionColumns.to_id_regions`` gives the (id, GenomicRegion)
-lists the reference join takes.
+lists the reference join takes. Each region set sorts its rows by
+(chromosome, start) once, the first time a join needs them.
+
+``read_bed_columns`` parses a BED file with numpy. That fast path only
+accepts: it has no reject reasons of its own, and every line it does
+not accept goes through ``bedio``'s rules, so ``bedio.scan_bed`` stays
+the one rulebook and the reference reader.
 
 Coordinates must lie below ``COORD_LIMIT`` (2**62), so the sum of two
 coordinates and every window bound fit in ``int64``; a larger one is
@@ -20,14 +26,16 @@ package imports this module only inside the calls that join.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import NoReturn, Sequence
 
 import numpy as np
 
-from .bedio import scan_bed
+from .bedio import _SKIP_PREFIXES, _chrom_reason, scan_bed, scan_numbered
 from .intervals import GenomicRegion
 from .joins import JoinFilter, OverlapPair
 from .store import StoredRegion
@@ -47,6 +55,13 @@ COORD_LIMIT = 1 << 62
 # then allocate |A_chr| * |B_chr| int64s. One chunk holds about this
 # many candidates, or one A row's window when that alone is larger.
 CANDIDATE_CHUNK = 1 << 16
+# Bytes of whole lines the BED reader parses at once; bounds the size of
+# its temporaries. A line longer than this is one block.
+INGEST_BLOCK = 1 << 18
+# Longest chromosome name and coordinate the reader's fast path accepts.
+# 18 digits always fit int64; longer fields go through bedio.
+NAME_WIDTH = 64
+MAX_DIGITS = 18
 
 IdRegion = tuple[int, GenomicRegion]
 
@@ -63,6 +78,16 @@ class RegionColumns:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    @cached_property
+    def _by_chrom(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(order, bounds)``: the rows sorted by (chromosome, start),
+        and code k's rows as ``order[bounds[k]:bounds[k + 1]]``. Sorted
+        once per region set, however many joins use it."""
+        order = np.lexsort((self.start, self.chrom))
+        if len(order) < 2**31:
+            order = order.astype(np.int32)  # the cache is held as long as the set
+        return order, np.searchsorted(self.chrom[order], np.arange(len(self.names) + 1))
 
     @classmethod
     def from_id_regions(cls, regions: Sequence[IdRegion]) -> "RegionColumns":
@@ -114,10 +139,140 @@ def read_bed_columns(path: str | Path, first_id: int = 1) -> RegionColumns:
     Rows get ids ``first_id, first_id + 1, ...`` in file order. A
     malformed line raises BedParseError; the first invalid row raises
     the ValueError that GenomicRegion raises for it.
+
+    The file is read once, as bytes, and parsed with numpy
+    (``_scan_fast``). That fast path only accepts; ``bedio.scan_bed``
+    stays the rulebook. Each line the fast path does not accept goes
+    through bedio's rules under its own line number. A file holding a
+    non-ASCII byte, a ``\\r``, a NUL or a line that only bedio accepts
+    is scanned whole by ``scan_bed``, through the same text reader as
+    ever, so newline handling and decode errors do not change.
     """
-    names, codes, starts, ends, _ = scan_bed(Path(path), mode="strict")
-    ids = np.arange(first_id, first_id + len(codes), dtype=np.int64)
-    return _build(tuple(names), codes, starts, ends, ids)
+    with open(path, "rb") as fh:
+        data = fh.read()
+        parsed = None
+        if data.isascii() and b"\r" not in data and b"\0" not in data:
+            parsed = _scan_fast(data)
+        if parsed is None:
+            # The reader stack of open(path, encoding="utf-8"); a pipe,
+            # already drained, is read from memory.
+            raw = fh if fh.seekable() else io.BytesIO(data)
+            raw.seek(0)
+            text = io.TextIOWrapper(raw, encoding="utf-8")
+            names, codes, starts, ends, _ = scan_bed(text, mode="strict")
+            return _build(tuple(names), codes, starts, ends, _ids(first_id, len(codes)))
+    names, codes, starts, ends = parsed
+    return _checked(names, codes, starts, ends, _ids(first_id, len(codes)))
+
+
+def _scan_fast(data: bytes):
+    """``(names, codes, starts, ends)`` of an ASCII file with no ``\\r``
+    and no NUL, block by block; None if some line is one that only
+    bedio accepts (a coordinate of over MAX_DIGITS digits, a name
+    longer than NAME_WIDTH). A malformed line raises bedio's error."""
+    table: dict[str, int] = {}  # accepted chromosome name -> code
+    blocks = [(np.zeros(0, np.int32), np.zeros(0, np.int64), np.zeros(0, np.int64))]
+    lineno = pos = 0
+    while pos < len(data):
+        stop = data.find(b"\n", pos + INGEST_BLOCK - 1) + 1 or len(data)
+        *rows, count, declined = _scan_block(data, pos, stop, lineno, table)
+        if declined and scan_numbered(declined, strict=True)[-1].accepted:
+            return None
+        blocks.append(rows)
+        lineno += count
+        pos = stop
+    codes, starts, ends = (np.concatenate(col) for col in zip(*blocks))
+    # Every line with an accepted name was accepted, so the table lists
+    # the names in order of first appearance.
+    return tuple(table), codes, starts, ends
+
+
+def _scan_block(data: bytes, pos: int, stop: int, lineno: int, table: dict[str, int]):
+    """Parse the whole lines ``data[pos:stop]`` with numpy.
+
+    A line is accepted when it has at least three tab-separated fields,
+    its chromosome name has at most NAME_WIDTH bytes and passes
+    ``bedio._chrom_reason`` and the skip prefixes, and its start and
+    end match ``-?[0-9]{1,MAX_DIGITS}``. ``lineno`` is the number of
+    lines before ``pos``; ``table`` maps accepted names to codes and
+    gains the block's new names in order of first appearance. Returns
+    the accepted rows' codes, starts and ends, the number of lines, and
+    the (line number, text) pairs of every other line.
+    """
+    b = np.frombuffer(data, np.uint8, stop - pos, pos)
+    size = len(b)
+    newlines = np.flatnonzero(b == ord("\n"))
+    line_end = newlines if b[-1] == ord("\n") else np.append(newlines, size)
+    line_begin = np.concatenate(([0], newlines[: len(line_end) - 1] + 1))
+    # Two sentinels past the block: a line without two tabs finds them.
+    tabs = np.concatenate((np.flatnonzero(b == ord("\t")), (size, size)))
+    k = np.searchsorted(tabs, line_begin)
+    tab1, tab2 = tabs[k], tabs[k + 1]
+    tab3 = tabs[np.minimum(k + 2, len(tabs) - 1)]
+    width = tab1 - line_begin
+    ok = (tab2 < line_end) & (width >= 1) & (width <= NAME_WIDTH)
+    codes = np.full(len(line_end), -1, dtype=np.int32)
+    if ok.any():
+        codes[ok] = _chrom_codes(b, line_begin[ok], width[ok], table)
+        ok &= codes >= 0
+    start = _parse_ints(b, tab1 + 1, tab2, ok)
+    end = _parse_ints(b, tab2 + 1, np.minimum(tab3, line_end), ok)
+    other = np.flatnonzero(~ok)
+    declined = [
+        (lineno + 1 + i, data[pos + lo : pos + hi].decode("ascii"))
+        for i, lo, hi in zip(
+            other.tolist(), line_begin[other].tolist(), line_end[other].tolist()
+        )
+    ]
+    return codes[ok], start[ok], end[ok], len(line_end), declined
+
+
+def _chrom_codes(b: np.ndarray, begin: np.ndarray, width: np.ndarray, table: dict[str, int]):
+    """Code of each name ``b[begin:begin + width]``, or -1 for a name
+    bedio does not accept. Each distinct name is checked once."""
+    # NUL-padded to a multiple of 8 bytes, distinct names stay distinct
+    # keys because the file holds no NUL; an 8-byte key is one word.
+    longest = int(width.max())
+    padded = -(-longest // 8) * 8
+    keys = np.zeros((len(begin), padded), dtype=np.uint8)
+    for j in range(longest):
+        keys[:, j] = np.where(width > j, b[np.minimum(begin + j, len(b) - 1)], 0)
+    keys = keys.view(np.uint64 if padded == 8 else f"S{padded}").ravel()
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    raw = distinct.tobytes()
+    mapped = np.empty(len(distinct), dtype=np.int32)
+    new = []
+    for i in range(len(distinct)):
+        name = raw[i * padded : (i + 1) * padded].rstrip(b"\0").decode("ascii")
+        code = table.get(name)
+        if code is None:
+            code = -1
+            if _chrom_reason(name) is None and not name.startswith(_SKIP_PREFIXES):
+                new.append((int(np.argmax(inverse == i)), i, name))
+        mapped[i] = code
+    for _, i, name in sorted(new):  # in order of first appearance
+        mapped[i] = table[name] = len(table)
+    return mapped[inverse]
+
+
+def _parse_ints(b: np.ndarray, begin: np.ndarray, end: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """Values of the fields ``b[begin:end]``. Clears ``ok`` on each row
+    whose field does not match ``-?[0-9]{1,MAX_DIGITS}``."""
+    negative = b[np.minimum(begin, len(b) - 1)] == ord("-")
+    digits = end - (begin + negative)
+    ok &= (digits >= 1) & (digits <= MAX_DIGITS)
+    digits[~ok] = 0
+    value = np.zeros(len(ok), dtype=np.int64)
+    for j in range(int(digits.max(initial=0)), 0, -1):
+        has = digits >= j  # the field's j-th digit from the right exists
+        digit = b[np.where(has, end - j, 0)] - ord("0")
+        ok &= ~has | (digit <= 9)
+        value = value * 10 + np.where(has, digit, 0)
+    return np.where(negative, -value, value)
+
+
+def _ids(first_id: int, count: int) -> np.ndarray:
+    return np.arange(first_id, first_id + count, dtype=np.int64)
 
 
 def _in_range(value: int) -> bool:
@@ -138,13 +293,19 @@ def _build(names, codes: list[int], starts: list[int], ends: list[int], ids) -> 
         )
     start = np.array(starts[:n], dtype=np.int64)
     end = np.array(ends[:n], dtype=np.int64)
+    if n < len(starts):
+        _checked(names, codes, start, end, ids[:n])  # an earlier invalid row raises first
+        _reject(names[codes[n]], starts[n], ends[n])
+    return _checked(names, np.array(codes, dtype=np.int32), start, end, ids)
+
+
+def _checked(names, chrom, start: np.ndarray, end: np.ndarray, ids) -> RegionColumns:
+    """The columns, once every row is valid; the first invalid row raises."""
     bad = (start < 0) | (end < start)
     if bad.any():
         i = int(bad.argmax())
-        _reject(names[codes[i]], int(start[i]), int(end[i]))
-    if n < len(starts):
-        _reject(names[codes[n]], starts[n], ends[n])
-    return RegionColumns(names, np.array(codes, dtype=np.int32), start, end, ids)
+        _reject(names[chrom[i]], int(start[i]), int(end[i]))
+    return RegionColumns(names, chrom, start, end, ids)
 
 
 def _reject(chrom: str, start: int, end: int) -> NoReturn:
@@ -152,11 +313,6 @@ def _reject(chrom: str, start: int, end: int) -> NoReturn:
     raise ValueError(
         f"coordinate {max(start, end)} out of range: coordinates must be below 2**62"
     )
-
-
-def _groups(chrom: np.ndarray, order: np.ndarray, count: int) -> np.ndarray:
-    """Bounds of each code's run in ``chrom[order]``: code k is [b[k], b[k+1])."""
-    return np.searchsorted(chrom[order], np.arange(count + 1), "left")
 
 
 def window_join(a: RegionColumns, b: RegionColumns, flt: JoinFilter) -> list[OverlapPair]:
@@ -208,8 +364,9 @@ def _chromosome_chunks(a: RegionColumns, b: RegionColumns, flt: JoinFilter):
     """Yield (code, A rows, B rows, chunks) for each chromosome both sides hold.
 
     ``code`` indexes ``a.names``; the row arrays map the chromosome's
-    local rows to rows of ``a`` and of ``b`` (B sorted by start);
-    ``chunks`` is ``_join_chromosome`` on them.
+    local rows to rows of ``a`` and of ``b``, both sorted by start
+    (each side's cached ``_by_chrom``); ``chunks`` is
+    ``_join_chromosome`` on them.
     """
     # Signed overlaps of coordinates in [0, 2**62) lie in (-2**62, 2**62),
     # so clamping min_bp changes no result and keeps the bounds in int64.
@@ -222,10 +379,8 @@ def _chromosome_chunks(a: RegionColumns, b: RegionColumns, flt: JoinFilter):
         reach = max(min_bp, -math.ceil(max_cd))
     twice_bound = None if max_cd is None else 2 * max_cd
 
-    a_order = np.argsort(a.chrom, kind="stable")
-    b_order = np.lexsort((b.start, b.chrom))
-    a_bounds = _groups(a.chrom, a_order, len(a.names))
-    b_bounds = _groups(b.chrom, b_order, len(b.names))
+    a_order, a_bounds = a._by_chrom
+    b_order, b_bounds = b._by_chrom
     b_codes = {name: code for code, name in enumerate(b.names)}
     for code, name in enumerate(a.names):
         j = b_codes.get(name)

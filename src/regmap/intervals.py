@@ -51,7 +51,8 @@ __all__ = [
 def _check_chrom(chrom: str) -> None:
     if not chrom:
         raise ValueError("chromosome name must be non-empty")
-    if any(c.isspace() for c in chrom):
+    # split() cuts at exactly the characters str.isspace() accepts
+    if chrom.split() != [chrom]:
         raise ValueError(f"chromosome name contains whitespace: {chrom!r}")
 
 

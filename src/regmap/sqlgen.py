@@ -189,14 +189,19 @@ def emit_regmap_query(
     The view computes bp overlap through the four-branch case analysis
     and centre distance with integer division, exactly as the native
     sql-compat mode models it. MySQL needs ``div`` for integer
-    division; PostgreSQL truncates ``/`` on integers.
+    division; PostgreSQL truncates ``/`` on integers. A centre-distance
+    bound filters on twice the exact distance, as the native join
+    does. Rows with ``start_pos < 0`` or ``end_pos < start_pos`` take
+    part on neither side, as in the native joins.
     """
     q = _check_int(query_dataset, "query_dataset")
     r = _check_int(ref_dataset, "ref_dataset")
     div = "div" if dialect.is_mysql else "/"
     where = [f"where bpooverlap >= {_check_int(flt.min_bp, 'min_bp')}"]
     if flt.max_centre_distance is not None:
-        where.append(f"  and centredistance < {_format_bound(flt.max_centre_distance)}")
+        where.append(
+            f"  and twicecentredistance < {_format_bound(2 * flt.max_centre_distance)}"
+        )
     where_clause = "\n".join(where)
     text = f"""\
 create or replace view vwregions as
@@ -205,12 +210,17 @@ select
     b.id as b_id,
     a.chromosome as chromosome,
 {_bp_case("    ")},
-    abs((a.end_pos + a.start_pos) {div} 2 - (b.end_pos + b.start_pos) {div} 2) as centredistance
+    abs((a.end_pos + a.start_pos) {div} 2 - (b.end_pos + b.start_pos) {div} 2) as centredistance,
+    abs((a.end_pos + a.start_pos) - (b.end_pos + b.start_pos)) as twicecentredistance
 from regions a
 join regions b
     on a.chromosome = b.chromosome
 where a.regiondesc_id = {q}
-  and b.regiondesc_id = {r};
+  and b.regiondesc_id = {r}
+  and a.start_pos >= 0
+  and a.end_pos >= a.start_pos
+  and b.start_pos >= 0
+  and b.end_pos >= b.start_pos;
 
 select a_id, b_id, chromosome, bpooverlap, centredistance
 from vwregions
@@ -439,7 +449,8 @@ def emit_search_queries(
 ) -> list[SqlScript]:
     """The erroneous-region scan and the windowed proximity query.
 
-    Defaults are the MYC transcription start site with a 100 kb window
+    The proximity query, like the native search, returns valid rows
+    only. Defaults are the MYC transcription start site with a 100 kb window
     on either side.
     """
     c = _check_token(chrom, "chrom")
@@ -458,6 +469,8 @@ order by id;
 select id, regiondesc_id, chromosome, start_pos, end_pos
 from regions
 where chromosome = '{c}'
+  and start_pos >= 0
+  and end_pos >= start_pos
   and least(end_pos, {pos + win}) - greatest(start_pos, {pos - win}) >= 1
 order by id;
 """

@@ -1,4 +1,5 @@
 import io
+import sys
 
 import pytest
 from hypothesis import given
@@ -10,7 +11,8 @@ from regmap.bedio import (
     parse_bed,
     write_bed,
 )
-from regmap.intervals import GenomicRegion, RawRegion
+from regmap.bedio import _chrom_reason
+from regmap.intervals import GenomicRegion, RawRegion, _check_chrom
 
 
 def parse_text(text, mode="strict"):
@@ -119,6 +121,28 @@ class TestParseBed:
         assert report.accepted + report.rejected == len(data_lines)
         assert report.accepted == len(regions)
         assert len(report.rejects) == report.rejected
+
+
+class TestChromosomeRule:
+    def test_split_test_matches_isspace_on_every_code_point(self):
+        # Both checks use chrom.split() != [chrom] for speed; the rule is
+        # "contains a character for which str.isspace() is true".
+        names = [chr(c) for c in range(sys.maxunicode + 1)]
+        names += [
+            "chr1", "chr 1", " chr1", "chr1 ", "chr1\t", "chr\x1c1", "a\u3000b",
+            "chr\u00a0", "\u0661\u0662", "chrUn_KI270742v1", "  ", "x\u2028", "\u200bchr",
+        ]
+        for name in names:
+            spaced = any(c.isspace() for c in name)
+            assert (_chrom_reason(name) is not None) == spaced, repr(name)
+            if spaced:
+                with pytest.raises(ValueError, match="^chromosome name contains whitespace: "):
+                    _check_chrom(name)
+            else:
+                _check_chrom(name)
+        assert _chrom_reason("") == "empty chromosome"
+        with pytest.raises(ValueError, match="^chromosome name must be non-empty$"):
+            _check_chrom("")
 
 
 regions_strategy = st.lists(

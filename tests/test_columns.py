@@ -2,9 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regmap import columns
-from regmap.bedio import BedParseError
+from regmap.bedio import BedParseError, scan_bed
 from regmap.bench import GenConfig, generate_regions
 from regmap.columns import RegionColumns, read_bed_columns, window_join
 from regmap.intervals import GenomicRegion
@@ -83,6 +85,99 @@ class TestReadBedColumns:
         b = read_bed_columns(bed, first_id=2)
         (pair,) = window_join(a, b, JoinFilter(min_bp=-columns.COORD_LIMIT))
         assert (pair.bp_overlap, pair.centre_distance) == (10, 0.0)
+
+
+def scanned(path, first_id=1):
+    """The reference reader: bedio.scan_bed's rows through the same build."""
+    names, codes, starts, ends, _ = scan_bed(path, mode="strict")
+    ids = np.arange(first_id, first_id + len(codes), dtype=np.int64)
+    return columns._build(tuple(names), codes, starts, ends, ids)
+
+
+def outcome(read, path, first_id):
+    """Every column of the result, or the exception's type and message."""
+    try:
+        cols = read(path, first_id)
+    except Exception as exc:  # noqa: BLE001 - the comparison is the point
+        return type(exc), str(exc)
+    return (
+        cols.names,
+        *((col.dtype.str, col.tolist()) for col in (cols.chrom, cols.start, cols.end, cols.ids)),
+    )
+
+
+LONG_NAME = "chr" + "x" * 70
+NAMES = [
+    "chr1", "chr2", "chrX", "chrUn_KI270742v1", "trackX", "track", "#x", "browser",
+    "chr\x1c1", "chr 1", "", " ", LONG_NAME, "chr1\x00",
+]
+COORDS = [
+    "0", "5", "17", "120", "3000", "-", "-0", "-7", "+5", "007", "\u0661\u0662", "", "5 ", "1e3",
+    "9" * 18, "1" + "0" * 17, "-" + "9" * 18, "1" * 19, "0" * 18 + "4", "-" + "0" * 18 + "1",
+    "9" * 19, "9" * 20, str(2**62 - 1), str(2**62),
+]
+TAILS = ["", "", "", "\tpeak\t0", "\t", "\t\t"]
+VALID_LINE = st.tuples(
+    st.sampled_from(NAMES[:4]), st.integers(0, 3000), st.integers(0, 500)
+).map(lambda t: f"{t[0]}\t{t[1]}\t{t[1] + t[2]}".encode())
+ANY_LINE = st.tuples(
+    st.sampled_from(NAMES), st.sampled_from(COORDS), st.sampled_from(COORDS), st.sampled_from(TAILS)
+).map(lambda t: f"{t[0]}\t{t[1]}\t{t[2]}{t[3]}".encode())
+OTHER_LINE = st.sampled_from(
+    [b"", b"   ", b" \t ", b"\x0c", b"# comment", b"track name=x", b"browser position chr1",
+     b"chr1\t5", b"chr1", b"\t5\t9", b"chr1\t5\t9\x1c"]
+)
+CLEAN_LINE = st.one_of(VALID_LINE, VALID_LINE, VALID_LINE, ANY_LINE, OTHER_LINE)
+# Files with a non-ASCII byte or a \r, which bedio reads whole.
+DIRTY_LINE = st.one_of(
+    CLEAN_LINE,
+    st.sampled_from(["chr\u00e9\t1\t2".encode(), b"chr1\t\xff\t9", b"\xe9\t1\t2"]),
+)
+FILE_LINES = st.one_of(
+    st.lists(st.tuples(CLEAN_LINE, st.just(b"\n")), max_size=12),
+    st.lists(st.tuples(CLEAN_LINE, st.just(b"\n")), max_size=12),
+    st.lists(st.tuples(DIRTY_LINE, st.sampled_from([b"\n", b"\r\n", b"\r"])), max_size=12),
+)
+
+
+class TestReadBedColumnsDifferential:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        FILE_LINES,
+        st.booleans(),
+        st.sampled_from([1, 5, 40, columns.INGEST_BLOCK]),
+    )
+    def test_matches_scan_bed(self, tmp_path_factory, lines, final_newline, block):
+        data = b"".join(line + end for line, end in lines)
+        if lines and not final_newline:
+            data = data[: -len(lines[-1][1])]
+        path = tmp_path_factory.mktemp("bed") / "x.bed"
+        path.write_bytes(data)
+        default = columns.INGEST_BLOCK
+        columns.INGEST_BLOCK = block
+        try:
+            got = outcome(read_bed_columns, path, 7)
+        finally:
+            columns.INGEST_BLOCK = default
+        assert got == outcome(scanned, path, 7)
+
+    def test_blocks_do_not_change_the_answer(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        lines = []
+        for i in range(3000):
+            name = ("chr1", "chr2", "chrX", "chrUn_KI270742v1", LONG_NAME)[i % 5 if i % 97 else 4]
+            start = int(rng.integers(0, 10**6))
+            lines.append(f"{name}\t{start}\t{start + int(rng.integers(0, 500))}")
+            if i % 211 == 0:
+                lines.append("# a comment")
+            if i % 301 == 0:
+                lines.append(f"chr2\t{'0' * 15}{start}\t{start + 9}")  # 19+ digits
+        bed = tmp_path / "x.bed"
+        bed.write_text("track name=x\n\n" + "\n".join(lines))
+        want = outcome(scanned, bed, 1)
+        for block in (1 << 40, 1, 100, 4096):
+            monkeypatch.setattr(columns, "INGEST_BLOCK", block)
+            assert outcome(read_bed_columns, bed, 1) == want, block
 
 
 class TestWindowJoin:

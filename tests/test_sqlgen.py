@@ -1,9 +1,12 @@
 import re
+import sqlite3
 from pathlib import Path
 
 import pytest
 
-from regmap.joins import JoinFilter
+from regmap.bench import GenConfig, generate_regions
+from regmap.intervals import RawRegion, centre_distance_sql_compat
+from regmap.joins import JoinFilter, nested_loop_join
 from regmap.sqlgen import (
     DEMO_REGIONS,
     ScriptKind,
@@ -19,6 +22,7 @@ from regmap.sqlgen import (
     emit_rowwise_insert,
     emit_search_queries,
 )
+from regmap.store import RegionStore
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -66,7 +70,10 @@ class TestRegmapQuery:
             SqlDialect.POSTGRES, JoinFilter(min_bp=1, max_centre_distance=1000)
         )
         assert "where bpooverlap >= 1" in script.text
-        assert "centredistance < 1000" in script.text
+        # the bound applies to twice the exact distance, not the
+        # integer-division column the view reports
+        assert "twicecentredistance < 2000" in script.text
+        assert " centredistance <" not in script.text
 
     def test_default_has_no_distance_bound(self):
         text = emit_regmap_query(SqlDialect.POSTGRES).text
@@ -247,3 +254,81 @@ class TestScriptObject:
     def test_kind_coverage(self):
         kinds = {s.kind for s in emit_all(SqlDialect.POSTGRES)}
         assert kinds == set(ScriptKind)
+
+
+def sqlite_text(script: SqlScript) -> SqlScript:
+    """The PostgreSQL script in SQLite's terms, after four substitutions."""
+    text = script.text
+    for old, new in (
+        ("start transaction;", "begin;"),
+        ("create or replace view", "create view"),
+        ("least(", "min("),
+        ("greatest(", "max("),
+    ):
+        text = text.replace(old, new)
+    return SqlScript(script.kind, script.dialect, text)
+
+
+def run_sqlite(path: Path, *scripts: SqlScript) -> list[tuple]:
+    """Run the scripts in order on a file database; the last statement's rows."""
+    conn = sqlite3.connect(path, isolation_level=None)
+    try:
+        rows: list[tuple] = []
+        for script in scripts:
+            for statement in sqlite_text(script).statements():
+                rows = conn.execute(statement).fetchall()
+        return rows
+    finally:
+        conn.close()
+
+
+# Invalid rows: stored and searchable, but in no join and no proximity hit.
+INVALID = (RawRegion("chr1", -5, 100), RawRegion("chr1", 300, 200), RawRegion("chr2", -50, -10))
+
+
+class TestRunsInSqlite:
+    """The emitted PostgreSQL text, run by stdlib sqlite3, agrees with
+    the native engine."""
+
+    @pytest.mark.parametrize("bound", [None, 1, 30.5])
+    @pytest.mark.parametrize("min_bp", [1, 0, -20])
+    def test_overlap_view_matches_native_join(self, tmp_path, min_bp, bound):
+        config = dict(count=300, chromosomes=("chr1", "chr2"), coord_upper=1500, max_size=40)
+        a = generate_regions(GenConfig(seed=61, **config))
+        b = generate_regions(GenConfig(seed=62, **config))
+        a_rows = [*a, *INVALID]
+        b_rows = [*INVALID, *b]
+        flt = JoinFilter(min_bp=min_bp, max_centre_distance=bound)
+        dialect = SqlDialect.POSTGRES
+        rows = run_sqlite(
+            tmp_path / "regmap.db",
+            emit_ddl(dialect),
+            emit_batch_insert(dialect, a_rows, dataset=1, start_id=1),
+            emit_batch_insert(dialect, b_rows, dataset=2, start_id=1001),
+            emit_regmap_query(dialect, flt),
+        )
+        a_ids = list(enumerate(a, start=1))
+        b_ids = list(enumerate(b, start=1001 + len(INVALID)))
+        native = nested_loop_join(a_ids, b_ids, flt)
+        region = dict(a_ids + b_ids)
+        assert native
+        assert rows == sorted(
+            (p.a_id, p.b_id, p.chrom, p.bp_overlap,
+             centre_distance_sql_compat(region[p.a_id], region[p.b_id]))
+            for p in native
+        )
+
+    def test_searches_match_store(self, tmp_path):
+        regions = [*INVALID, *generate_regions(GenConfig(seed=63, count=200, coord_upper=3000))]
+        store = RegionStore()
+        store.import_dataset("ds", regions)
+        store.build_index()
+        dialect = SqlDialect.POSTGRES
+        db = tmp_path / "regmap.db"
+        run_sqlite(db, emit_ddl(dialect), emit_batch_insert(dialect, regions))
+        for chrom, position, window in (("chr1", 50, 100), ("chr1", 1500, 300), ("chr2", 0, 60)):
+            invalid, proximity = emit_search_queries(dialect, chrom, position, window)
+            hits = store.proximity_search(chrom, position, window)
+            assert [row[0] for row in run_sqlite(db, proximity)] == [row.id for row in hits]
+        assert [row[0] for row in run_sqlite(db, invalid)] == [1, 2, 3]
+        assert [row.id for row in store.find_invalid()] == [1, 2, 3]
