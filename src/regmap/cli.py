@@ -4,6 +4,13 @@ Subcommands: gen, overlap, mine, search, sqlgen, bench. Exit codes are
 0 for success, 1 for runtime or data errors, 2 for usage errors. An
 optional ``key = value`` config file supplies flag defaults; explicit
 flags win over the file, the file wins over built-in defaults.
+
+``mine`` builds no RegionStore: a dataset with a same-assembly partner
+becomes ``columns.RegionColumns`` as soon as its file is parsed, and
+the file's records are released before the next one is read. numpy is
+imported only inside the commands that use it (overlap, mine, gen,
+bench), so importing this module, ``search`` and ``sqlgen`` never load
+it.
 """
 
 from __future__ import annotations
@@ -12,13 +19,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import __version__, bench, dbadapter, sqlgen
+from . import __version__, dbadapter, sqlgen
 from .bedio import load_catalog_file, parse_bed_file, write_bed
-from .columns import read_bed_columns, window_join
 from .joins import (
     JoinFilter,
+    mining_report,
     nested_loop_join,
-    pairwise_mining,
+    paired_datasets,
     write_mining_tsv,
     write_pairs_tsv,
 )
@@ -41,6 +48,8 @@ def _open_sink(path: str | None):
 
 
 def cmd_gen(args) -> int:
+    from . import bench
+
     config = bench.GenConfig(
         seed=args.seed,
         count=args.count,
@@ -61,6 +70,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_overlap(args) -> int:
+    from .columns import read_bed_columns, window_join
+
     a = read_bed_columns(args.a, first_id=1)
     b = read_bed_columns(args.b, first_id=len(a) + 1)
     flt = JoinFilter(min_bp=args.min_bp, max_centre_distance=args.max_centre_distance)
@@ -78,17 +89,24 @@ def cmd_overlap(args) -> int:
 
 
 def cmd_mine(args) -> int:
+    from .columns import RegionColumns
+
     catalog_path = Path(args.catalog)
     catalog = load_catalog_file(catalog_path)
-    store = RegionStore()
+    flt = JoinFilter(min_bp=args.min_bp, max_centre_distance=args.max_centre_distance)
+    paired = set(paired_datasets(catalog))
+    columns = {}
+    first_id = 1  # ids as a store importing the catalog in order assigns them
     for entry in catalog:
         path = Path(entry.path)
         if not path.is_absolute():
             path = catalog_path.parent / path
         regions, _ = parse_bed_file(path, mode="permissive")
-        store.import_dataset(entry.name, regions)
-    flt = JoinFilter(min_bp=args.min_bp, max_centre_distance=args.max_centre_distance)
-    rows = pairwise_mining(catalog, store, flt)
+        if entry.name in paired:
+            columns[entry.name] = RegionColumns.from_records(regions, first_id)
+        first_id += len(regions)
+        del regions  # each file's records are released before the next is read
+    rows = mining_report(catalog, columns, flt)
     sink, close = _open_sink(args.out)
     try:
         write_mining_tsv(rows, sink)
@@ -149,6 +167,8 @@ def cmd_sqlgen(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import bench
+
     sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else [5000]
     backends = dbadapter.backends_from_env()
     if args.scenario == "insertion":

@@ -3,7 +3,8 @@
 A region set is held as parallel arrays: an ``int32`` chromosome code
 indexing a name table, plus ``int64`` start, end and id arrays. Rows
 are validated once, vectorised, when the columns are built, from a BED
-file, from (id, GenomicRegion) lists or from store rows. The window
+file, from (id, GenomicRegion) lists or from RawRegion records, whose
+invalid rows are dropped (``RegionColumns.from_records``). The window
 join has two public ends over one per-chromosome loop: ``window_join``
 builds the emitted OverlapPair rows, and ``window_count`` counts the
 distinct A rows that have a pair, for the mining report, building no
@@ -36,9 +37,8 @@ from typing import NoReturn, Sequence
 import numpy as np
 
 from .bedio import _SKIP_PREFIXES, _chrom_reason, scan_bed, scan_numbered
-from .intervals import GenomicRegion
+from .intervals import GenomicRegion, RawRegion
 from .joins import JoinFilter, OverlapPair
-from .store import StoredRegion
 
 __all__ = [
     "COORD_LIMIT",
@@ -103,24 +103,17 @@ class RegionColumns:
         )
 
     @classmethod
-    def from_stored(cls, rows: Sequence[StoredRegion]) -> "RegionColumns":
-        """Columns of the valid store rows, under their store ids, in the given order.
+    def from_records(cls, records: Sequence[RawRegion], first_id: int = 1) -> "RegionColumns":
+        """Columns of the valid records, in the given order; record i
+        keeps id ``first_id + i``, the id a store import starting at
+        ``first_id`` gives it.
 
-        Rows with ``start < 0`` or ``end < start`` are dropped, as
+        Records with ``start < 0`` or ``end < start`` are dropped, as
         ``RegionStore.valid_regions`` drops them.
         """
-        valid = [
-            row for row in rows if row.region.start >= 0 and row.region.end >= row.region.start
-        ]
-        codes: dict[str, int] = {}
-        chrom = [codes.setdefault(row.region.chrom, len(codes)) for row in valid]
-        return _build(
-            tuple(codes),
-            chrom,
-            [row.region.start for row in valid],
-            [row.region.end for row in valid],
-            np.array([row.id for row in valid], dtype=np.int64),
-        )
+        return cls.from_id_regions([
+            (rid, r) for rid, r in enumerate(records, first_id) if r.start >= 0 and r.end >= r.start
+        ])
 
     def to_id_regions(self) -> list[IdRegion]:
         """(id, GenomicRegion) pairs in row order."""

@@ -15,22 +15,26 @@ A pair (a, b) is emitted when its signed bp overlap is at least
 strictly below ``max_centre_distance``. Output is ordered by
 (a_id, b_id) so runs are byte-comparable.
 
-The mining report builds no region or pair objects: each catalog
-dataset's valid store rows become ``columns.RegionColumns`` once, the
-first time a pair needs them, and each ordered pair is one
-``columns.window_count``, the number of distinct query rows the same
-window join hits. ``count_overlapping`` gives that count for
-(id, GenomicRegion) lists.
+The mining report, ``mining_report``, runs over one
+``columns.RegionColumns`` of valid rows per dataset that has a
+same-assembly partner (``paired_datasets``) and builds no region or
+pair objects: each ordered pair is one ``columns.window_count``, the
+number of distinct query rows the same window join hits.
+``pairwise_mining`` feeds it from a RegionStore; ``regmap mine`` feeds
+it from the BED files, converting each once. ``count_overlapping``
+gives the same count for (id, GenomicRegion) lists.
 
 Joins are pure functions over immutable inputs and thread-safe.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .bedio import CatalogEntry
 from .intervals import (
@@ -40,6 +44,9 @@ from .intervals import (
 )
 from .store import RegionStore
 
+if TYPE_CHECKING:
+    from .columns import RegionColumns
+
 __all__ = [
     "OverlapPair",
     "JoinFilter",
@@ -47,6 +54,8 @@ __all__ = [
     "nested_loop_join",
     "sweep_join",
     "count_overlapping",
+    "paired_datasets",
+    "mining_report",
     "pairwise_mining",
     "overlap_percentage",
     "write_pairs_tsv",
@@ -87,13 +96,21 @@ class OverlapPair:
 
 @dataclass(frozen=True, slots=True)
 class JoinFilter:
-    """Emission conditions: bp_overlap >= min_bp, centre distance < bound."""
+    """Emission conditions: bp_overlap >= min_bp, centre distance < bound.
+
+    An infinite bound is no bound; NaN is refused.
+    """
 
     min_bp: int = 1
     max_centre_distance: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_centre_distance is not None and self.max_centre_distance < 0:
+        bound = self.max_centre_distance
+        if bound is None:
+            return
+        if math.isnan(bound):
+            raise ValueError("max_centre_distance must not be NaN")
+        if bound < 0:
             raise ValueError("max_centre_distance must be non-negative")
 
 
@@ -214,38 +231,33 @@ def overlap_percentage(overlapping: int, total: int, digits: int = 2) -> float:
     return float(exact.quantize(q, rounding=ROUND_HALF_UP))
 
 
-def pairwise_mining(
+def paired_datasets(catalog: Sequence[CatalogEntry]) -> list[str]:
+    """Names of the datasets the mining report reads, in catalog order:
+    those with a same-assembly partner."""
+    per_assembly = Counter(entry.assembly for entry in catalog)
+    return [entry.name for entry in catalog if per_assembly[entry.assembly] > 1]
+
+
+def mining_report(
     catalog: Sequence[CatalogEntry],
-    store: RegionStore,
+    columns: Mapping[str, RegionColumns],
     flt: JoinFilter = JoinFilter(),
 ) -> list[MiningRow]:
     """Overlap counts for every ordered pair of same-assembly datasets.
 
-    Pairs across assemblies are never computed. Rows are grouped by
-    assembly, then ordered by (query name, reference name).
+    ``columns`` maps each name of ``paired_datasets(catalog)`` to its
+    valid rows. Pairs across assemblies are never computed. Rows are
+    grouped by assembly, then ordered by (query name, reference name).
     """
-    from .columns import RegionColumns, window_count
-
-    names = set(store.dataset_names())
-    for entry in catalog:
-        if entry.name not in names:
-            raise ValueError(f"catalog dataset {entry.name!r} not imported")
-    # Each dataset's valid rows become columns once, when a pair first
-    # needs them; a dataset with no same-assembly partner is never built.
-    columns: dict[str, RegionColumns] = {}
-
-    def columns_of(name: str) -> RegionColumns:
-        if name not in columns:
-            columns[name] = RegionColumns.from_stored(store.regions(name))
-        return columns[name]
+    from .columns import window_count
 
     rows: list[MiningRow] = []
     for query in catalog:
         for ref in catalog:
             if query.name == ref.name or query.assembly != ref.assembly:
                 continue
-            a = columns_of(query.name)
-            overlapping = window_count(a, columns_of(ref.name), flt)
+            a = columns[query.name]
+            overlapping = window_count(a, columns[ref.name], flt)
             total = len(a)
             rows.append(
                 MiningRow(
@@ -265,6 +277,28 @@ def pairwise_mining(
             )
     rows.sort(key=lambda r: (r.assembly, r.query_name, r.ref_name))
     return rows
+
+
+def pairwise_mining(
+    catalog: Sequence[CatalogEntry],
+    store: RegionStore,
+    flt: JoinFilter = JoinFilter(),
+) -> list[MiningRow]:
+    """``mining_report`` over the datasets of a store, which must hold
+    every catalog dataset. Only datasets with a same-assembly partner
+    are read.
+    """
+    from .columns import RegionColumns
+
+    names = set(store.dataset_names())
+    for entry in catalog:
+        if entry.name not in names:
+            raise ValueError(f"catalog dataset {entry.name!r} not imported")
+    columns = {}
+    for name in paired_datasets(catalog):
+        rows = store.regions(name)  # one write: ids rows[0].id, rows[0].id + 1, ...
+        columns[name] = RegionColumns.from_records([row.region for row in rows], rows[0].id)
+    return mining_report(catalog, columns, flt)
 
 
 def _format_distance(cd: float) -> str:

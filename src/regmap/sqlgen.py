@@ -18,6 +18,7 @@ The overlap view keeps its historical column names ``bpooverlap`` and
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -191,14 +192,15 @@ def emit_regmap_query(
     sql-compat mode models it. MySQL needs ``div`` for integer
     division; PostgreSQL truncates ``/`` on integers. A centre-distance
     bound filters on twice the exact distance, as the native join
-    does. Rows with ``start_pos < 0`` or ``end_pos < start_pos`` take
-    part on neither side, as in the native joins.
+    does; an infinite bound emits no clause, as the native join treats
+    it as none. Rows with ``start_pos < 0`` or ``end_pos < start_pos``
+    take part on neither side, as in the native joins.
     """
     q = _check_int(query_dataset, "query_dataset")
     r = _check_int(ref_dataset, "ref_dataset")
     div = "div" if dialect.is_mysql else "/"
     where = [f"where bpooverlap >= {_check_int(flt.min_bp, 'min_bp')}"]
-    if flt.max_centre_distance is not None:
+    if flt.max_centre_distance is not None and math.isfinite(flt.max_centre_distance):
         where.append(
             f"  and twicecentredistance < {_format_bound(2 * flt.max_centre_distance)}"
         )

@@ -1,11 +1,21 @@
+import contextlib
+import io
+import os
 import shutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from regmap.bedio import load_catalog_file, parse_bed_file
 from regmap.cli import build_parser, main
-from regmap.data import toy_catalog_path
+from regmap.data import toy_catalog_path, toy_data_dir
+from regmap.joins import JoinFilter, pairwise_mining, write_mining_tsv
+from regmap.store import RegionStore
 
 
 def run_cli(capsys, *argv):
@@ -90,6 +100,11 @@ class TestOverlap:
         rc, _, err = run_cli(capsys, "overlap", "--a", a, "--b", b)
         assert rc == 1
         assert "error" in err
+
+    def test_nan_centre_distance_refused(self, capsys, tmp_path):
+        a = self.write(tmp_path / "a.bed", "chr1\t0\t10\n")
+        rc, out, err = run_cli(capsys, "overlap", "--a", a, "--b", a, "--max-centre-distance", "nan")
+        assert (rc, out, err) == (1, "", "regmap: error: max_centre_distance must not be NaN\n")
 
     def test_filters_forwarded(self, capsys, tmp_path):
         a = self.write(tmp_path / "a.bed", "chr1\t0\t10\n")
@@ -200,6 +215,118 @@ class TestMine:
         rc, _, err = run_cli(capsys, "mine", "--catalog", str(tmp_path / "none.tsv"))
         assert rc == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("text", ["", "oops\n# note\nchr1\tx\t5\n\n"], ids=["empty", "malformed-only"])
+    def test_dataset_without_rows_reports_zero(self, capsys, tmp_path, text):
+        catalog = write_catalog(tmp_path, [("e", "hg19", text), ("f", "hg19", "chr1\t0\t9\nchr1\t5\t2\n")])
+        rc, out, err = run_cli(capsys, "mine", "--catalog", str(catalog))
+        assert (rc, err) == (0, "")
+        assert [line.split("\t")[9:] for line in out.splitlines()[1:]] == [
+            ["0", "0", "0.00"],
+            ["1", "0", "0.00"],
+        ]
+
+    @pytest.mark.parametrize("partner", [False, True])
+    def test_out_of_range_coordinate_fails_only_when_paired(self, capsys, tmp_path, partner):
+        big = "chr1\t0\t99999999999999999999\n"
+        catalog = write_catalog(tmp_path, [
+            ("a", "hg19", "chr1\t0\t9\n"),
+            ("b", "hg19", "chr1\t5\t20\n"),
+            ("big", "hg19" if partner else "mm9", big),
+        ])
+        rc, out, err = run_cli(capsys, "mine", "--catalog", str(catalog))
+        if partner:
+            message = "coordinate 99999999999999999999 out of range: coordinates must be below 2**62"
+            assert (rc, out, err) == (1, "", f"regmap: error: {message}\n")
+        else:
+            assert (rc, err) == (0, "")
+            assert len(out.splitlines()) == 3
+
+
+def write_catalog(directory, datasets):
+    """A catalog TSV of (name, assembly, BED text) datasets, files beside it."""
+    lines = ["name\tfactor\tcell_line\ttreatment\tassembly\tpath\n"]
+    for name, assembly, text in datasets:
+        (directory / f"{name}.bed").write_bytes(text.encode())
+        lines.append(f"{name}\tTF\tcell\t\t{assembly}\t{name}.bed\n")
+    path = directory / "catalog.tsv"
+    path.write_text("".join(lines))
+    return path
+
+
+def store_mine(catalog_path, flt):
+    """``regmap mine`` as it ran on a RegionStore, the test oracle:
+    (exit code, stdout, stderr)."""
+    try:
+        catalog = load_catalog_file(catalog_path)
+        store = RegionStore()
+        for entry in catalog:
+            regions, _ = parse_bed_file(catalog_path.parent / entry.path, mode="permissive")
+            store.import_dataset(entry.name, regions)
+        rows = pairwise_mining(catalog, store, flt)
+    except ValueError as exc:
+        return 1, "", f"regmap: error: {exc}\n"
+    out = io.StringIO()
+    write_mining_tsv(rows, out)
+    return 0, out.getvalue(), ""
+
+
+@st.composite
+def bed_text(draw, rows):
+    """BED text of at least one row line, mixed with skipped and malformed lines."""
+    junk = st.sampled_from(
+        ["", "  ", "# note", "track name=x", "chr1\tx\t5", "chr1\t5", "bad chrom\t1\t2", "chr1\t\u0661\t30"]
+    )
+    lines = draw(st.lists(rows, min_size=1, max_size=20)) + draw(st.lists(junk, max_size=4))
+    return "\n".join(draw(st.permutations(lines))) + draw(st.sampled_from(["\n", ""]))
+
+
+def row_line(starts=st.integers(-20, 300), lengths=st.integers(-30, 80)):
+    # start < 0 or a negative length makes an invalid row
+    return st.builds(
+        lambda c, s, n: f"{c}\t{s}\t{s + n}", st.sampled_from(["chr1", "chr2", "chr3"]), starts, lengths
+    )
+
+
+@st.composite
+def mine_catalogs(draw):
+    """(name, assembly, text) datasets: malformed lines and invalid rows,
+    two paired assemblies, an unpaired dataset, a dataset with no valid
+    row, and at most one file holding a 20-digit coordinate."""
+    datasets = [
+        ("void", "hg19", draw(bed_text(row_line(lengths=st.integers(-30, -1))))),
+        ("lone", "dm6", draw(bed_text(row_line()))),
+        ("m0", "mm9", draw(bed_text(row_line()))),
+        ("m1", "mm9", draw(bed_text(row_line()))),
+    ]
+    for k in range(draw(st.integers(1, 3))):
+        datasets.append((f"h{k}", "hg19", draw(bed_text(row_line()))))
+    faulty = draw(st.sampled_from([None, *range(len(datasets))]))
+    if faulty is not None:
+        name, assembly, text = datasets[faulty]
+        datasets[faulty] = (name, assembly, text + "\nchr2\t7\t99999999999999999999\n")
+    return draw(st.permutations(datasets))
+
+
+class TestMineDifferential:
+    """``regmap mine`` on columns against the mining report of a store
+    built as ``mine`` once built it: stdout, stderr and exit code."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        mine_catalogs(),
+        st.sampled_from([1, 0, -20]),
+        st.sampled_from([None, 0.5, 12, float("inf")]),
+    )
+    def test_matches_store_report(self, datasets, min_bp, bound):
+        with tempfile.TemporaryDirectory() as tmp:
+            catalog = write_catalog(Path(tmp), datasets)
+            flags = ["--min-bp", str(min_bp)] + ([] if bound is None else ["--max-centre-distance", str(bound)])
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(["mine", "--catalog", str(catalog), *flags])
+            want = store_mine(catalog, JoinFilter(min_bp=min_bp, max_centre_distance=bound))
+        assert (rc, out.getvalue(), err.getvalue()) == want
 
 
 class TestSearch:
@@ -382,3 +509,28 @@ class TestUsage:
         )
         assert result.returncode == 0
         assert len(result.stdout.splitlines()) == 3
+
+
+def test_cli_import_search_and_sqlgen_leave_numpy_unloaded(tmp_path):
+    # Only overlap, mine, gen and bench import numpy, inside the command.
+    bed = str(toy_data_dir() / "hnf4g_hepg2.bed")
+    code = (
+        "import sys; from regmap.cli import main; "
+        "loaded = ['numpy' in sys.modules]; "
+        f"main(['search', '--store-from', {bed!r}, '--invalid', '--out', {str(tmp_path / 'i.tsv')!r}]); "
+        f"main(['search', '--store-from', {bed!r}, '--near', 'chr1:150', '--out', {str(tmp_path / 'n.tsv')!r}]); "
+        f"main(['sqlgen', '--out-dir', {str(tmp_path / 'sql')!r}]); "
+        "loaded.append('numpy' in sys.modules); "
+        "sys.stderr.write(repr(loaded))"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == "[False, False]"
+    assert len(list((tmp_path / "sql").glob("*.sql"))) == 27

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,8 +10,9 @@ from regmap import columns
 from regmap.bedio import BedParseError, scan_bed
 from regmap.bench import GenConfig, generate_regions
 from regmap.columns import RegionColumns, read_bed_columns, window_join
-from regmap.intervals import GenomicRegion
+from regmap.intervals import GenomicRegion, RawRegion
 from regmap.joins import JoinFilter, nested_loop_join, sweep_join
+from regmap.store import RegionStore
 
 def ids(regions, start=1):
     return [(start + i, r) for i, r in enumerate(regions)]
@@ -218,3 +220,41 @@ class TestWindowJoin:
         long_id = b[0][0]
         assert sum(p.b_id == long_id for p in pairs) == 50_000
 
+
+
+raw_records = st.lists(
+    st.builds(
+        RawRegion,
+        st.sampled_from(["chr1", "chr2", "chrX"]),
+        st.integers(-30, 400),
+        st.integers(-30, 400),
+    ),
+    max_size=40,
+)
+
+
+class TestFromRecords:
+    """``RegionColumns.from_records`` against the store's own rows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw_records, raw_records)
+    def test_matches_store_valid_rows_and_ids(self, before, records):
+        store = RegionStore()
+        store.import_dataset("before", before)
+        store.import_dataset("ds", records)
+        cols = RegionColumns.from_records(records, first_id=len(before) + 1)
+        assert cols.to_id_regions() == store.valid_regions("ds")
+        assert cols.chrom.dtype == np.int32 and cols.ids.dtype == np.int64
+
+    def test_invalid_rows_dropped_even_out_of_range(self):
+        records = [RawRegion("chr1", -1, 2**70), RawRegion("chr2", 5, 9), RawRegion("chr1", 2**70, 3)]
+        cols = RegionColumns.from_records(records, first_id=7)
+        assert cols.names == ("chr2",)
+        assert cols.to_id_regions() == [(8, GenomicRegion("chr2", 5, 9))]
+        assert len(RegionColumns.from_records([])) == 0
+
+    def test_valid_row_out_of_range_raises(self):
+        records = [RawRegion("chr1", 0, 5), RawRegion("chr1", 3, 2**62), RawRegion("chr1", 9, 2)]
+        message = f"coordinate {2**62} out of range: coordinates must be below 2**62"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RegionColumns.from_records(records)

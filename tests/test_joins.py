@@ -165,6 +165,10 @@ class TestFilterProperties:
         with pytest.raises(ValueError):
             JoinFilter(max_centre_distance=-1)
 
+    def test_nan_bound_refused(self):
+        with pytest.raises(ValueError, match="must not be NaN"):
+            JoinFilter(max_centre_distance=float("nan"))
+
 
 class TestCountOverlapping:
     def test_distinct_query_regions(self):

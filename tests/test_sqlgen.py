@@ -1,3 +1,4 @@
+import math
 import re
 import sqlite3
 from pathlib import Path
@@ -78,6 +79,11 @@ class TestRegmapQuery:
     def test_default_has_no_distance_bound(self):
         text = emit_regmap_query(SqlDialect.POSTGRES).text
         assert "centredistance <" not in text
+
+    def test_infinite_bound_emits_no_clause(self):
+        for dialect in ALL_DIALECTS:
+            unbounded = emit_regmap_query(dialect, JoinFilter(min_bp=-5, max_centre_distance=math.inf))
+            assert unbounded.text == emit_regmap_query(dialect, JoinFilter(min_bp=-5)).text
 
     def test_mysql_uses_integer_division(self):
         assert " div 2 " in emit_regmap_query(SqlDialect.MYSQL_INNODB).text
@@ -290,7 +296,7 @@ class TestRunsInSqlite:
     """The emitted PostgreSQL text, run by stdlib sqlite3, agrees with
     the native engine."""
 
-    @pytest.mark.parametrize("bound", [None, 1, 30.5])
+    @pytest.mark.parametrize("bound", [None, 1, 30.5, math.inf])
     @pytest.mark.parametrize("min_bp", [1, 0, -20])
     def test_overlap_view_matches_native_join(self, tmp_path, min_bp, bound):
         config = dict(count=300, chromosomes=("chr1", "chr2"), coord_upper=1500, max_size=40)
@@ -312,6 +318,8 @@ class TestRunsInSqlite:
         native = nested_loop_join(a_ids, b_ids, flt)
         region = dict(a_ids + b_ids)
         assert native
+        if bound == math.inf:  # no bound at all
+            assert native == nested_loop_join(a_ids, b_ids, JoinFilter(min_bp=min_bp))
         assert rows == sorted(
             (p.a_id, p.b_id, p.chrom, p.bp_overlap,
              centre_distance_sql_compat(region[p.a_id], region[p.b_id]))
