@@ -10,7 +10,7 @@ becomes ``columns.RegionColumns`` as soon as its file is parsed, and
 the file's records are released before the next one is read. numpy is
 imported only inside the commands that use it (overlap, mine, gen,
 bench), so importing this module, ``search`` and ``sqlgen`` never load
-it.
+it; ``search`` builds no index, because one probe is a scan.
 """
 
 from __future__ import annotations
@@ -123,16 +123,33 @@ def _parse_locus(text: str) -> tuple[str, int]:
     return chrom, int(pos)
 
 
+def _dataset_names(paths) -> list[str]:
+    """Dataset names for ``search --store-from``: each file's stem
+    (``ds<N>`` for a file without one, N its position). A name an
+    earlier file already took becomes the first free ``<name>-<k>``,
+    k = 2, 3, ..."""
+    names: list[str] = []
+    for i, path in enumerate(paths, 1):
+        base = Path(path).stem or f"ds{i}"
+        name, k = base, 1
+        while name in names:
+            k += 1
+            name = f"{base}-{k}"
+        names.append(name)
+    return names
+
+
 def cmd_search(args) -> int:
     store = RegionStore()
-    for i, path in enumerate(args.store_from):
+    for name, path in zip(_dataset_names(args.store_from), args.store_from):
         regions, _ = parse_bed_file(path, mode="permissive")
-        store.import_dataset(Path(path).stem or f"ds{i + 1}", regions)
+        store.import_dataset(name, regions)
     if args.invalid:
         hits = store.find_invalid()
     else:
         chrom, position = _parse_locus(args.near)
-        store.build_index()
+        # One probe: a scan costs less than building the index, and
+        # needs no numpy.
         hits = store.proximity_search(chrom, position, args.window)
     lines = ["\t".join(SEARCH_TSV_HEADER)]
     for row in hits:
@@ -230,7 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="find invalid regions or regions near a locus")
     p.add_argument(
-        "--store-from", required=True, nargs="+", metavar="FILE", help="BED files to load"
+        "--store-from",
+        required=True,
+        nargs="+",
+        metavar="FILE",
+        help="BED files to load, one dataset each, named after the file's stem; "
+        "a stem an earlier file already used becomes STEM-2, STEM-3, ... "
+        "(the first name still free)",
     )
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--invalid", action="store_true", help="list malformed regions")

@@ -2,15 +2,17 @@
 
 A region set is held as parallel arrays: an ``int32`` chromosome code
 indexing a name table, plus ``int64`` start, end and id arrays. Rows
-are validated once, vectorised, when the columns are built, from a BED
-file, from (id, GenomicRegion) lists or from RawRegion records, whose
-invalid rows are dropped (``RegionColumns.from_records``). The window
-join has two public ends over one per-chromosome loop: ``window_join``
-builds the emitted OverlapPair rows, and ``window_count`` counts the
-distinct A rows that have a pair, for the mining report, building no
-object. ``RegionColumns.to_id_regions`` gives the (id, GenomicRegion)
-lists the reference join takes. Each region set sorts its rows by
-(chromosome, start) once, the first time a join needs them.
+are validated once, vectorised, when the columns are built: from a
+BED file, from (id, GenomicRegion) lists, or from RawRegion records or
+a store dataset's columns, whose invalid rows are dropped
+(``RegionColumns.from_records``, ``RegionColumns.from_dataset``). The
+window join has two public ends over one per-chromosome loop:
+``window_join`` builds the emitted OverlapPair rows, and
+``window_count`` counts the distinct A rows that have a pair, for the
+mining report, building no object. ``RegionColumns.to_id_regions``
+gives the (id, GenomicRegion) lists the reference join takes. Each
+region set sorts its rows by (chromosome, start) once, the first time
+a join needs them.
 
 ``read_bed_columns`` parses a BED file with numpy. That fast path only
 accepts: it has no reject reasons of its own, and every line it does
@@ -32,13 +34,16 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import NoReturn, Sequence
+from typing import TYPE_CHECKING, NoReturn, Sequence
 
 import numpy as np
 
 from .bedio import _SKIP_PREFIXES, _chrom_reason, scan_bed, scan_numbered
 from .intervals import GenomicRegion, RawRegion
 from .joins import JoinFilter, OverlapPair
+
+if TYPE_CHECKING:
+    from .store import DatasetColumns
 
 __all__ = [
     "COORD_LIMIT",
@@ -114,6 +119,29 @@ class RegionColumns:
         return cls.from_id_regions([
             (rid, r) for rid, r in enumerate(records, first_id) if r.start >= 0 and r.end >= r.start
         ])
+
+    @classmethod
+    def from_dataset(cls, dataset: DatasetColumns) -> "RegionColumns":
+        """Columns of a store dataset's valid rows, read from the store's
+        columns; the dataset's row i keeps id ``dataset.first_id + i``.
+
+        Invalid rows are dropped, as ``RegionStore.valid_regions`` drops
+        them; a valid row with a coordinate >= 2**62 raises the
+        ValueError ``from_records`` raises for it.
+        """
+        chrom, start, end = dataset.arrays()
+        keep = np.ones(len(chrom), dtype=bool)
+        keep[list(dataset.invalid)] = False
+        rows = np.flatnonzero(keep)
+        ids = rows + dataset.first_id
+        chrom, start, end = chrom[rows], start[rows], end[rows]
+        if start.dtype == object or end.dtype == object:
+            return _build(dataset.names, chrom.tolist(), start.tolist(), end.tolist(), ids)
+        far = end >= COORD_LIMIT  # valid rows have 0 <= start <= end
+        if far.any():
+            i = int(far.argmax())
+            _reject(dataset.names[chrom[i]], int(start[i]), int(end[i]))
+        return cls(dataset.names, chrom, start, end, ids)
 
     def to_id_regions(self) -> list[IdRegion]:
         """(id, GenomicRegion) pairs in row order."""

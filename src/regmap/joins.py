@@ -20,9 +20,10 @@ The mining report, ``mining_report``, runs over one
 same-assembly partner (``paired_datasets``) and builds no region or
 pair objects: each ordered pair is one ``columns.window_count``, the
 number of distinct query rows the same window join hits.
-``pairwise_mining`` feeds it from a RegionStore; ``regmap mine`` feeds
-it from the BED files, converting each once. ``count_overlapping``
-gives the same count for (id, GenomicRegion) lists.
+``pairwise_mining`` feeds it from a RegionStore's columns; ``regmap
+mine`` feeds it from the BED files, converting each once.
+``count_overlapping`` gives the same count for (id, GenomicRegion)
+lists.
 
 Joins are pure functions over immutable inputs and thread-safe.
 """
@@ -294,10 +295,9 @@ def pairwise_mining(
     for entry in catalog:
         if entry.name not in names:
             raise ValueError(f"catalog dataset {entry.name!r} not imported")
-    columns = {}
-    for name in paired_datasets(catalog):
-        rows = store.regions(name)  # one write: ids rows[0].id, rows[0].id + 1, ...
-        columns[name] = RegionColumns.from_records([row.region for row in rows], rows[0].id)
+    columns = {
+        name: RegionColumns.from_dataset(store.columns(name)) for name in paired_datasets(catalog)
+    }
     return mining_report(catalog, columns, flt)
 
 

@@ -8,28 +8,59 @@ a staging buffer, copy it into production while assigning ids, then
 empty staging. A failed import leaves production untouched, and
 staging is always empty once an import returns.
 
-An optional per-(dataset, chromosome) start-sorted index of the valid
-regions serves proximity queries. Once built, each write extends it
-with the new dataset, so results are identical with and without it.
+Representation: no Python object is kept per row. A dataset is held
+as columns (``DatasetColumns``): its first id, a chromosome name
+table with ``int32`` codes, ``start``/``end`` columns and the offsets
+of its invalid rows (``start < 0`` or ``end < start``), found once at
+import. A coordinate column is a stdlib ``array('q')`` when every
+value fits int64, and a list of exact Python ints otherwise, so every
+integer is stored as given. ``StoredRegion``/``RawRegion`` objects are
+built only at the API edge: for ``rows()``, ``regions()``, search hits
+and ``find_invalid``. Returned rows are fresh objects, equal to what
+was imported; a coordinate that is not an integer is refused at import.
+
+An optional index serves proximity queries: one entry per chromosome,
+covering every dataset, holding the valid rows of non-zero length
+(the only rows a probe can hit) as numpy ``start`` (sorted), ``end``
+and ``id`` arrays, plus the widest region. A probe is two
+``searchsorted`` calls and one vectorised filter; objects are built
+for the hits only. Once built, each write merges its dataset in, so
+results are identical with and without the index. Without an index a
+probe is a linear scan of the columns, which is also the reference the
+tests compare the index against.
+
+numpy loads at the first ``build_index``, never for writes,
+``find_invalid`` or an unindexed probe, so ``import regmap`` and
+``regmap search`` stay numpy-free.
 
 Concurrency: any number of reader threads may run beside writers.
 Writes and index builds and drops are serialized on an internal lock
-and publish new structures instead of mutating published ones. A query
-reads each once, so its result is correct for the store before or after
-a concurrent write; a rowwise insert's dataset is seen either absent or
-with every record it committed. Query results are fresh lists.
+and publish new structures instead of mutating published ones; no
+published column or array is written after it is published. A query
+reads each published structure once (an indexed probe reads the index
+before the datasets, which are published first on a write), so its
+result is correct for the store before or after a concurrent write; a
+rowwise insert's dataset is seen either absent or with every record it
+committed. Query results are fresh lists of fresh objects.
 """
 
 from __future__ import annotations
 
+import operator
 import threading
-from bisect import bisect_left
+from array import array
 from dataclasses import dataclass
-from itertools import chain
+from itertools import count
+from typing import TYPE_CHECKING
 
-from .intervals import GenomicRegion, RawRegion
+from .intervals import GenomicRegion, RawRegion, _check_chrom
 
-__all__ = ["StoredRegion", "RegionStore"]
+if TYPE_CHECKING:
+    import numpy as np
+
+__all__ = ["StoredRegion", "DatasetColumns", "RegionStore"]
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,30 +72,128 @@ class StoredRegion:
     region: RawRegion
 
 
-def _as_raw(region) -> RawRegion:
-    if isinstance(region, RawRegion):
-        return region
-    # GenomicRegion and anything region-shaped is accepted.
-    return RawRegion(region.chrom, region.start, region.end)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class DatasetColumns:
+    """One dataset as columns; row i has id ``first_id + i`` and lies on
+    ``names[chrom[i]]``. Read-only: the store never changes it once
+    published, and callers must not either. Compared by identity."""
+
+    first_id: int
+    names: tuple[str, ...]
+    chrom: array  # 'i', int32 codes into names
+    start: array | list[int]  # array('q') when every value fits int64, else exact ints
+    end: array | list[int]
+    invalid: tuple[int, ...]  # offsets of rows with start < 0 or end < start
+
+    def __len__(self) -> int:
+        return len(self.chrom)
+
+    def arrays(self):
+        """``(chrom, start, end)`` as numpy arrays: ``intc`` (int32)
+        codes, and ``int64`` coordinates for an ``array('q')`` column,
+        ``object`` (exact ints) for a list. Imports numpy."""
+        import numpy as np
+
+        def exact(col):
+            if isinstance(col, array):
+                return np.frombuffer(col, dtype=np.int64)
+            return np.array(col, dtype=object)
+
+        return np.frombuffer(self.chrom, dtype=np.intc), exact(self.start), exact(self.end)
+
+    def stored(self, name: str, offsets) -> list[StoredRegion]:
+        """The rows at ``offsets`` as StoredRegion objects of dataset ``name``."""
+        names, chrom, start, end = self.names, self.chrom, self.start, self.end
+        first = self.first_id
+        return [
+            StoredRegion(first + i, name, RawRegion(names[chrom[i]], start[i], end[i]))
+            for i in offsets
+        ]
 
 
-# index entry: (starts, rows sorted by (start, end), max region length)
-_IndexEntry = tuple[list[int], list[StoredRegion], int]
+def _coords(values: list) -> array | list[int]:
+    """A coordinate column: int64 when every value fits, exact ints otherwise."""
+    try:
+        try:
+            return array("q", values)
+        except OverflowError:
+            return list(map(operator.index, values))
+    except TypeError:
+        bad = next((v for v in values if not hasattr(type(v), "__index__")), None)
+        raise ValueError(f"coordinate {bad!r} is not an integer") from None
 
 
-def _index_dataset(rows: list[StoredRegion]) -> dict[str, _IndexEntry]:
-    """One dataset's index entries by chromosome; valid rows only."""
-    by_chrom: dict[str, list[StoredRegion]] = {}
-    for row in rows:
-        if row.region.is_valid():
-            by_chrom.setdefault(row.region.chrom, []).append(row)
-    entries: dict[str, _IndexEntry] = {}
-    for chrom, chrom_rows in by_chrom.items():
-        chrom_rows.sort(key=lambda r: (r.region.start, r.region.end))
-        starts = [r.region.start for r in chrom_rows]
-        max_len = max(r.region.end - r.region.start for r in chrom_rows)
-        entries[chrom] = (starts, chrom_rows, max_len)
-    return entries
+def _dataset(first_id: int, names, chrom: array, starts: list, ends: list) -> DatasetColumns:
+    """One dataset's columns from checked chromosome codes; refuses a
+    coordinate that is not an integer and records the invalid rows."""
+    start, end = _coords(starts), _coords(ends)
+    invalid = tuple(i for i, s, e in zip(count(), start, end) if s < 0 or e < s)
+    return DatasetColumns(first_id, tuple(names), chrom, start, end, invalid)
+
+
+def _dataset_from_records(first_id: int, regions: list) -> DatasetColumns:
+    """Validate and build one dataset's columns from region-shaped
+    records; each distinct chromosome name is checked once."""
+    chroms = [r.chrom for r in regions]
+    codes = {name: code for code, name in enumerate(dict.fromkeys(chroms))}
+    for name in codes:
+        _check_chrom(name)
+    chrom = array("i", map(codes.__getitem__, chroms))
+    return _dataset(first_id, codes, chrom, [r.start for r in regions], [r.end for r in regions])
+
+
+# An index entry, one per chromosome: its indexed rows sorted by start,
+# as numpy (start, end, id) arrays, and the widest row's length. start
+# and end are int64, or object (exact ints) when some end exceeds int64.
+_IndexEntry = tuple["np.ndarray", "np.ndarray", "np.ndarray", int]
+
+
+def _index_dataset(dataset: DatasetColumns) -> dict[str, tuple]:
+    """One dataset's index part: ``{chrom: (start, end, id)}`` numpy
+    arrays of its valid rows of non-zero length. Coordinates are int64
+    when every such end fits, else exact ``object`` ints."""
+    import numpy as np
+
+    chrom, start, end = dataset.arrays()
+    rows = np.flatnonzero((start >= 0) & (end > start))
+    chrom, start, end = chrom[rows], start[rows], end[rows]
+    # Here 0 <= start < end, so the ends decide whether both fit int64.
+    dtype = np.int64 if len(end) == 0 or end.max() <= _INT64_MAX else object
+    start, end = start.astype(dtype), end.astype(dtype)
+    ids = rows + dataset.first_id
+    order = np.argsort(chrom, kind="stable")
+    bounds = np.searchsorted(chrom[order], np.arange(len(dataset.names) + 1))
+    part = {}
+    for code, name in enumerate(dataset.names):
+        on_chrom = order[bounds[code] : bounds[code + 1]]
+        if len(on_chrom):
+            part[name] = (start[on_chrom], end[on_chrom], ids[on_chrom])
+    return part
+
+
+def _merge(index: dict[str, _IndexEntry], parts: list[dict]) -> dict[str, _IndexEntry]:
+    """A new index: ``index`` with the rows of ``parts`` merged in. Each
+    chromosome that gains rows is one concatenate and one stable argsort;
+    ``index`` is not changed."""
+    import numpy as np
+
+    grouped: dict[str, list[tuple]] = {}
+    for part in parts:
+        for chrom, cols in part.items():
+            grouped.setdefault(chrom, []).append(cols)
+    merged = dict(index)
+    for chrom, cols in grouped.items():
+        if chrom in index:
+            cols.insert(0, index[chrom][:3])
+        start, end, ids = (np.concatenate(col) for col in zip(*cols))
+        order = np.argsort(start, kind="stable")
+        start, end, ids = start[order], end[order], ids[order]
+        merged[chrom] = (start, end, ids, int((end - start).max()))
+    return merged
+
+
+def _clamp(value: int) -> int:
+    return min(max(value, _INT64_MIN), _INT64_MAX)
 
 
 class RegionStore:
@@ -76,11 +205,11 @@ class RegionStore:
     """
 
     def __init__(self, capacity: int | None = None):
-        self._by_dataset: dict[str, list[StoredRegion]] = {}
-        self._staging: list[RawRegion] = []
+        self._datasets: dict[str, DatasetColumns] = {}
+        self._staging: DatasetColumns | None = None
         self._next_id = 1
         self._capacity = capacity
-        self._index: dict[str, dict[str, _IndexEntry]] | None = None
+        self._index: dict[str, _IndexEntry] | None = None
         self._write_lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -88,25 +217,37 @@ class RegionStore:
 
     @property
     def staging_size(self) -> int:
-        return len(self._staging)
+        staging = self._staging
+        return 0 if staging is None else len(staging)
 
     def dataset_names(self) -> list[str]:
-        return list(self._by_dataset)
+        return list(self._datasets)
+
+    def columns(self, dataset: str) -> DatasetColumns | None:
+        """One dataset's columns (read-only), or None when it is absent."""
+        return self._datasets.get(dataset)
 
     def rows(self) -> list[StoredRegion]:
         """All production rows in id order."""
-        return list(chain.from_iterable(self._by_dataset.values()))
+        return [
+            row for name, ds in self._datasets.items() for row in ds.stored(name, range(len(ds)))
+        ]
 
     def regions(self, dataset: str) -> list[StoredRegion]:
         """All rows of one dataset in id order."""
-        return list(self._by_dataset.get(dataset, ()))
+        ds = self._datasets.get(dataset)
+        return [] if ds is None else ds.stored(dataset, range(len(ds)))
 
     def valid_regions(self, dataset: str) -> list[tuple[int, GenomicRegion]]:
         """(id, validated region) pairs of one dataset, invalid rows skipped."""
+        ds = self._datasets.get(dataset)
+        if ds is None:
+            return []
+        names = ds.names
         return [
-            (row.id, row.region.to_region())
-            for row in self._by_dataset.get(dataset, ())
-            if row.region.is_valid()
+            (rid, GenomicRegion(names[c], s, e))
+            for rid, c, s, e in zip(count(ds.first_id), ds.chrom, ds.start, ds.end)
+            if 0 <= s <= e
         ]
 
     def _check_capacity(self, extra: int) -> None:
@@ -116,32 +257,37 @@ class RegionStore:
                 f"({len(self)} rows + {extra} new)"
             )
 
-    def _commit(self, name: str, raws: list[RawRegion]) -> int:
-        """Publish a dataset with fresh ids (lock held); an empty one is not kept."""
-        if raws:
-            rows = [StoredRegion(i, name, raw) for i, raw in enumerate(raws, self._next_id)]
-            self._by_dataset = {**self._by_dataset, name: rows}
-            self._next_id += len(rows)
+    def _check_new(self, name: str) -> None:
+        if name in self._datasets:
+            raise ValueError(f"dataset {name!r} already imported")
+
+    def _commit(self, name: str, dataset: DatasetColumns) -> int:
+        """Publish a dataset (lock held), then extend the index with it;
+        an empty one is not kept."""
+        if len(dataset):
+            self._datasets = {**self._datasets, name: dataset}
+            self._next_id += len(dataset)
             index = self._index
             if index is not None:
-                self._index = {**index, name: _index_dataset(rows)}
-        return len(raws)
+                self._index = _merge(index, [_index_dataset(dataset)])
+        return len(dataset)
 
     def import_dataset(self, name: str, regions) -> int:
         """Three-step staged import: stage, copy with ids, empty staging.
 
+        ``regions`` holds RawRegion, GenomicRegion or any objects with
+        ``chrom``, ``start`` and ``end``; coordinates must be integers.
         Atomic: any failure leaves production untouched and staging
         empty. Returns the number of imported rows.
         """
         with self._write_lock:
-            if name in self._by_dataset:
-                raise ValueError(f"dataset {name!r} already imported")
+            self._check_new(name)
             try:
-                self._staging = [_as_raw(r) for r in regions]
+                self._staging = _dataset_from_records(self._next_id, list(regions))
                 self._check_capacity(len(self._staging))
                 return self._commit(name, self._staging)
             finally:
-                self._staging = []
+                self._staging = None
 
     def insert_regions_batch(self, name: str, regions) -> int:
         """Insert all regions as one atomic append (single transaction)."""
@@ -154,25 +300,34 @@ class RegionStore:
         they are published together when the call ends.
         """
         with self._write_lock:
-            if name in self._by_dataset:
-                raise ValueError(f"dataset {name!r} already imported")
-            raws: list[RawRegion] = []
+            self._check_new(name)
+            codes: dict[str, int] = {}
+            chrom = array("i")
+            starts: list[int] = []
+            ends: list[int] = []
             try:
                 for r in regions:
-                    raw = _as_raw(r)
-                    self._check_capacity(len(raws) + 1)
-                    raws.append(raw)
+                    label, start, end = r.chrom, r.start, r.end
+                    if label not in codes:
+                        _check_chrom(label)
+                    _coords([start, end])
+                    self._check_capacity(len(starts) + 1)
+                    chrom.append(codes.setdefault(label, len(codes)))
+                    starts.append(start)
+                    ends.append(end)
             finally:
-                self._commit(name, raws)
-            return len(raws)
+                self._commit(name, _dataset(self._next_id, codes, chrom, starts, ends))
+            return len(starts)
 
     def find_invalid(self) -> list[StoredRegion]:
-        """All rows with start < 0 or end < start, in id order (full scan)."""
-        rows = chain.from_iterable(self._by_dataset.values())
-        return [row for row in rows if not row.region.is_valid()]
+        """All rows with start < 0 or end < start, in id order.
+
+        Reads the invalid offsets each dataset recorded at import.
+        """
+        return [row for name, ds in self._datasets.items() for row in ds.stored(name, ds.invalid)]
 
     def build_index(self) -> None:
-        """Build the per-(dataset, chromosome) start-sorted index. Idempotent.
+        """Build the per-chromosome index over every dataset. Idempotent.
 
         Built and published under the write lock, so an index never
         misses rows that a concurrent import committed. When an index
@@ -183,9 +338,7 @@ class RegionStore:
             return
         with self._write_lock:
             if self._index is None:
-                self._index = {
-                    name: _index_dataset(rows) for name, rows in self._by_dataset.items()
-                }
+                self._index = _merge({}, [_index_dataset(ds) for ds in self._datasets.values()])
 
     def drop_index(self) -> None:
         """Discard the index; a no-op when none is built."""
@@ -198,7 +351,7 @@ class RegionStore:
 
     def proximity_search(self, chrom: str, position: int, window: int) -> list[StoredRegion]:
         """Valid regions on chrom sharing >= 1 base with the half-open
-        window [position - window, position + window).
+        window [position - window, position + window), in id order.
 
         Uses the index when built, a linear scan otherwise; unknown
         chromosomes yield an empty list.
@@ -207,27 +360,54 @@ class RegionStore:
             raise ValueError(f"window must be >= 1, got {window}")
         lo = position - window
         hi = position + window
-        # One read: a concurrent write or drop may replace self._index.
+        # One read each, index first: a concurrent write publishes its
+        # dataset before the index that covers it.
         index = self._index
+        datasets = self._datasets
         if index is None:
-            return [
-                row
-                for row in chain.from_iterable(self._by_dataset.values())
-                if row.region.chrom == chrom
-                and row.region.is_valid()
-                and min(row.region.end, hi) - max(row.region.start, lo) >= 1
-            ]
-        hits: list[StoredRegion] = []
-        for by_chrom in index.values():
-            if (entry := by_chrom.get(chrom)) is None:
-                continue
-            starts, rows, max_len = entry
-            # e > lo forces s > lo - len >= lo - max_len
-            i = bisect_left(starts, lo - max_len + 1)
-            while i < len(starts) and starts[i] <= hi - 1:
-                region = rows[i].region
-                if min(region.end, hi) - max(region.start, lo) >= 1:
-                    hits.append(rows[i])
-                i += 1
-        hits.sort(key=lambda r: r.id)
-        return hits
+            return _scan(datasets, chrom, lo, hi)
+        if chrom not in index:
+            return []
+        start, end, ids, widest = index[chrom]
+        # A hit has start <= hi - 1 and end >= lo + 1, so start >= lo + 1 - widest.
+        first, last = lo + 1 - widest, hi - 1
+        if start.dtype != object:
+            # Every indexed row has 0 <= start < end <= 2**63 - 1, so
+            # clamping the bounds to int64 changes no comparison.
+            first, last, lo = _clamp(first), _clamp(last), _clamp(lo)
+        i = start.searchsorted(first, "left")
+        j = start.searchsorted(last, "right")
+        rows = (end[i:j] > lo).nonzero()[0] + i
+        rows = rows[ids[rows].argsort()]
+        hits = zip(ids[rows].tolist(), start[rows].tolist(), end[rows].tolist())
+        return _stored_hits(datasets, chrom, hits)
+
+
+def _scan(datasets: dict[str, DatasetColumns], chrom: str, lo: int, hi: int) -> list[StoredRegion]:
+    """The unindexed probe: every row of every dataset is tested."""
+    hits: list[StoredRegion] = []
+    for name, ds in datasets.items():
+        if chrom not in ds.names:
+            continue
+        code = ds.names.index(chrom)
+        offsets = [
+            i
+            for i, c, s, e in zip(count(), ds.chrom, ds.start, ds.end)
+            if c == code and s >= 0 and min(e, hi) - max(s, lo) >= 1
+        ]
+        hits += ds.stored(name, offsets)
+    return hits
+
+
+def _stored_hits(datasets: dict[str, DatasetColumns], chrom: str, hits) -> list[StoredRegion]:
+    """StoredRegion objects of ``(id, start, end)`` hits on ``chrom`` in id
+    order; each id's dataset is found by walking the datasets in id order."""
+    found: list[StoredRegion] = []
+    walk = iter(datasets.items())
+    name, stop = None, 0
+    for rid, start, end in hits:
+        while rid >= stop:
+            name, ds = next(walk)
+            stop = ds.first_id + len(ds)
+        found.append(StoredRegion(rid, name, RawRegion(chrom, start, end)))
+    return found

@@ -361,6 +361,35 @@ class TestSearch:
         assert rc == 0
         assert out == "id\tdataset\tchrom\tstart\tend\n"
 
+    def test_files_sharing_a_stem_get_distinct_datasets(self, capsys, tmp_path):
+        paths = [tmp_path / "a" / "p.bed", tmp_path / "b" / "p.bed", tmp_path / "p-2.bed", tmp_path / "c" / "p.bed"]
+        for k, path in enumerate(paths):
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(f"chr1\t{k}\t100\nchr1\t5\t{k}\n")
+        files = [str(p) for p in paths]
+        rc, out, err = run_cli(capsys, "search", "--store-from", *files, "--invalid")
+        assert (rc, err) == (0, "")
+        # a taken name gets the first free -k; p-2 is then taken by a file's own stem
+        assert out == (
+            "id\tdataset\tchrom\tstart\tend\n"
+            "2\tp\tchr1\t5\t0\n4\tp-2\tchr1\t5\t1\n"
+            "6\tp-2-2\tchr1\t5\t2\n8\tp-3\tchr1\t5\t3\n"
+        )
+        rc, out, _ = run_cli(capsys, "search", "--store-from", *files, "--near", "chr1:99", "--window", "1")
+        assert rc == 0
+        assert [line.split("\t")[:2] for line in out.splitlines()[1:]] == [
+            ["1", "p"], ["3", "p-2"], ["5", "p-2-2"], ["7", "p-3"]
+        ]
+
+    def test_distinct_stems_name_datasets_by_stem(self, capsys, tmp_path):
+        (tmp_path / "x.bed").write_text("chr1\t-3\t5\n")
+        (tmp_path / "y.bed").write_text("chr1\t0\t10\nchr1\t60\t50\n")
+        rc, out, _ = run_cli(
+            capsys, "search", "--store-from", str(tmp_path / "x.bed"), str(tmp_path / "y.bed"), "--invalid"
+        )
+        assert rc == 0
+        assert out == "id\tdataset\tchrom\tstart\tend\n1\tx\tchr1\t-3\t5\n3\ty\tchr1\t60\t50\n"
+
     def test_invalid_and_near_are_exclusive(self, capsys, tmp_path):
         bed = tmp_path / "x.bed"
         bed.write_text("chr1\t0\t10\n")

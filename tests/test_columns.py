@@ -245,6 +245,10 @@ class TestFromRecords:
         cols = RegionColumns.from_records(records, first_id=len(before) + 1)
         assert cols.to_id_regions() == store.valid_regions("ds")
         assert cols.chrom.dtype == np.int32 and cols.ids.dtype == np.int64
+        if records:  # an empty import is not kept
+            stored = RegionColumns.from_dataset(store.columns("ds"))
+            assert stored.to_id_regions() == cols.to_id_regions()
+            assert stored.chrom.dtype == np.int32 and stored.ids.dtype == np.int64
 
     def test_invalid_rows_dropped_even_out_of_range(self):
         records = [RawRegion("chr1", -1, 2**70), RawRegion("chr2", 5, 9), RawRegion("chr1", 2**70, 3)]
@@ -252,6 +256,11 @@ class TestFromRecords:
         assert cols.names == ("chr2",)
         assert cols.to_id_regions() == [(8, GenomicRegion("chr2", 5, 9))]
         assert len(RegionColumns.from_records([])) == 0
+        store = RegionStore()
+        store.import_dataset("pad", [RawRegion("chr3", 0, 1)] * 6)
+        store.import_dataset("ds", records)
+        stored = RegionColumns.from_dataset(store.columns("ds"))
+        assert stored.to_id_regions() == [(8, GenomicRegion("chr2", 5, 9))]
 
     def test_valid_row_out_of_range_raises(self):
         records = [RawRegion("chr1", 0, 5), RawRegion("chr1", 3, 2**62), RawRegion("chr1", 9, 2)]

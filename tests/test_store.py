@@ -3,6 +3,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from regmap import store as store_module
 from regmap.bench import GenConfig, generate_regions, make_invalid_rows
-from regmap.intervals import RawRegion, overlap_coords
+from regmap.intervals import GenomicRegion, RawRegion, overlap_coords
 from regmap.store import RegionStore
 
 
@@ -65,6 +66,28 @@ class TestImport:
         store = RegionStore()
         store.import_dataset("d1", [raw("chr1", -5, 100), raw("chr1", 50, 10)])
         assert len(store) == 2
+
+    @pytest.mark.parametrize("method", ["import_dataset", "insert_regions_rowwise"])
+    def test_region_shaped_chromosome_with_whitespace_fails_atomically(self, method):
+        # The name is checked once per import, not per RawRegion built.
+        store = RegionStore()
+        rows = [SimpleNamespace(chrom="chr1", start=0, end=5), SimpleNamespace(chrom="chr 1", start=0, end=5)]
+        with pytest.raises(ValueError, match="whitespace"):
+            getattr(store, method)("d1", rows)
+        kept = 1 if method == "insert_regions_rowwise" else 0  # rowwise keeps its prefix
+        assert len(store) == kept and store.staging_size == 0
+        assert [row.region for row in store.rows()] == [raw("chr1", 0, 5)][:kept]
+
+    @pytest.mark.parametrize("bad", [1.5, "7", None])
+    def test_non_integer_coordinate_is_refused(self, bad):
+        store = RegionStore()
+        rows = [raw("chr1", 0, 5), SimpleNamespace(chrom="chr1", start=2, end=bad)]
+        with pytest.raises(ValueError, match="not an integer"):
+            store.import_dataset("d1", rows)
+        assert len(store) == 0 and store.staging_size == 0
+        with pytest.raises(ValueError, match="not an integer"):
+            store.insert_regions_rowwise("d1", rows)
+        assert store.rows() == [store_module.StoredRegion(1, "d1", raw("chr1", 0, 5))]
 
 
 class TestBatchVsRowwise:
@@ -261,6 +284,90 @@ class TestIndexInvariant:
                 assert store.proximity_search(chrom, position, window) == scan
 
 
+# Coordinates across the whole accepted range: small ones that overlap,
+# the int64 edges and values beyond them in both directions.
+COORDS = st.one_of(
+    st.integers(-20, 300),
+    st.sampled_from([-1, 0, 2**62, 2**63 - 1, 2**63, 2**63 + 5, 2**64, -(2**63) - 1]),
+    st.integers(-(2**70), 2**70),
+)
+
+
+@st.composite
+def any_record(draw):
+    chrom = draw(st.sampled_from(["chr1", "chr2"]))
+    start, end = draw(COORDS), draw(COORDS)
+    kind = draw(st.sampled_from(["raw", "genomic", "shaped"]))
+    if kind == "genomic":
+        start = abs(start)
+        return GenomicRegion(chrom, start, start + abs(end) % 500)
+    if kind == "raw":
+        return RawRegion(chrom, start, end)
+    return SimpleNamespace(chrom=chrom, start=start, end=end)  # region-shaped
+
+
+MODEL_WRITES = st.tuples(
+    st.sampled_from(["import_dataset", "insert_regions_batch", "insert_regions_rowwise"]),
+    st.sampled_from(["w1", "w2", "w3", "w4"]),
+    st.lists(any_record(), max_size=8),
+)
+# 20-digit positions sit beyond int64 on both sides of every window.
+PROBE = st.tuples(
+    st.sampled_from(["chr1", "chr2", "chr3"]),
+    st.one_of(st.integers(-50, 350), st.integers(10**19, 10**20 - 1),
+              st.sampled_from([2**63 - 3, 2**63 + 2, 100_000_000])),
+    st.one_of(st.integers(1, 40), st.sampled_from([10**19, 10**20, 2**70])),
+)
+SEEDED = [
+    # one 200 Mb region among narrow ones
+    ("wide", [raw("chr1", 0, 200_000_000)] + [raw("chr1", s, s + 30) for s in range(0, 300, 37)]),
+    # -1 and 2**63 in one dataset: neither int64 nor uint64 holds both
+    ("edge", [raw("chr2", -1, 5), raw("chr2", 10, 2**63), raw("chr2", 2**63, 2**63 + 9)]),
+]
+
+
+class TestRecordModel:
+    """The store against a plain list of (id, dataset, record) rows."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(st.one_of(MODEL_WRITES, INDEX_OPS), max_size=10),
+           st.lists(PROBE, min_size=1, max_size=8))
+    def test_store_matches_record_model(self, ops, probes):
+        store = RegionStore()
+        model = []  # (id, dataset, RawRegion) in id order
+        for op, *args in [("import_dataset", *seeded) for seeded in SEEDED] + ops:
+            if not args:
+                getattr(store, op)()
+            else:
+                name, records = args
+                if name in {row[1] for row in model}:
+                    with pytest.raises(ValueError, match="already imported"):
+                        getattr(store, op)(name, records)
+                else:
+                    assert getattr(store, op)(name, records) == len(records)
+                    model += [
+                        (len(model) + i, name, raw(r.chrom, r.start, r.end))
+                        for i, r in enumerate(records, 1)
+                    ]
+            rows = store.rows()
+            assert [(r.id, r.dataset, r.region) for r in rows] == model
+            assert len(store) == len(model) and store.staging_size == 0
+            assert [(r.id, r.region) for r in store.find_invalid()] == [
+                (rid, r) for rid, _, r in model if not r.is_valid()
+            ]
+            for name in store.dataset_names():
+                assert [(rid, (g.chrom, g.start, g.end)) for rid, g in store.valid_regions(name)] == [
+                    (rid, (r.chrom, r.start, r.end)) for rid, ds, r in model if ds == name and r.is_valid()
+                ]
+            for chrom, position, window in probes + [("chr1", 150_000_000, 5), ("chr2", 2**63 + 1, 1)]:
+                lo, hi = position - window, position + window
+                want = [
+                    rid for rid, _, r in model
+                    if r.chrom == chrom and r.is_valid() and min(r.end, hi) - max(r.start, lo) >= 1
+                ]
+                assert [r.id for r in store.proximity_search(chrom, position, window)] == want
+
+
 class TestAccessors:
     def test_valid_regions_converts_and_filters(self):
         store = RegionStore()
@@ -414,3 +521,28 @@ def test_import_regmap_leaves_numpy_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+def test_writes_scans_and_unindexed_probes_leave_numpy_unloaded():
+    # numpy loads at the first build_index, and only there.
+    code = (
+        "import sys; from regmap import RawRegion, RegionStore; "
+        "s = RegionStore(); "
+        "s.import_dataset('a', [RawRegion('chr1', 0, 10), RawRegion('chr1', -1, 2**70)]); "
+        "s.insert_regions_rowwise('b', [RawRegion('chr1', 5, 2)]); "
+        "hits = [r.id for r in s.proximity_search('chr1', 5, 3)] + [r.id for r in s.find_invalid()]; "
+        "loaded = ['numpy' in sys.modules]; "
+        "s.build_index(); "
+        "loaded.append('numpy' in sys.modules); "
+        "print(hits, loaded)"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[1, 2, 3] [False, True]\n"
