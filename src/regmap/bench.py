@@ -164,13 +164,12 @@ class BenchmarkReport:
         self.context.append(line)
 
 
-def _time_reps(run: Callable[[], None], reps: int, warmup: int = 1) -> list[float]:
-    """Wall-clock one callable: ``warmup`` discarded runs, then ``reps``
+def _time_reps(run: Callable[[], None], reps: int) -> list[float]:
+    """Wall-clock one callable: one discarded warm-up run, then ``reps``
     measured ones."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    for _ in range(warmup):
-        run()
+    run()
     timings = []
     for _ in range(reps):
         t0 = time.perf_counter()
@@ -297,14 +296,13 @@ def run_overlap_bench(
     sizes: Iterable[int],
     reps: int = 3,
     backends: Sequence[dbadapter.BackendConfig] | None = None,
-    variants: Sequence[str] = ("nested", "sweep"),
     seed: int = 0,
 ) -> BenchmarkReport:
     """Overlap joins over two independent generated datasets per size.
 
-    All variants see identical data. Pair counts must agree wherever
-    semantics coincide; the nested-loop reference is capped at
-    NESTED_LOOP_CAP regions per side.
+    The sweep and nested-loop joins see identical data. Pair counts must
+    agree wherever semantics coincide; the nested-loop reference is
+    capped at NESTED_LOOP_CAP regions per side.
     """
     report = BenchmarkReport()
     report.note(CONTEXT_OVERLAP)
@@ -319,11 +317,8 @@ def run_overlap_bench(
         b = list(enumerate(regions_b, start=len(regions_a) + 1))
 
         sweep_count = len(sweep_join(a, b))
-        if "sweep" in variants:
-            report.add(
-                "overlap_sweep", "native", size, _time_reps(lambda: sweep_join(a, b), reps)
-            )
-        if "nested" in variants and size <= NESTED_LOOP_CAP:
+        report.add("overlap_sweep", "native", size, _time_reps(lambda: sweep_join(a, b), reps))
+        if size <= NESTED_LOOP_CAP:
             nested_count = len(nested_loop_join(a, b))
             if nested_count != sweep_count:
                 raise AssertionError(
@@ -407,7 +402,6 @@ def run_search_bench(
     backends: Sequence[dbadapter.BackendConfig] | None = None,
     seed: int = 0,
     invalid_rows: int = 24,
-    probe: tuple[str, int, int] = ("chr8", 128_748_314, 100_000),
 ) -> BenchmarkReport:
     """Invalid-row scans and windowed proximity queries, with and
     without the index, over synthetic stores seeded with a known number
@@ -415,7 +409,7 @@ def run_search_bench(
     report = BenchmarkReport()
     report.note(CONTEXT_SEARCH)
     _note_skips(report, backends)
-    chrom, position, window = probe
+    chrom, position, window = "chr8", 128_748_314, 100_000  # the proximity probe
     for size in store_sizes:
         store = RegionStore()
         regions = generate_regions(GenConfig(seed=seed, count=size))

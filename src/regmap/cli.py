@@ -304,9 +304,15 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
 def _apply_config(parser: argparse.ArgumentParser, values: dict[str, str]) -> None:
     """Install config values as defaults on every subparser that has a
-    matching destination. Types go through each action's converter."""
+    matching destination. Types go through each action's converter; a
+    list option's value is split on whitespace, and a flag takes only
+    the spellings in ``_BOOLEANS``. A bad value raises ValueError."""
     subparsers = [
         sp
         for action in parser._actions
@@ -316,14 +322,21 @@ def _apply_config(parser: argparse.ArgumentParser, values: dict[str, str]) -> No
     for sp in subparsers:
         defaults = {}
         for action in sp._actions:
-            if action.dest in values:
-                raw = values[action.dest]
-                if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-                    defaults[action.dest] = raw.lower() in ("1", "true", "yes", "on")
-                elif action.type is not None:
-                    defaults[action.dest] = action.type(raw)
-                else:
-                    defaults[action.dest] = raw
+            if action.dest not in values:
+                continue
+            raw = values[action.dest]
+            if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
+                if raw.lower() not in _BOOLEANS:
+                    raise ValueError(
+                        f"{action.dest} = {raw!r}: expected one of {', '.join(_BOOLEANS)}"
+                    )
+                defaults[action.dest] = _BOOLEANS[raw.lower()]
+                continue
+            convert = action.type or str
+            if action.nargs in ("+", "*"):
+                defaults[action.dest] = [convert(item) for item in raw.split()]
+            else:
+                defaults[action.dest] = convert(raw)
         if defaults:
             sp.set_defaults(**defaults)
 

@@ -1,12 +1,18 @@
 """Region sets as columns, and the window join that runs on them.
 
 A region set is held as parallel arrays: an ``int32`` chromosome code
-indexing a name table, plus ``int64`` start, end and id arrays. Rows
-are validated once, vectorised, when the columns are built: from a
-BED file, from (id, GenomicRegion) lists, or from RawRegion records or
-a store dataset's columns, whose invalid rows are dropped
-(``RegionColumns.from_records``, ``RegionColumns.from_dataset``). The
-window join has two public ends over one per-chromosome loop:
+indexing a name table, plus ``int64`` start, end and id arrays. One
+validator, ``_checked``, builds every region set; vectorised, it raises
+for the first row that is invalid or reaches ``COORD_LIMIT``. The
+coordinates come from one of two sources: the numpy BED reader's
+``int64`` arrays, or Python ints made columns by ``store.numpy_coords``
+(``int64`` when every value fits, exact ``object`` ints otherwise, so
+no value is wrapped or guessed). The second serves ``bedio.scan_bed``'s
+rows, (id, GenomicRegion) lists, and RawRegion records or a store
+dataset's columns, whose invalid rows are dropped first
+(``RegionColumns.from_records``, ``RegionColumns.from_dataset``).
+
+The window join has two public ends over one per-chromosome loop:
 ``window_join`` builds the emitted OverlapPair rows, and
 ``window_count`` counts the distinct A rows that have a pair, for the
 mining report, building no object. ``RegionColumns.to_id_regions``
@@ -34,16 +40,14 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, NoReturn, Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
 from .bedio import _SKIP_PREFIXES, _chrom_reason, scan_bed, scan_numbered
 from .intervals import GenomicRegion, RawRegion
 from .joins import JoinFilter, OverlapPair
-
-if TYPE_CHECKING:
-    from .store import DatasetColumns
+from .store import DatasetColumns, numpy_coords
 
 __all__ = [
     "COORD_LIMIT",
@@ -99,11 +103,11 @@ class RegionColumns:
         """Columns of (id, region) pairs, in the given order."""
         codes: dict[str, int] = {}
         chrom = [codes.setdefault(r.chrom, len(codes)) for _, r in regions]
-        return _build(
+        return _checked(
             tuple(codes),
-            chrom,
-            [r.start for _, r in regions],
-            [r.end for _, r in regions],
+            np.array(chrom, dtype=np.int32),
+            numpy_coords([r.start for _, r in regions]),
+            numpy_coords([r.end for _, r in regions]),
             np.array([rid for rid, _ in regions], dtype=np.int64),
         )
 
@@ -130,18 +134,8 @@ class RegionColumns:
         ValueError ``from_records`` raises for it.
         """
         chrom, start, end = dataset.arrays()
-        keep = np.ones(len(chrom), dtype=bool)
-        keep[list(dataset.invalid)] = False
-        rows = np.flatnonzero(keep)
-        ids = rows + dataset.first_id
-        chrom, start, end = chrom[rows], start[rows], end[rows]
-        if start.dtype == object or end.dtype == object:
-            return _build(dataset.names, chrom.tolist(), start.tolist(), end.tolist(), ids)
-        far = end >= COORD_LIMIT  # valid rows have 0 <= start <= end
-        if far.any():
-            i = int(far.argmax())
-            _reject(dataset.names[chrom[i]], int(start[i]), int(end[i]))
-        return cls(dataset.names, chrom, start, end, ids)
+        rows = np.delete(np.arange(len(chrom)), dataset.invalid)
+        return _checked(dataset.names, chrom[rows], start[rows], end[rows], rows + dataset.first_id)
 
     def to_id_regions(self) -> list[IdRegion]:
         """(id, GenomicRegion) pairs in row order."""
@@ -181,7 +175,8 @@ def read_bed_columns(path: str | Path, first_id: int = 1) -> RegionColumns:
             raw.seek(0)
             text = io.TextIOWrapper(raw, encoding="utf-8")
             names, codes, starts, ends, _ = scan_bed(text, mode="strict")
-            return _build(tuple(names), codes, starts, ends, _ids(first_id, len(codes)))
+            codes = np.array(codes, dtype=np.int32)
+            parsed = tuple(names), codes, numpy_coords(starts), numpy_coords(ends)
     names, codes, starts, ends = parsed
     return _checked(names, codes, starts, ends, _ids(first_id, len(codes)))
 
@@ -296,37 +291,20 @@ def _ids(first_id: int, count: int) -> np.ndarray:
     return np.arange(first_id, first_id + count, dtype=np.int64)
 
 
-def _in_range(value: int) -> bool:
-    return -COORD_LIMIT < value < COORD_LIMIT
-
-
-def _build(names, codes: list[int], starts: list[int], ends: list[int], ids) -> RegionColumns:
-    """Validate rows in order and build the arrays; the first offender raises."""
-    n = len(starts)
-    if n and not (
-        _in_range(min(starts)) and _in_range(max(starts))
-        and _in_range(min(ends)) and _in_range(max(ends))
-    ):
-        # Convert only the rows before the first one int64 cannot hold.
-        n = next(
-            i for i, (s, e) in enumerate(zip(starts, ends))
-            if not (_in_range(s) and _in_range(e))
-        )
-    start = np.array(starts[:n], dtype=np.int64)
-    end = np.array(ends[:n], dtype=np.int64)
-    if n < len(starts):
-        _checked(names, codes, start, end, ids[:n])  # an earlier invalid row raises first
-        _reject(names[codes[n]], starts[n], ends[n])
-    return _checked(names, np.array(codes, dtype=np.int32), start, end, ids)
-
-
 def _checked(names, chrom, start: np.ndarray, end: np.ndarray, ids) -> RegionColumns:
-    """The columns, once every row is valid; the first invalid row raises."""
-    bad = (start < 0) | (end < start)
+    """The only builder of a RegionColumns: the columns once every row
+    is valid and below COORD_LIMIT; the first row that is not raises.
+
+    ``start`` and ``end`` are ``int64`` or exact ``object`` ints; they
+    are stored as ``int64``, without a copy when they already are.
+    """
+    bad = (start < 0) | (end < start) | (end >= COORD_LIMIT)
     if bad.any():
         i = int(bad.argmax())
         _reject(names[chrom[i]], int(start[i]), int(end[i]))
-    return RegionColumns(names, chrom, start, end, ids)
+    return RegionColumns(
+        names, chrom, start.astype(np.int64, copy=False), end.astype(np.int64, copy=False), ids
+    )
 
 
 def _reject(chrom: str, start: int, end: int) -> NoReturn:

@@ -14,9 +14,11 @@ table with ``int32`` codes, ``start``/``end`` columns and the offsets
 of its invalid rows (``start < 0`` or ``end < start``), found once at
 import. A coordinate column is a stdlib ``array('q')`` when every
 value fits int64, and a list of exact Python ints otherwise, so every
-integer is stored as given. ``StoredRegion``/``RawRegion`` objects are
-built only at the API edge: for ``rows()``, ``regions()``, search hits
-and ``find_invalid``. Returned rows are fresh objects, equal to what
+integer is stored as given. ``numpy_coords`` turns such a column, or
+any list of ints, into numpy by the same rule, for ``arrays()`` and
+for ``columns.RegionColumns``. ``StoredRegion``/``RawRegion`` objects
+are built only at the API edge: for ``rows()``, ``regions()``, search
+hits and ``find_invalid``. Returned rows are fresh objects, equal to what
 was imported; a coordinate that is not an integer is refused at import.
 
 An optional index serves proximity queries: one entry per chromosome,
@@ -58,7 +60,7 @@ from .intervals import GenomicRegion, RawRegion, _check_chrom
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["StoredRegion", "DatasetColumns", "RegionStore"]
+__all__ = ["StoredRegion", "DatasetColumns", "RegionStore", "numpy_coords"]
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
@@ -90,16 +92,11 @@ class DatasetColumns:
 
     def arrays(self):
         """``(chrom, start, end)`` as numpy arrays: ``intc`` (int32)
-        codes, and ``int64`` coordinates for an ``array('q')`` column,
-        ``object`` (exact ints) for a list. Imports numpy."""
+        codes, and coordinates through ``numpy_coords``. Imports numpy."""
         import numpy as np
 
-        def exact(col):
-            if isinstance(col, array):
-                return np.frombuffer(col, dtype=np.int64)
-            return np.array(col, dtype=object)
-
-        return np.frombuffer(self.chrom, dtype=np.intc), exact(self.start), exact(self.end)
+        chrom = np.frombuffer(self.chrom, dtype=np.intc)
+        return chrom, numpy_coords(self.start), numpy_coords(self.end)
 
     def stored(self, name: str, offsets) -> list[StoredRegion]:
         """The rows at ``offsets`` as StoredRegion objects of dataset ``name``."""
@@ -109,6 +106,18 @@ class DatasetColumns:
             StoredRegion(first + i, name, RawRegion(names[chrom[i]], start[i], end[i]))
             for i in offsets
         ]
+
+
+def numpy_coords(values: array | list[int]) -> "np.ndarray":
+    """Integers as a numpy column: a view of ``array('q')`` when every
+    value fits int64, exact ``object`` ints otherwise, never numpy's
+    own dtype guess (``np.array([2**63])`` is uint64). Imports numpy."""
+    import numpy as np
+
+    try:
+        return np.frombuffer(values if isinstance(values, array) else array("q", values), np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
 def _coords(values: list) -> array | list[int]:

@@ -497,6 +497,36 @@ class TestConfigFile:
         _, out_direct, _ = run_cli(capsys, "gen", "--count", "3", "--seed", "42")
         assert out_flag == out_direct
 
+    def test_list_option_value_is_split_on_whitespace(self, capsys, tmp_path, toy_beds):
+        files = [toy_beds / "hnf4g_hepg2.bed", toy_beds / "h3k4me1_hepg2.bed"]
+        sizes = [len(parse_bed_file(f, mode="permissive")[0]) for f in files]
+        config = tmp_path / "files.conf"
+        for listed, rows in ((files[:1], sizes[0]), (files, sum(sizes))):
+            config.write_text(f"files = {' '.join(map(str, listed))}\nreps = 1\n")
+            rc, out, err = run_cli(capsys, "--config", str(config), "bench", "--scenario", "import")
+            assert (rc, err) == (0, "")
+            (row,) = [line.split("\t") for line in out.splitlines() if line.startswith("import_")]
+            assert row[2] == str(rows)
+
+    @pytest.mark.parametrize(
+        "value, fixed", [("yes", True), ("Off", False), ("1", True), ("false", False)]
+    )
+    def test_boolean_spellings(self, capsys, tmp_path, value, fixed):
+        config = tmp_path / "flag.conf"
+        config.write_text(f"fixed_size = {value}\nmax_size = 40\n")
+        rc, out, _ = run_cli(capsys, "--config", str(config), "gen", "--count", "20")
+        assert rc == 0
+        lengths = {int(row[2]) - int(row[1]) for row in map(str.split, out.splitlines())}
+        assert (lengths == {40}) == fixed
+
+    @pytest.mark.parametrize("value", ["maybe", "", "2", "y"])
+    def test_unknown_boolean_spelling_is_usage_error(self, capsys, tmp_path, value):
+        config = tmp_path / "flag.conf"
+        config.write_text(f"fixed_size = {value}\n")
+        rc, out, err = run_cli(capsys, "--config", str(config), "gen", "--count", "3")
+        assert (rc, out) == (2, "")
+        assert "config error" in err and "fixed_size" in err
+
     def test_malformed_config_is_usage_error(self, capsys, tmp_path):
         config = tmp_path / "bad.conf"
         config.write_text("not a key value line\n")

@@ -12,7 +12,7 @@ from regmap.bench import GenConfig, generate_regions
 from regmap.columns import RegionColumns, read_bed_columns, window_join
 from regmap.intervals import GenomicRegion, RawRegion
 from regmap.joins import JoinFilter, nested_loop_join, sweep_join
-from regmap.store import RegionStore
+from regmap.store import RegionStore, numpy_coords
 
 def ids(regions, start=1):
     return [(start + i, r) for i, r in enumerate(regions)]
@@ -93,7 +93,8 @@ def scanned(path, first_id=1):
     """The reference reader: bedio.scan_bed's rows through the same build."""
     names, codes, starts, ends, _ = scan_bed(path, mode="strict")
     ids = np.arange(first_id, first_id + len(codes), dtype=np.int64)
-    return columns._build(tuple(names), codes, starts, ends, ids)
+    chrom = np.array(codes, dtype=np.int32)
+    return columns._checked(tuple(names), chrom, numpy_coords(starts), numpy_coords(ends), ids)
 
 
 def outcome(read, path, first_id):

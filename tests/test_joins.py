@@ -40,6 +40,19 @@ def gen_dataset(seed, count, chroms=5):
     return generate_regions(config)
 
 
+OUT_OF_RANGE = f"coordinate {2**62} out of range: coordinates must be below 2**62"
+
+
+def top_and_far_regions():
+    """A and B ending at 2**62 - 1, the largest end a join accepts, and
+    a set whose second region ends at 2**62."""
+    top = 2**62 - 1
+    a = ids([GenomicRegion("chr1", top - 10, top)])
+    b = ids([GenomicRegion("chr1", 0, 5), GenomicRegion("chr1", top - 4, top)], start=10)
+    far = ids([GenomicRegion("chr1", 0, 5), GenomicRegion("chr1", 3, 2**62)], start=20)
+    return a, b, far
+
+
 class TestNestedLoopJoin:
     def test_single_pair_metrics(self):
         a = ids([GenomicRegion("chr1", 0, 10)])
@@ -117,6 +130,14 @@ class TestSweepJoin:
         b = ids([GenomicRegion("chr1", 5, 5), GenomicRegion("chr1", 4, 6)], start=10)
         for flt in (JoinFilter(), JoinFilter(min_bp=0, max_centre_distance=50)):
             assert sweep_join(a, b, flt) == nested_loop_join(a, b, flt)
+
+    def test_coordinates_must_be_below_2_to_the_62(self):
+        a, b, far = top_and_far_regions()
+        (pair,) = sweep_join(a, b)
+        assert (pair.a_id, pair.b_id, pair.bp_overlap, pair.centre_distance) == (1, 11, 4, 3.0)
+        for x, y in ((a, far), (far, a)):
+            with pytest.raises(ValueError, match=re.escape(OUT_OF_RANGE)):
+                sweep_join(x, y)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -199,6 +220,14 @@ class TestCountOverlapping:
         pairs_ab = {(p.a_id, p.b_id) for p in sweep_join(a, b)}
         pairs_ba = {(p.b_id, p.a_id) for p in sweep_join(b, a)}
         assert pairs_ab == pairs_ba
+
+    def test_coordinates_must_be_below_2_to_the_62(self):
+        a, b, far = top_and_far_regions()
+        assert count_overlapping(a, b) == (1, 1)
+        assert count_overlapping(b, a) == (1, 2)
+        for x, y in ((a, far), (far, a)):
+            with pytest.raises(ValueError, match=re.escape(OUT_OF_RANGE)):
+                count_overlapping(x, y)
 
     def test_percentage_rounding(self):
         assert overlap_percentage(6633, 6839) == 96.99
