@@ -1,25 +1,28 @@
 """BED-like region file parsing/writing and the dataset catalog.
 
 Input files are tab-separated with at least three columns (chromosome,
-start, end); extra columns are ignored. Lines starting with ``#``,
-``track`` or ``browser`` are skipped. Parsing yields RawRegion records
-on purpose: coordinate sanity is NOT enforced here, so that invalid
-rows can be ingested into a store and later located by the
-erroneous-region search.
+start, end); extra columns are ignored. Blank lines and lines starting
+with ``#``, ``track`` or ``browser`` are skipped. Parsing yields
+RawRegion records on purpose: coordinate sanity is NOT enforced here,
+so that invalid rows can be ingested into a store and later located by
+the erroneous-region search.
 
 Coordinates accept only ASCII digits with an optional leading ``-``,
 keeping the parse locale-independent.
 
 ``scan_bed`` is the one line scanner and the rulebook: it alone decides
-that a line is malformed, and why. ``parse_bed`` builds RawRegion
-records from its rows. ``columns.read_bed_columns`` builds arrays with
-a numpy fast path that only accepts; it hands every other line to
-``scan_numbered``, which is ``scan_bed``'s rules over numbered lines.
+that a line is malformed, and why. It reads a path whole, as text with
+universal newlines, and accepts at once a line whose name it accepted
+before and whose coordinates are ASCII digits. ``parse_bed`` returns
+its columns as ``BedRecords``, which ``store`` and ``columns`` take as
+they are. ``columns.read_bed_columns`` builds arrays with a numpy fast
+path that only accepts; it hands every other line to ``scan_numbered``,
+which is ``scan_bed``'s rules over numbered lines.
 """
 
 from __future__ import annotations
 
-import io
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Literal
@@ -28,6 +31,7 @@ from .intervals import GenomicRegion, RawRegion
 
 __all__ = [
     "BedParseError",
+    "BedRecords",
     "CatalogEntry",
     "ParseReport",
     "parse_bed",
@@ -73,20 +77,41 @@ class ParseReport:
     rejects: list[tuple[int, str]] = field(default_factory=list)
 
 
+class BedRecords(Sequence):
+    """The accepted rows of one parse as the scanner's columns: row i is
+    ``RawRegion(names[codes[i]], starts[i], ends[i])``, built only when
+    it is read. Read-only; a slice is a list. Equal to any sequence of
+    equal records, so unhashable."""
+
+    __slots__ = ("names", "codes", "starts", "ends")
+
+    def __init__(self, names, codes: list[int], starts: list[int], ends: list[int]):
+        self.names, self.codes, self.starts, self.ends = tuple(names), codes, starts, ends
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return RawRegion(self.names[self.codes[i]], self.starts[i], self.ends[i])
+
+    def __iter__(self) -> Iterator[RawRegion]:
+        return map(RawRegion, map(self.names.__getitem__, self.codes), self.starts, self.ends)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 def _iter_lines(source: str | Path | IO | Iterable[str]) -> Iterator[str]:
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             yield from fh
         return
-    if isinstance(source, io.IOBase) or hasattr(source, "read"):
-        for line in source:
-            if isinstance(line, bytes):
-                yield line.decode("utf-8")
-            else:
-                yield line
-        return
     for line in source:
-        yield line
+        yield line.decode("utf-8") if isinstance(line, bytes) else line
 
 
 def _chrom_reason(chrom: str) -> str | None:
@@ -121,7 +146,16 @@ def scan_bed(
     """
     if mode not in ("strict", "permissive"):
         raise ValueError(f"unknown parse mode: {mode!r}")
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8") as fh:
+            return scan_text(fh.read(), strict=mode == "strict")
     return scan_numbered(enumerate(_iter_lines(source), start=1), strict=mode == "strict")
+
+
+def scan_text(text: str, strict: bool):
+    """``scan_bed``'s result for a whole text split at ``\\n``; the empty
+    piece after a final newline is a blank line, so it is skipped."""
+    return scan_numbered(enumerate(text.split("\n"), start=1), strict)
 
 
 def scan_numbered(
@@ -140,6 +174,16 @@ def scan_numbered(
     # chromosome name -> its code, or the reason the name is rejected
     seen: dict[str, int | str] = {}
     for lineno, raw in numbered:
+        fields = raw.split("\t", 3)
+        if len(fields) > 2:
+            # An accepted name already passed every rule but the coordinates.
+            code, start, end = seen.get(fields[0]), fields[1], fields[2]
+            if code.__class__ is int and start.isdigit() and end.isdigit():
+                if start.isascii() and end.isascii():
+                    codes.append(code)
+                    starts.append(int(start))
+                    ends.append(int(end))
+                    continue
         line = raw.rstrip("\r\n")
         if not line.strip() or line.startswith(_SKIP_PREFIXES):
             continue
@@ -178,21 +222,20 @@ def scan_numbered(
 def parse_bed(
     source: str | Path | IO | Iterable[str],
     mode: Literal["strict", "permissive"] = "strict",
-) -> tuple[list[RawRegion], ParseReport]:
-    """Parse a BED-like stream into RawRegion records.
+) -> tuple[BedRecords, ParseReport]:
+    """Parse a BED-like stream into RawRegion records, held as columns.
 
     In strict mode the first malformed line raises BedParseError. In
     permissive mode malformed lines are recorded in the report and
     skipped, and the parse itself never fails on tab-separated text.
     """
     names, codes, starts, ends, report = scan_bed(source, mode)
-    regions = [RawRegion(names[c], s, e) for c, s, e in zip(codes, starts, ends)]
-    return regions, report
+    return BedRecords(names, codes, starts, ends), report
 
 
 def parse_bed_file(
     path: str | Path, mode: Literal["strict", "permissive"] = "strict"
-) -> tuple[list[RawRegion], ParseReport]:
+) -> tuple[BedRecords, ParseReport]:
     """parse_bed over a filesystem path."""
     return parse_bed(Path(path), mode=mode)
 

@@ -311,8 +311,10 @@ _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
 def _apply_config(parser: argparse.ArgumentParser, values: dict[str, str]) -> None:
     """Install config values as defaults on every subparser that has a
     matching destination. Types go through each action's converter; a
-    list option's value is split on whitespace, and a flag takes only
-    the spellings in ``_BOOLEANS``. A bad value raises ValueError."""
+    list option's value is split on whitespace, a flag takes only the
+    spellings in ``_BOOLEANS``, a value must be one of the option's
+    choices, and a supplied option is no longer required. A bad value
+    raises ValueError."""
     subparsers = [
         sp
         for action in parser._actions
@@ -333,10 +335,13 @@ def _apply_config(parser: argparse.ArgumentParser, values: dict[str, str]) -> No
                 defaults[action.dest] = _BOOLEANS[raw.lower()]
                 continue
             convert = action.type or str
-            if action.nargs in ("+", "*"):
-                defaults[action.dest] = [convert(item) for item in raw.split()]
-            else:
-                defaults[action.dest] = convert(raw)
+            listed = action.nargs in ("+", "*")
+            items = [convert(item) for item in (raw.split() if listed else [raw])]
+            if action.choices is not None and any(item not in action.choices for item in items):
+                allowed = ", ".join(map(str, action.choices))
+                raise ValueError(f"{action.dest} = {raw!r}: expected one of {allowed}")
+            defaults[action.dest] = items if listed else items[0]
+            action.required = False  # the config supplies it; a flag still wins
         if defaults:
             sp.set_defaults(**defaults)
 

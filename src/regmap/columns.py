@@ -8,9 +8,9 @@ coordinates come from one of two sources: the numpy BED reader's
 ``int64`` arrays, or Python ints made columns by ``store.numpy_coords``
 (``int64`` when every value fits, exact ``object`` ints otherwise, so
 no value is wrapped or guessed). The second serves ``bedio.scan_bed``'s
-rows, (id, GenomicRegion) lists, and RawRegion records or a store
-dataset's columns, whose invalid rows are dropped first
-(``RegionColumns.from_records``, ``RegionColumns.from_dataset``).
+rows, (id, GenomicRegion) lists, and sources whose invalid rows are
+dropped first: RawRegion records or a parsed file's ``BedRecords``
+columns (``from_records``), and a store dataset's (``from_dataset``).
 
 The window join has two public ends over one per-chromosome loop:
 ``window_join`` builds the emitted OverlapPair rows, and
@@ -44,7 +44,7 @@ from typing import NoReturn, Sequence
 
 import numpy as np
 
-from .bedio import _SKIP_PREFIXES, _chrom_reason, scan_bed, scan_numbered
+from .bedio import _SKIP_PREFIXES, BedRecords, _chrom_reason, scan_numbered, scan_text
 from .intervals import GenomicRegion, RawRegion
 from .joins import JoinFilter, OverlapPair
 from .store import DatasetColumns, numpy_coords
@@ -118,8 +118,14 @@ class RegionColumns:
         ``first_id`` gives it.
 
         Records with ``start < 0`` or ``end < start`` are dropped, as
-        ``RegionStore.valid_regions`` drops them.
+        ``RegionStore.valid_regions`` drops them. A parsed file
+        (``bedio.BedRecords``) is read from its columns, building no record.
         """
+        if isinstance(records, BedRecords):
+            start, end = numpy_coords(records.starts), numpy_coords(records.ends)
+            rows = np.flatnonzero((start >= 0) & (end >= start))
+            chrom = np.array(records.codes, dtype=np.int32)[rows]
+            return _checked(records.names, chrom, start[rows], end[rows], rows + first_id)
         return cls.from_id_regions([
             (rid, r) for rid, r in enumerate(records, first_id) if r.start >= 0 and r.end >= r.start
         ])
@@ -160,8 +166,8 @@ def read_bed_columns(path: str | Path, first_id: int = 1) -> RegionColumns:
     stays the rulebook. Each line the fast path does not accept goes
     through bedio's rules under its own line number. A file holding a
     non-ASCII byte, a ``\\r``, a NUL or a line that only bedio accepts
-    is scanned whole by ``scan_bed``, through the same text reader as
-    ever, so newline handling and decode errors do not change.
+    is decoded whole and scanned by ``bedio.scan_text``, as ``scan_bed``
+    reads a path, so newline handling and decode errors are bedio's.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -169,12 +175,9 @@ def read_bed_columns(path: str | Path, first_id: int = 1) -> RegionColumns:
         if data.isascii() and b"\r" not in data and b"\0" not in data:
             parsed = _scan_fast(data)
         if parsed is None:
-            # The reader stack of open(path, encoding="utf-8"); a pipe,
-            # already drained, is read from memory.
-            raw = fh if fh.seekable() else io.BytesIO(data)
-            raw.seek(0)
-            text = io.TextIOWrapper(raw, encoding="utf-8")
-            names, codes, starts, ends, _ = scan_bed(text, mode="strict")
+            # Decoded as open(path, encoding="utf-8").read() decodes it.
+            text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+            names, codes, starts, ends, _ = scan_text(text, strict=True)
             codes = np.array(codes, dtype=np.int32)
             parsed = tuple(names), codes, numpy_coords(starts), numpy_coords(ends)
     names, codes, starts, ends = parsed

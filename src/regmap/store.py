@@ -20,6 +20,7 @@ for ``columns.RegionColumns``. ``StoredRegion``/``RawRegion`` objects
 are built only at the API edge: for ``rows()``, ``regions()``, search
 hits and ``find_invalid``. Returned rows are fresh objects, equal to what
 was imported; a coordinate that is not an integer is refused at import.
+A parsed file's columns (``bedio.BedRecords``) are taken as they are.
 
 An optional index serves proximity queries: one entry per chromosome,
 covering every dataset, holding the valid rows of non-zero length
@@ -55,6 +56,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import TYPE_CHECKING
 
+from .bedio import BedRecords
 from .intervals import GenomicRegion, RawRegion, _check_chrom
 
 if TYPE_CHECKING:
@@ -140,9 +142,14 @@ def _dataset(first_id: int, names, chrom: array, starts: list, ends: list) -> Da
     return DatasetColumns(first_id, tuple(names), chrom, start, end, invalid)
 
 
-def _dataset_from_records(first_id: int, regions: list) -> DatasetColumns:
+def _dataset_from_records(first_id: int, regions) -> DatasetColumns:
     """Validate and build one dataset's columns from region-shaped
-    records; each distinct chromosome name is checked once."""
+    records; each distinct chromosome name is checked once. A parsed
+    file's columns are taken as they are: its names passed the same rule."""
+    if isinstance(regions, BedRecords):
+        chrom = array("i", regions.codes)
+        return _dataset(first_id, regions.names, chrom, regions.starts, regions.ends)
+    regions = list(regions)
     chroms = [r.chrom for r in regions]
     codes = {name: code for code, name in enumerate(dict.fromkeys(chroms))}
     for name in codes:
@@ -286,13 +293,14 @@ class RegionStore:
 
         ``regions`` holds RawRegion, GenomicRegion or any objects with
         ``chrom``, ``start`` and ``end``; coordinates must be integers.
-        Atomic: any failure leaves production untouched and staging
-        empty. Returns the number of imported rows.
+        A parsed file (``bedio.BedRecords``) is taken as its columns,
+        building no record. Atomic: any failure leaves production
+        untouched and staging empty. Returns the number of imported rows.
         """
         with self._write_lock:
             self._check_new(name)
             try:
-                self._staging = _dataset_from_records(self._next_id, list(regions))
+                self._staging = _dataset_from_records(self._next_id, regions)
                 self._check_capacity(len(self._staging))
                 return self._commit(name, self._staging)
             finally:

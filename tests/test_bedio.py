@@ -1,14 +1,18 @@
 import io
+import re
 import sys
+from collections.abc import Sequence
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from regmap.bedio import (
     BedParseError,
+    BedRecords,
     load_catalog,
     parse_bed,
+    scan_bed,
     write_bed,
 )
 from regmap.bedio import _chrom_reason
@@ -121,6 +125,149 @@ class TestParseBed:
         assert report.accepted + report.rejected == len(data_lines)
         assert report.accepted == len(regions)
         assert len(report.rejects) == report.rejected
+
+
+class TestBedRecords:
+    TEXT = "chr1\t0\t5\nchr2\t-3\t9\nchrX\tbad\t1\nchr1\t7\t2\n"
+    EXPECTED = [RawRegion("chr1", 0, 5), RawRegion("chr2", -3, 9), RawRegion("chr1", 7, 2)]
+
+    def test_sequence_contract(self):
+        records, report = parse_text(self.TEXT, mode="permissive")
+        expected = self.EXPECTED
+        assert isinstance(records, BedRecords) and isinstance(records, Sequence)
+        assert len(records) == report.accepted == 3
+        assert records.names == ("chr1", "chr2", "chrX")  # a rejected row's name is listed
+        assert (records.codes, records.starts, records.ends) == ([0, 1, 0], [0, -3, 7], [5, 9, 2])
+        assert [records[i] for i in range(3)] == expected
+        assert (records[-1], records[-3]) == (expected[-1], expected[-3])
+        for i in (3, -4):
+            with pytest.raises(IndexError):
+                records[i]
+        for part in (slice(1, None), slice(None, None, -1), slice(0, 3, 2), slice(5, 9)):
+            assert type(records[part]) is list
+            assert records[part] == expected[part]
+        assert list(records) == expected
+        assert records.index(expected[1]) == 1 and expected[2] in records
+
+    def test_equality(self):
+        records, _ = parse_text(self.TEXT, mode="permissive")
+        expected = self.EXPECTED
+        assert records == expected and expected == records
+        assert records == tuple(expected) and tuple(expected) == records
+        assert records == parse_text(self.TEXT, mode="permissive")[0]
+        assert not records != expected
+        assert records != expected[:2] and records != expected[::-1]
+        assert records != parse_text("chr1\t0\t5\n")[0]
+        assert records != "chr1" and records != 3
+        assert parse_text("")[0] == [] and parse_text("")[0] != "" and parse_text("")[0] == ()
+        with pytest.raises(TypeError):
+            hash(records)
+
+    def test_read_only(self):
+        records, _ = parse_text(self.TEXT, mode="permissive")
+        with pytest.raises(TypeError):
+            records[0] = RawRegion("chr1", 1, 2)
+        with pytest.raises(AttributeError):
+            records.extra = 1
+
+
+# The rules of the bedio docstring, one line at a time, with no fast path.
+COORDINATE = re.compile(r"-?[0-9]+")
+
+
+def reference_scan(text, universal, strict):
+    """``(rows, names, rejects)``, or ``("error", lineno)`` when strict."""
+    if universal:  # a path is read in text mode: \r\n and \r end lines too
+        text = re.sub(r"\r\n?", "\n", text)
+    rows, names, rejects = [], [], []
+    for lineno, line in enumerate(re.findall(r"[^\n]*\n|[^\n]+\Z", text), start=1):
+        line = line.rstrip("\r\n")
+        if not line.strip() or line.startswith(("#", "track", "browser")):
+            continue
+        fields = line.split("\t")
+        if len(fields) < 3:
+            reason = "too few columns"
+        elif fields[0] == "":
+            reason = "empty chromosome"
+        elif any(ch.isspace() for ch in fields[0]):
+            reason = "chromosome contains whitespace"
+        else:
+            chrom, start, end = fields[:3]
+            if chrom not in names:
+                names.append(chrom)
+            if not COORDINATE.fullmatch(start):
+                reason = "non-integer start"
+            elif not COORDINATE.fullmatch(end):
+                reason = "non-integer end"
+            else:
+                rows.append((chrom, int(start), int(end)))
+                continue
+        if strict:
+            return "error", lineno
+        rejects.append((lineno, reason))
+    return rows, names, rejects
+
+
+# Repeated names and digit-like coordinates are drawn often, so that
+# lines after a name's first accepted row test the fast accept.
+scan_names = st.just("chr1") | st.sampled_from(
+    ["chr1", "chr2", "chrX", "c h", "a\x1cb", "\x0c", "", "track9", "#c"]
+)
+scan_coords = st.one_of(
+    st.sampled_from(["0", "7", "-5", "-0", "1" * 19, "9" * 20, "+3", "", "x"]),
+    st.sampled_from(["٣", "²", "1٣", "5\x0c"]),
+    st.integers(0, 10**6).map(str),
+)
+scan_line = st.one_of(
+    st.builds(
+        lambda name, start, end, extra: "\t".join([name, start, end, *extra]),
+        scan_names | st.text("ab", min_size=1, max_size=2),
+        scan_coords,
+        scan_coords,
+        st.lists(st.sampled_from(["peak", "", "9", " "]), max_size=2),
+    ),
+    st.lists(scan_names | scan_coords, max_size=2).map("\t".join),
+    st.sampled_from(["#c\t1\t2", "track name=x", "browser position chr1", "", " \t "]),
+)
+
+
+class TestScanAgainstReference:
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @example(
+        [
+            (line, "\r\n")
+            for line in ("chr1\t1\t2", "chr1\t٣\t5", "chr1\t-5\t²", "chr1\t3\t+3", "chr1\t3\t5\x0c")
+        ],
+        False,
+        "permissive",
+    )
+    @example([("chr1\t1\t2", "\r"), ("chr1\t3\t9\t", "\n"), ("chr1\t2\t1٣", "\n")], True, "strict")
+    @given(
+        st.lists(st.tuples(scan_line, st.sampled_from(["\n", "\r\n", "\r"])), max_size=25),
+        st.booleans(),
+        st.sampled_from(["strict", "permissive"]),
+    )
+    def test_path_and_stream_sources_match_reference(self, tmp_path, lines, final_newline, mode):
+        text = "".join(line + end for line, end in lines)
+        if lines and not final_newline:
+            text = text[: -len(lines[-1][1])]
+        path = tmp_path / "scan.bed"
+        path.write_bytes(text.encode("utf-8"))
+        for source, universal in ((path, True), (io.StringIO(text), False)):
+            expected = reference_scan(text, universal, mode == "strict")
+            if expected[0] == "error":
+                with pytest.raises(BedParseError) as exc:
+                    scan_bed(source, mode)
+                assert exc.value.lineno == expected[1]
+                continue
+            rows, names, rejects = expected
+            got_names, codes, starts, ends, report = scan_bed(source, mode)
+            assert got_names == names
+            assert [(got_names[c], s, e) for c, s, e in zip(codes, starts, ends)] == rows
+            assert report.rejects == rejects
+            assert (report.accepted, report.rejected) == (len(rows), len(rejects))
 
 
 class TestChromosomeRule:

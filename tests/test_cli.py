@@ -527,6 +527,37 @@ class TestConfigFile:
         assert (rc, out) == (2, "")
         assert "config error" in err and "fixed_size" in err
 
+    def test_value_outside_choices_is_usage_error(self, capsys, tmp_path, toy_beds):
+        bed = str(toy_beds / "hnf4g_hepg2.bed")
+        config = tmp_path / "choice.conf"
+        config.write_text("algorithm = bogus\n")
+        rc, out, err = run_cli(capsys, "--config", str(config), "overlap", "--a", bed, "--b", bed)
+        assert (rc, out) == (2, "")
+        assert "config error" in err and "algorithm" in err and "nested, sweep" in err
+        config.write_text("algorithm = nested\n")
+        _, nested, _ = run_cli(capsys, "--config", str(config), "overlap", "--a", bed, "--b", bed)
+        _, sweep, _ = run_cli(capsys, "overlap", "--a", bed, "--b", bed)
+        assert nested == sweep and nested.count("\n") > 1
+
+    def test_config_supplies_a_required_option(self, capsys, tmp_path, toy_beds):
+        first, second = toy_beds / "hnf4g_hepg2.bed", toy_beds / "h3k4me1_hepg2.bed"
+        near = ("search", "--near", "chr1:150", "--window", "100")
+        _, expected, _ = run_cli(capsys, *near, "--store-from", str(first))
+        assert "\thnf4g_hepg2\t" in expected
+        config = tmp_path / "store.conf"
+        config.write_text(f"store_from = {first}\n")
+        rc, out, err = run_cli(capsys, "--config", str(config), *near)
+        assert (rc, out, err) == (0, expected, "")
+        # an explicit flag still wins over the config value
+        _, flagged, _ = run_cli(capsys, "--config", str(config), *near, "--store-from", str(second))
+        assert "\th3k4me1_hepg2\t" in flagged and "hnf4g" not in flagged
+
+    def test_required_option_without_config_is_still_required(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--invalid"])
+        assert exc.value.code == 2
+        assert "--store-from" in capsys.readouterr().err
+
     def test_malformed_config_is_usage_error(self, capsys, tmp_path):
         config = tmp_path / "bad.conf"
         config.write_text("not a key value line\n")

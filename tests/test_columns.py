@@ -1,3 +1,4 @@
+import io
 import re
 import tracemalloc
 
@@ -7,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regmap import columns
-from regmap.bedio import BedParseError, scan_bed
+from regmap.bedio import (
+    BedParseError,
+    BedRecords,
+    parse_bed,
+    parse_bed_file,
+    scan_bed,
+    write_bed,
+)
 from regmap.bench import GenConfig, generate_regions
 from regmap.columns import RegionColumns, read_bed_columns, window_join
 from regmap.intervals import GenomicRegion, RawRegion
@@ -268,3 +276,63 @@ class TestFromRecords:
         message = f"coordinate {2**62} out of range: coordinates must be below 2**62"
         with pytest.raises(ValueError, match=re.escape(message)):
             RegionColumns.from_records(records)
+
+
+def parsed(records):
+    """``records`` written as BED text and parsed back: a BedRecords."""
+    text = io.StringIO()
+    write_bed(records, text)
+    result, _ = parse_bed(io.StringIO(text.getvalue()))
+    assert isinstance(result, BedRecords)
+    return result
+
+
+class TestFromParsedRecords:
+    """``from_records`` on a parsed file's columns against the same records as a list."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw_records, st.integers(1, 50))
+    def test_matches_list_path(self, records, first_id):
+        columns = parsed(records)
+        cols = RegionColumns.from_records(columns, first_id)
+        expected = RegionColumns.from_records(list(columns), first_id)
+        assert cols.to_id_regions() == expected.to_id_regions()
+        assert cols.chrom.dtype == np.int32 and cols.ids.dtype == np.int64
+        assert cols.start.dtype == np.int64 and cols.end.dtype == np.int64
+
+    def test_invalid_and_far_rows(self):
+        records = [
+            RawRegion("chr1", -1, 2**70), RawRegion("chr2", 5, 9), RawRegion("chr1", 2**70, 3),
+            RawRegion("chr2", 0, 2**62 - 1),
+        ]
+        cols = RegionColumns.from_records(parsed(records), first_id=7)
+        assert cols.to_id_regions() == [
+            (8, GenomicRegion("chr2", 5, 9)), (10, GenomicRegion("chr2", 0, 2**62 - 1))
+        ]
+        assert len(RegionColumns.from_records(parsed([]))) == 0
+
+    def test_valid_row_out_of_range_raises_the_same_error(self):
+        records = parsed([
+            RawRegion("chr1", 0, 5), RawRegion("chr1", -1, 2**70), RawRegion("chr1", 3, 2**62),
+            RawRegion("chr1", 10**20, 2**64), RawRegion("chr1", 9, 2),
+        ])
+        message = f"coordinate {2**62} out of range: coordinates must be below 2**62"
+        for source in (records, list(records)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                RegionColumns.from_records(source)
+
+
+def test_parsed_file_to_store_and_columns_builds_no_record(tmp_path, monkeypatch):
+    path = tmp_path / "p.bed"
+    path.write_text("chr1\t0\t10\nchr1\t-5\t3\nchr2\t9\t20\nchr2\tbad\t1\n")
+    built = []
+    original = RawRegion.__post_init__
+    monkeypatch.setattr(RawRegion, "__post_init__", lambda r: (built.append(r), original(r)))
+    records, _ = parse_bed_file(path, mode="permissive")
+    store = RegionStore()
+    store.import_dataset("p", records)
+    cols = RegionColumns.from_records(records, first_id=1)
+    assert built == []
+    assert cols.ids.tolist() == [1, 3]
+    assert [row.id for row in store.find_invalid()] == [2]  # built at the API edge
+    assert len(built) == 1

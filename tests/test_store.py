@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regmap import store as store_module
+from regmap.bedio import BedRecords, parse_bed_file
 from regmap.bench import GenConfig, generate_regions, make_invalid_rows
 from regmap.intervals import GenomicRegion, RawRegion, overlap_coords
 from regmap.store import RegionStore
@@ -546,3 +547,80 @@ def test_writes_scans_and_unindexed_probes_leave_numpy_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[1, 2, 3] [False, True]\n"
+
+
+def test_parsed_file_import_and_scan_leave_numpy_unloaded(tmp_path):
+    # A parsed file's columns go into the store without numpy.
+    bed = tmp_path / "p.bed"
+    bed.write_text("chr1\t0\t10\nchr1\t-5\t3\nchr1\tbad\t1\nchr2\t9\t2\n")
+    code = (
+        "import sys; from regmap.bedio import parse_bed_file; from regmap.store import RegionStore; "
+        f"records, _ = parse_bed_file({str(bed)!r}, mode='permissive'); "
+        "s = RegionStore(); s.import_dataset('p', records); "
+        "print([r.id for r in s.find_invalid()], 'numpy' in sys.modules)"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[2, 3] False\n"
+
+
+class TestImportParsedColumns:
+    """A parsed file imported as its columns equals the same records
+    imported one by one."""
+
+    TEXT = (
+        "track name=p\r\n"
+        "chr1\t0\t10\r\n"
+        "chr2\t5\t3\n"
+        "chr1\t-4\t8\n"
+        "chr1\tbad\t9\n"
+        f"chr3\t7\t{10**19}\n"
+        "chrX\t٣\t5\n"
+        "chr1\t20\t40\t+\n"
+        "chr3\t-1\t-1"
+    )
+    PROBES = [
+        ("chr1", 5, 3), ("chr1", 30, 15), ("chr1", 0, 10**6), ("chr2", 4, 2),
+        ("chr3", 50, 10), ("chr3", 10**19, 5), ("chrX", 3, 3), ("chr9", 1, 1),
+    ]
+
+    def stores(self, tmp_path):
+        path = tmp_path / "p.bed"
+        path.write_bytes(self.TEXT.encode("utf-8"))
+        records, report = parse_bed_file(path, mode="permissive")
+        assert isinstance(records, BedRecords)
+        assert (report.accepted, report.rejected) == (6, 2)
+        built = []
+        for regions in (records, list(records)):
+            store = RegionStore()
+            store.import_dataset("pad", VALID)
+            assert store.import_dataset("p", regions) == 6
+            built.append(store)
+        return built
+
+    def test_rows_scans_and_probes_match(self, tmp_path):
+        columns, objects = self.stores(tmp_path)
+        assert columns.rows() == objects.rows()
+        assert columns.find_invalid() == objects.find_invalid()
+        assert [row.id for row in columns.find_invalid()] == [5, 6, 9]
+        for indexed in (False, True):
+            if indexed:
+                columns.build_index()
+                objects.build_index()
+            for probe in self.PROBES:
+                assert columns.proximity_search(*probe) == objects.proximity_search(*probe), probe
+        assert [row.id for row in columns.proximity_search("chr3", 10**19 - 1, 5)] == [7]
+
+    def test_later_writes_and_valid_regions_match(self, tmp_path):
+        columns, objects = self.stores(tmp_path)
+        for store in (columns, objects):
+            store.insert_regions_rowwise("q", [raw("chr3", 8, 12)])
+        assert columns.valid_regions("p") == objects.valid_regions("p")
+        assert columns.rows() == objects.rows()
