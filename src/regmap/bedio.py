@@ -149,7 +149,9 @@ def scan_bed(
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             return scan_text(fh.read(), strict=mode == "strict")
-    return scan_numbered(enumerate(_iter_lines(source), start=1), strict=mode == "strict")
+    # Without its "\n", a streamed 3-column line can take the fast accept.
+    lines = (line.removesuffix("\n") for line in _iter_lines(source))
+    return scan_numbered(enumerate(lines, start=1), strict=mode == "strict")
 
 
 def scan_text(text: str, strict: bool):

@@ -2,11 +2,13 @@
 
 Four workload families are timed: insertion (batch vs rowwise), staged
 file import, overlap joins, and searches. The native in-memory engine
-always runs; live database backends join in when configured through the
-environment. Timings are reported as mean/min/max over repetitions with
-one discarded warm-up repetition; correctness cross-checks (row counts,
-pair counts, result sets) are enforced on every run and never depend on
-timing.
+always runs. Live database backends configured through the environment
+also run insertion, import and overlap (search has no database cell),
+each on a connection of its own; a failed cell becomes an ``error:``
+note. Timings are reported as mean/min/max over repetitions with one
+discarded warm-up repetition; correctness cross-checks (row counts,
+pair counts, result sets) are enforced on every run and never depend
+on timing.
 
 Data generation is fully deterministic for a given seed: a PCG64
 stream drives chromosome, length and start draws, and derived datasets
@@ -20,7 +22,9 @@ from __future__ import annotations
 import json
 import statistics
 import time
-from dataclasses import dataclass, field
+from contextlib import closing
+from dataclasses import asdict, astuple, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import IO, Callable, Iterable, Sequence
 
@@ -50,8 +54,6 @@ __all__ = [
 ]
 
 DEFAULT_CHROMOSOMES: tuple[str, ...] = tuple(f"chr{i}" for i in range(1, 23)) + ("chrX",)
-
-REPORT_COLUMNS = ("scenario", "backend", "size", "reps", "mean_s", "min_s", "max_s")
 
 # Reference timings from the original RegMap benchmarks (PostgreSQL 9.0 vs
 # MySQL 5.6, 4-core 2.4 GHz desktop); recorded as context, never asserted.
@@ -140,6 +142,14 @@ class BenchRow:
     max_s: float
 
 
+# The report schema is BenchRow's: TSV columns and JSON keys in field
+# order; a JSON value is read back through its field's int or float.
+REPORT_COLUMNS = tuple(f.name for f in fields(BenchRow))
+_JSON_COERCIONS = tuple(
+    {"int": int, "float": float}.get(f.type, lambda value: value) for f in fields(BenchRow)
+)
+
+
 @dataclass(slots=True)
 class BenchmarkReport:
     """Timed scenario results plus free-form context lines."""
@@ -178,14 +188,28 @@ def _time_reps(run: Callable[[], None], reps: int) -> list[float]:
     return timings
 
 
-def _enabled(backends) -> list[dbadapter.BackendConfig]:
-    return [b for b in (backends or []) if b.enabled]
-
-
-def _note_skips(report: BenchmarkReport, backends) -> None:
+def _new_report(context: str, backends) -> BenchmarkReport:
+    """A report opening with its reference-timing line, then one
+    ``skipped:`` note per disabled backend."""
+    report = BenchmarkReport(context=[context])
     for b in backends or []:
         if not b.enabled:
             report.note(f"skipped: {b.name} (no connection URL configured)")
+    return report
+
+
+def _db_cells(report: BenchmarkReport, backends, label: str, cell) -> None:
+    """Run ``cell(backend, conn)`` for each enabled backend on a
+    connection of its own, closed afterwards; a cell that fails becomes
+    the note ``error: <backend> <label>: <exception>``."""
+    for backend in backends or []:
+        if not backend.enabled:
+            continue
+        try:
+            with closing(dbadapter.connect(backend)) as conn:
+                cell(backend, conn)
+        except Exception as exc:  # per-cell isolation
+            report.note(f"error: {backend.name} {label}: {exc}")
 
 
 def run_insertion_bench(
@@ -195,9 +219,7 @@ def run_insertion_bench(
     seed: int = 0,
 ) -> BenchmarkReport:
     """Batch vs rowwise insertion of freshly generated regions."""
-    report = BenchmarkReport()
-    report.note(CONTEXT_INSERTION)
-    _note_skips(report, backends)
+    report = _new_report(CONTEXT_INSERTION, backends)
     for size in sizes:
         regions = generate_regions(GenConfig(seed=seed, count=size))
 
@@ -209,33 +231,23 @@ def run_insertion_bench(
 
         report.add("insert_batch", "native", size, _time_reps(batch, reps))
         report.add("insert_rowwise", "native", size, _time_reps(rowwise, reps))
-
-        for backend in _enabled(backends):
-            try:
-                _db_insertion_cell(report, backend, regions, size, reps)
-            except Exception as exc:  # per-cell isolation
-                report.note(f"error: {backend.name} insertion size={size}: {exc}")
+        _db_cells(report, backends, f"insertion size={size}",
+                  partial(_db_insertion_cell, report, regions, size, reps))
     return report
 
 
-def _db_insertion_cell(report, backend, regions, size, reps) -> None:
-    batch_script = sqlgen.emit_batch_insert(backend.dialect, regions)
-    rowwise_script = sqlgen.emit_rowwise_insert(backend.dialect, regions)
-    conn = dbadapter.connect(backend)
-    try:
+def _db_insertion_cell(report, regions, size, reps, backend, conn) -> None:
+    scripts = (
+        ("insert_batch", sqlgen.emit_batch_insert(backend.dialect, regions)),
+        ("insert_rowwise", sqlgen.emit_rowwise_insert(backend.dialect, regions)),
+    )
+    for scenario, script in scripts:
 
-        def run_batch() -> None:
+        def run() -> None:
             dbadapter.reset_schema(backend, conn=conn)
-            dbadapter.execute_script(backend, batch_script, conn=conn)
+            dbadapter.execute_script(backend, script, conn=conn)
 
-        def run_rowwise() -> None:
-            dbadapter.reset_schema(backend, conn=conn)
-            dbadapter.execute_script(backend, rowwise_script, conn=conn)
-
-        report.add("insert_batch", backend.name, size, _time_reps(run_batch, reps))
-        report.add("insert_rowwise", backend.name, size, _time_reps(run_rowwise, reps))
-    finally:
-        conn.close()
+        report.add(scenario, backend.name, size, _time_reps(run, reps))
 
 
 def run_import_bench(
@@ -244,9 +256,7 @@ def run_import_bench(
     backends: Sequence[dbadapter.BackendConfig] | None = None,
 ) -> BenchmarkReport:
     """Three-step staged import of BED files; row counts are verified."""
-    report = BenchmarkReport()
-    report.note(CONTEXT_IMPORT)
-    _note_skips(report, backends)
+    report = _new_report(CONTEXT_IMPORT, backends)
     parsed = []
     total = 0
     for i, path in enumerate(files):
@@ -263,30 +273,20 @@ def run_import_bench(
             raise AssertionError("import row-count check failed")
 
     report.add("import_staged", "native", total, _time_reps(run_native, reps))
-
-    for backend in _enabled(backends):
-        try:
-            _db_import_cell(report, backend, files, total, reps)
-        except Exception as exc:
-            report.note(f"error: {backend.name} import: {exc}")
+    _db_cells(report, backends, "import", partial(_db_import_cell, report, files, total, reps))
     return report
 
 
-def _db_import_cell(report, backend, files, total, reps) -> None:
-    conn = dbadapter.connect(backend)
-    try:
+def _db_import_cell(report, files, total, reps, backend, conn) -> None:
+    def run() -> None:
+        dbadapter.reset_schema(backend, conn=conn)
+        for i, path in enumerate(files):
+            script = sqlgen.emit_bulk_import(
+                backend.dialect, str(Path(path).resolve()), dataset=i + 1
+            )
+            dbadapter.execute_script(backend, script, conn=conn)
 
-        def run() -> None:
-            dbadapter.reset_schema(backend, conn=conn)
-            for i, path in enumerate(files):
-                script = sqlgen.emit_bulk_import(
-                    backend.dialect, str(Path(path).resolve()), dataset=i + 1
-                )
-                dbadapter.execute_script(backend, script, conn=conn)
-
-        report.add("import_staged", backend.name, total, _time_reps(run, reps))
-    finally:
-        conn.close()
+    report.add("import_staged", backend.name, total, _time_reps(run, reps))
 
 
 NESTED_LOOP_CAP = 10_000
@@ -304,9 +304,7 @@ def run_overlap_bench(
     agree wherever semantics coincide; the nested-loop reference is
     capped at NESTED_LOOP_CAP regions per side.
     """
-    report = BenchmarkReport()
-    report.note(CONTEXT_OVERLAP)
-    _note_skips(report, backends)
+    report = _new_report(CONTEXT_OVERLAP, backends)
     for size in sizes:
         child_a, child_b = np.random.SeedSequence(seed).spawn(2)
         seed_a = int(child_a.generate_state(1)[0])
@@ -339,61 +337,53 @@ def run_overlap_bench(
         report.note(
             f"overlap size={size}: pairs={sweep_count} geo_pairs={geo_count}"
         )
-
-        for backend in _enabled(backends):
-            try:
-                _db_overlap_cell(report, backend, regions_a, regions_b, size, reps,
-                                 sweep_count, geo_count)
-            except Exception as exc:
-                report.note(f"error: {backend.name} overlap size={size}: {exc}")
+        _db_cells(report, backends, f"overlap size={size}",
+                  partial(_db_overlap_cell, report, regions_a, regions_b, size, reps,
+                          sweep_count, geo_count))
     return report
 
 
-def _db_overlap_cell(report, backend, regions_a, regions_b, size, reps,
-                     expect_regmap, expect_geo) -> None:
-    conn = dbadapter.connect(backend)
-    try:
-        dbadapter.reset_schema(backend, conn=conn)
-        dbadapter.execute_script(
-            backend,
-            sqlgen.emit_batch_insert(backend.dialect, regions_a, dataset=1, start_id=1),
-            conn=conn,
-        )
-        dbadapter.execute_script(
-            backend,
-            sqlgen.emit_batch_insert(
-                backend.dialect, regions_b, dataset=2, start_id=len(regions_a) + 1
-            ),
-            conn=conn,
-        )
-        regmap_script = sqlgen.emit_regmap_query(backend.dialect)
-        geo_script = sqlgen.emit_geo_query(backend.dialect)
+def _db_overlap_cell(report, regions_a, regions_b, size, reps,
+                     expect_regmap, expect_geo, backend, conn) -> None:
+    dbadapter.reset_schema(backend, conn=conn)
+    dbadapter.execute_script(
+        backend,
+        sqlgen.emit_batch_insert(backend.dialect, regions_a, dataset=1, start_id=1),
+        conn=conn,
+    )
+    dbadapter.execute_script(
+        backend,
+        sqlgen.emit_batch_insert(
+            backend.dialect, regions_b, dataset=2, start_id=len(regions_a) + 1
+        ),
+        conn=conn,
+    )
+    regmap_script = sqlgen.emit_regmap_query(backend.dialect)
+    geo_script = sqlgen.emit_geo_query(backend.dialect)
 
-        rows = dbadapter.fetch_rows(backend, regmap_script, conn=conn)
-        if len(rows) != expect_regmap:
-            raise AssertionError(
-                f"regmap rows {len(rows)} != native pairs {expect_regmap}"
-            )
-        geo_rows = dbadapter.fetch_rows(backend, geo_script, conn=conn)
-        if len(geo_rows) != expect_geo:
-            raise AssertionError(
-                f"geo rows {len(geo_rows)} != native geo pairs {expect_geo}"
-            )
+    rows = dbadapter.fetch_rows(backend, regmap_script, conn=conn)
+    if len(rows) != expect_regmap:
+        raise AssertionError(
+            f"regmap rows {len(rows)} != native pairs {expect_regmap}"
+        )
+    geo_rows = dbadapter.fetch_rows(backend, geo_script, conn=conn)
+    if len(geo_rows) != expect_geo:
+        raise AssertionError(
+            f"geo rows {len(geo_rows)} != native geo pairs {expect_geo}"
+        )
 
-        report.add(
-            "overlap_regmap_sql",
-            backend.name,
-            size,
-            _time_reps(lambda: dbadapter.fetch_rows(backend, regmap_script, conn=conn), reps),
-        )
-        report.add(
-            "overlap_geo_sql",
-            backend.name,
-            size,
-            _time_reps(lambda: dbadapter.fetch_rows(backend, geo_script, conn=conn), reps),
-        )
-    finally:
-        conn.close()
+    report.add(
+        "overlap_regmap_sql",
+        backend.name,
+        size,
+        _time_reps(lambda: dbadapter.fetch_rows(backend, regmap_script, conn=conn), reps),
+    )
+    report.add(
+        "overlap_geo_sql",
+        backend.name,
+        size,
+        _time_reps(lambda: dbadapter.fetch_rows(backend, geo_script, conn=conn), reps),
+    )
 
 
 def run_search_bench(
@@ -406,9 +396,7 @@ def run_search_bench(
     """Invalid-row scans and windowed proximity queries, with and
     without the index, over synthetic stores seeded with a known number
     of invalid rows."""
-    report = BenchmarkReport()
-    report.note(CONTEXT_SEARCH)
-    _note_skips(report, backends)
+    report = _new_report(CONTEXT_SEARCH, backends)
     chrom, position, window = "chr8", 128_748_314, 100_000  # the proximity probe
     for size in store_sizes:
         store = RegionStore()
@@ -447,10 +435,6 @@ def run_search_bench(
     return report
 
 
-def _format_seconds(value: float) -> str:
-    return f"{value:.6f}"
-
-
 def write_report(
     report: BenchmarkReport, fmt: str = "tsv", sink: str | Path | IO | None = None
 ) -> str:
@@ -462,19 +446,10 @@ def write_report(
         lines = [f"# {line}" for line in report.context]
         lines.append("\t".join(REPORT_COLUMNS))
         for row in report.rows:
-            lines.append(
-                "\t".join(
-                    (
-                        row.scenario,
-                        row.backend,
-                        str(row.size),
-                        str(row.reps),
-                        _format_seconds(row.mean_s),
-                        _format_seconds(row.min_s),
-                        _format_seconds(row.max_s),
-                    )
-                )
-            )
+            lines.append("\t".join(
+                f"{value:.6f}" if name.endswith("_s") else str(value)
+                for name, value in zip(REPORT_COLUMNS, astuple(row))
+            ))
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
         text = report_to_json(report)
@@ -489,21 +464,7 @@ def write_report(
 
 
 def report_to_json(report: BenchmarkReport) -> str:
-    payload = {
-        "context": list(report.context),
-        "rows": [
-            {
-                "scenario": r.scenario,
-                "backend": r.backend,
-                "size": r.size,
-                "reps": r.reps,
-                "mean_s": r.mean_s,
-                "min_s": r.min_s,
-                "max_s": r.max_s,
-            }
-            for r in report.rows
-        ],
-    }
+    payload = {"context": list(report.context), "rows": [asdict(r) for r in report.rows]}
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -511,15 +472,7 @@ def report_from_json(text: str) -> BenchmarkReport:
     payload = json.loads(text)
     report = BenchmarkReport(context=list(payload.get("context", [])))
     for r in payload.get("rows", []):
-        report.rows.append(
-            BenchRow(
-                scenario=r["scenario"],
-                backend=r["backend"],
-                size=int(r["size"]),
-                reps=int(r["reps"]),
-                mean_s=float(r["mean_s"]),
-                min_s=float(r["min_s"]),
-                max_s=float(r["max_s"]),
-            )
-        )
+        report.rows.append(BenchRow(*(
+            convert(r[name]) for name, convert in zip(REPORT_COLUMNS, _JSON_COERCIONS)
+        )))
     return report

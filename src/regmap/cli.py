@@ -34,17 +34,17 @@ from .store import RegionStore
 SEARCH_TSV_HEADER = ("id", "dataset", "chrom", "start", "end")
 
 
+def _sink(path: str | None):
+    """Where a writer sends its output: the path, or stdout for none or ``-``."""
+    return sys.stdout if path is None or path == "-" else path
+
+
 def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
+    sink = _sink(path)
+    if sink is sys.stdout:
+        sink.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
-
-
-def _open_sink(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        Path(sink).write_text(text, encoding="utf-8")
 
 
 def cmd_gen(args) -> int:
@@ -59,13 +59,7 @@ def cmd_gen(args) -> int:
         max_size=args.max_size,
         fixed_size=args.fixed_size,
     )
-    regions = bench.generate_regions(config)
-    sink, close = _open_sink(args.out)
-    try:
-        write_bed(regions, sink)
-    finally:
-        if close:
-            sink.close()
+    write_bed(bench.generate_regions(config), _sink(args.out))
     return 0
 
 
@@ -79,12 +73,7 @@ def cmd_overlap(args) -> int:
         pairs = window_join(a, b, flt)
     else:
         pairs = nested_loop_join(a.to_id_regions(), b.to_id_regions(), flt)
-    sink, close = _open_sink(args.out)
-    try:
-        write_pairs_tsv(pairs, sink)
-    finally:
-        if close:
-            sink.close()
+    write_pairs_tsv(pairs, _sink(args.out))
     return 0
 
 
@@ -96,23 +85,15 @@ def cmd_mine(args) -> int:
     flt = JoinFilter(min_bp=args.min_bp, max_centre_distance=args.max_centre_distance)
     paired = set(paired_datasets(catalog))
     columns = {}
-    first_id = 1  # ids as a store importing the catalog in order assigns them
     for entry in catalog:
         path = Path(entry.path)
         if not path.is_absolute():
             path = catalog_path.parent / path
         regions, _ = parse_bed_file(path, mode="permissive")
         if entry.name in paired:
-            columns[entry.name] = RegionColumns.from_records(regions, first_id)
-        first_id += len(regions)
+            columns[entry.name] = RegionColumns.from_records(regions)
         del regions  # each file's records are released before the next is read
-    rows = mining_report(catalog, columns, flt)
-    sink, close = _open_sink(args.out)
-    try:
-        write_mining_tsv(rows, sink)
-    finally:
-        if close:
-            sink.close()
+    write_mining_tsv(mining_report(catalog, columns, flt), _sink(args.out))
     return 0
 
 
@@ -308,21 +289,30 @@ _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
 
-def _apply_config(parser: argparse.ArgumentParser, values: dict[str, str]) -> None:
+def _apply_config(parser: argparse.ArgumentParser, values: dict[str, str]) -> list:
     """Install config values as defaults on every subparser that has a
     matching destination. Types go through each action's converter; a
     list option's value is split on whitespace, a flag takes only the
     spellings in ``_BOOLEANS``, a value must be one of the option's
     choices, and a supplied option is no longer required. A bad value
-    raises ValueError."""
+    raises ValueError.
+
+    A value for a member of a mutually exclusive group satisfies the
+    group but is no default: it is returned as ``(command, members,
+    dest, value)`` for ``main`` to set only when the command line gives
+    no member of the group, so an explicit member wins. Values for two
+    members of one group raise ValueError."""
     subparsers = [
         sp
         for action in parser._actions
         if isinstance(action, argparse._SubParsersAction)
         for sp in action.choices.values()
     ]
+    deferred = []
     for sp in subparsers:
         defaults = {}
+        groups = {a: g for g in sp._mutually_exclusive_groups for a in g._group_actions}
+        taken = {}  # group -> the dest the config set in it
         for action in sp._actions:
             if action.dest not in values:
                 continue
@@ -332,18 +322,28 @@ def _apply_config(parser: argparse.ArgumentParser, values: dict[str, str]) -> No
                     raise ValueError(
                         f"{action.dest} = {raw!r}: expected one of {', '.join(_BOOLEANS)}"
                     )
-                defaults[action.dest] = _BOOLEANS[raw.lower()]
+                value = _BOOLEANS[raw.lower()]
+            else:
+                convert = action.type or str
+                listed = action.nargs in ("+", "*")
+                items = [convert(item) for item in (raw.split() if listed else [raw])]
+                if action.choices is not None and any(item not in action.choices for item in items):
+                    allowed = ", ".join(map(str, action.choices))
+                    raise ValueError(f"{action.dest} = {raw!r}: expected one of {allowed}")
+                value = items if listed else items[0]
+            group = groups.get(action)
+            if group is None:
+                defaults[action.dest] = value
+                action.required = False  # the config supplies it; a flag still wins
                 continue
-            convert = action.type or str
-            listed = action.nargs in ("+", "*")
-            items = [convert(item) for item in (raw.split() if listed else [raw])]
-            if action.choices is not None and any(item not in action.choices for item in items):
-                allowed = ", ".join(map(str, action.choices))
-                raise ValueError(f"{action.dest} = {raw!r}: expected one of {allowed}")
-            defaults[action.dest] = items if listed else items[0]
-            action.required = False  # the config supplies it; a flag still wins
+            if group in taken:
+                raise ValueError(f"{taken[group]} and {action.dest} exclude each other")
+            taken[group] = action.dest
+            group.required = False
+            deferred.append((sp.get_default("func"), group._group_actions, action.dest, value))
         if defaults:
             sp.set_defaults(**defaults)
+    return deferred
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -354,13 +354,17 @@ def main(argv: list[str] | None = None) -> int:
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
+    deferred = []
     if known.config:
         try:
-            _apply_config(parser, _read_config(known.config))
+            deferred = _apply_config(parser, _read_config(known.config))
         except (OSError, ValueError) as exc:
             print(f"regmap: config error: {exc}", file=sys.stderr)
             return 2
     args = parser.parse_args(argv)
+    for command, members, dest, value in deferred:
+        if args.func is command and all(getattr(args, a.dest) == a.default for a in members):
+            setattr(args, dest, value)
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 import urllib.parse
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
 
 from .sqlgen import SqlDialect, SqlScript, emit_ddl
@@ -123,6 +124,13 @@ def _stringify(row) -> tuple[str, ...]:
     return tuple("" if v is None else str(v) for v in row)
 
 
+def _using(config: BackendConfig, conn):
+    """The given connection, or one opened for the call and closed at
+    its end."""
+    _require_enabled(config)
+    return nullcontext(conn) if conn is not None else closing(connect(config))
+
+
 def execute_statement(conn, statement: str):
     """Run one statement; rows for queries, affected count otherwise."""
     cur = conn.cursor()
@@ -142,11 +150,7 @@ def execute_script(config: BackendConfig, script: SqlScript, conn=None):
     total affected-row count when nothing returned rows. Server errors
     propagate with the driver's message intact.
     """
-    _require_enabled(config)
-    own = conn is None
-    if own:
-        conn = connect(config)
-    try:
+    with _using(config, conn) as conn:
         rows = None
         affected = 0
         for statement in script.statements():
@@ -156,9 +160,6 @@ def execute_script(config: BackendConfig, script: SqlScript, conn=None):
             elif result > 0:
                 affected += result
         return rows if rows is not None else affected
-    finally:
-        if own:
-            conn.close()
 
 
 _DROP_STATEMENTS = (
@@ -171,18 +172,11 @@ _DROP_STATEMENTS = (
 
 def reset_schema(config: BackendConfig, conn=None) -> None:
     """Drop and recreate the benchmark schema so runs are independent."""
-    _require_enabled(config)
-    own = conn is None
-    if own:
-        conn = connect(config)
-    try:
+    with _using(config, conn) as conn:
         for stmt in _DROP_STATEMENTS:
             execute_statement(conn, stmt)
         for statement in emit_ddl(config.dialect).statements():
             execute_statement(conn, statement)
-    finally:
-        if own:
-            conn.close()
 
 
 def fetch_rows(config: BackendConfig, query_script: SqlScript, conn=None) -> list[tuple[str, ...]]:

@@ -3,7 +3,9 @@ import json
 from pathlib import Path
 
 import pytest
+from test_dbadapter import StubConnection
 
+from regmap import dbadapter
 from regmap.bench import (
     REPORT_COLUMNS,
     BenchmarkReport,
@@ -19,6 +21,8 @@ from regmap.bench import (
     write_report,
 )
 from regmap.data import toy_catalog_path
+from regmap.dbadapter import BackendConfig
+from regmap.sqlgen import SqlDialect
 
 
 class TestGenerateRegions:
@@ -160,6 +164,14 @@ class TestReports:
         assert loaded.rows == report.rows
         assert loaded.context == report.context
 
+    def test_json_values_read_back_as_field_types(self):
+        row = {"scenario": "s", "backend": "native", "size": "10", "reps": 2.0,
+               "mean_s": "0.5", "min_s": 0, "max_s": 1}
+        (loaded,) = report_from_json(json.dumps({"rows": [row]})).rows
+        assert [type(v) for v in (loaded.size, loaded.reps)] == [int, int]
+        assert [type(v) for v in (loaded.mean_s, loaded.min_s, loaded.max_s)] == [float] * 3
+        assert (loaded.size, loaded.mean_s, loaded.scenario) == (10, 0.5, "s")
+
     def test_json_mirrors_tsv_rows(self):
         report = self.make_report()
         payload = json.loads(report_to_json(report))
@@ -184,3 +196,120 @@ class TestReports:
         for row in report.rows:
             assert row.min_s <= row.mean_s <= row.max_s
             assert row.reps >= 1
+
+
+POSTGRES = BackendConfig(SqlDialect.POSTGRES, "postgresql://stub/bench", True)
+MYSQL_OFF = BackendConfig(SqlDialect.MYSQL_INNODB, None, False)
+SKIPPED_NOTE = "skipped: mysql_innodb (no connection URL configured)"
+
+
+class StubServer:
+    """``dbadapter.connect`` stand-in: each call opens a new stub
+    connection whose regmap and geo selects return the given numbers of
+    rows."""
+
+    def __init__(self, regmap_rows=0, geo_rows=0):
+        self.regmap_rows, self.geo_rows = regmap_rows, geo_rows
+        self.connections = []
+
+    def connect(self, backend):
+        conn = StubConnection(select_result=self.answer)
+        self.connections.append(conn)
+        return conn
+
+    def answer(self, statement):
+        count = self.regmap_rows if "from vwregions" in statement else self.geo_rows
+        return [(i, i) for i in range(count)]
+
+
+class TestDatabaseCells:
+    """The live-backend cells of each scenario, run on stub connections:
+    one enabled and one disabled backend."""
+
+    BACKENDS = (POSTGRES, MYSQL_OFF)
+
+    @pytest.fixture
+    def server(self, monkeypatch):
+        server = StubServer()
+        monkeypatch.setattr(dbadapter, "connect", server.connect)
+        return server
+
+    @staticmethod
+    def rows(report):
+        return [(r.scenario, r.backend, r.size, r.reps) for r in report.rows]
+
+    @staticmethod
+    def native_pairs(size, seed):
+        note = run_overlap_bench([size], reps=1, seed=seed).context[-1]
+        assert note.startswith(f"overlap size={size}: ")
+        pairs = int(note.split("pairs=")[1].split()[0])
+        return pairs, int(note.split("geo_pairs=")[1])
+
+    def test_insertion(self, server):
+        report = run_insertion_bench([40], reps=2, backends=self.BACKENDS, seed=4)
+        assert self.rows(report) == [
+            ("insert_batch", "native", 40, 2),
+            ("insert_rowwise", "native", 40, 2),
+            ("insert_batch", "postgres", 40, 2),
+            ("insert_rowwise", "postgres", 40, 2),
+        ]
+        assert report.context[1:] == [SKIPPED_NOTE]
+        assert len(server.connections) == 1
+        assert all(conn.closed for conn in server.connections)
+        statements = server.connections[0].statements
+        assert statements[0] == "drop view if exists vwregions;"
+        assert sum(s.startswith("insert into regions") for s in statements) > 40 * 3
+
+    def test_import(self, server):
+        files = sorted(toy_catalog_path().parent.glob("*.bed"))
+        report = run_import_bench(files, reps=1, backends=self.BACKENDS)
+        total = report.rows[0].size
+        assert self.rows(report) == [
+            ("import_staged", "native", total, 1),
+            ("import_staged", "postgres", total, 1),
+        ]
+        assert report.context[1:] == [SKIPPED_NOTE]
+        assert len(server.connections) == 1 and server.connections[0].closed
+        copies = [s for s in server.connections[0].statements if s.startswith("copy ")]
+        assert len(copies) == 2 * len(files)  # warm-up plus one measured repetition
+
+    def test_overlap(self, server):
+        pairs, geo = self.native_pairs(300, seed=9)
+        server.regmap_rows, server.geo_rows = pairs, geo
+        report = run_overlap_bench([300], reps=1, backends=self.BACKENDS, seed=9)
+        assert self.rows(report) == [
+            ("overlap_sweep", "native", 300, 1),
+            ("overlap_nested", "native", 300, 1),
+            ("overlap_regmap_sql", "postgres", 300, 1),
+            ("overlap_geo_sql", "postgres", 300, 1),
+        ]
+        assert report.context[1:] == [
+            SKIPPED_NOTE,
+            f"overlap size=300: pairs={pairs} geo_pairs={geo}",
+        ]
+        assert len(server.connections) == 1 and server.connections[0].closed
+
+    def test_overlap_count_mismatch_becomes_a_note(self, server):
+        pairs, geo = self.native_pairs(300, seed=9)
+        server.regmap_rows, server.geo_rows = pairs + 1, geo
+        report = run_overlap_bench([300], reps=1, backends=self.BACKENDS, seed=9)
+        assert [r.backend for r in report.rows] == ["native", "native"]
+        assert report.context[1:] == [
+            SKIPPED_NOTE,
+            f"overlap size=300: pairs={pairs} geo_pairs={geo}",
+            f"error: postgres overlap size=300: regmap rows {pairs + 1} != native pairs {pairs}",
+        ]
+        assert len(server.connections) == 1 and server.connections[0].closed
+
+    def test_failed_connect_becomes_a_note(self, monkeypatch):
+        def refuse(backend):
+            raise RuntimeError("no server")
+
+        monkeypatch.setattr(dbadapter, "connect", refuse)
+        report = run_insertion_bench([10, 20], reps=1, backends=self.BACKENDS)
+        assert [r.backend for r in report.rows] == ["native"] * 4
+        assert report.context[1:] == [
+            SKIPPED_NOTE,
+            "error: postgres insertion size=10: no server",
+            "error: postgres insertion size=20: no server",
+        ]

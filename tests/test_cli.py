@@ -552,6 +552,29 @@ class TestConfigFile:
         _, flagged, _ = run_cli(capsys, "--config", str(config), *near, "--store-from", str(second))
         assert "\th3k4me1_hepg2\t" in flagged and "hnf4g" not in flagged
 
+    def test_config_satisfies_a_required_exclusive_group(self, capsys, tmp_path, toy_beds):
+        store = ("search", "--store-from", str(toy_beds / "hnf4g_hepg2.bed"))
+        _, invalid, _ = run_cli(capsys, *store, "--invalid")
+        _, near, _ = run_cli(capsys, *store, "--near", "chr1:150", "--window", "100")
+        assert invalid != near
+        config = tmp_path / "mode.conf"
+        config.write_text("invalid = true\nwindow = 100\n")
+        assert run_cli(capsys, "--config", str(config), *store) == (0, invalid, "")
+        # an explicit member of the group still wins over the config's
+        flagged = run_cli(capsys, "--config", str(config), *store, "--near", "chr1:150")
+        assert flagged == (0, near, "")
+        config.write_text("near = chr1:150\nwindow = 100\n")
+        assert run_cli(capsys, "--config", str(config), *store) == (0, near, "")
+        assert run_cli(capsys, "--config", str(config), *store, "--invalid") == (0, invalid, "")
+
+    def test_config_setting_two_exclusive_options_is_usage_error(self, capsys, tmp_path, toy_beds):
+        config = tmp_path / "mode.conf"
+        config.write_text("invalid = true\nnear = chr1:150\n")
+        store = ("search", "--store-from", str(toy_beds / "hnf4g_hepg2.bed"))
+        rc, out, err = run_cli(capsys, "--config", str(config), *store)
+        assert (rc, out) == (2, "")
+        assert "config error" in err and "invalid" in err and "near" in err
+
     def test_required_option_without_config_is_still_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["search", "--invalid"])

@@ -4,6 +4,7 @@ configured."""
 
 import pytest
 
+from regmap import dbadapter
 from regmap.dbadapter import (
     MYSQL_ENV,
     PG_ENV,
@@ -26,7 +27,8 @@ class StubCursor:
         self.conn.statements.append(statement)
         if statement.lstrip().startswith("select"):
             self.description = (("col",),)
-            self._rows = self.conn.select_result
+            rows = self.conn.select_result
+            self._rows = rows(statement) if callable(rows) else rows
         else:
             self.description = None
             self.rowcount = 1
@@ -39,9 +41,12 @@ class StubCursor:
 
 
 class StubConnection:
+    """``select_result`` is every select's rows, or a function from the
+    select statement to its rows."""
+
     def __init__(self, select_result=()):
         self.statements = []
-        self.select_result = list(select_result)
+        self.select_result = select_result if callable(select_result) else list(select_result)
         self.closed = False
 
     def cursor(self):
@@ -114,3 +119,16 @@ class TestExecution:
         assert len(drops) == 4
         assert len(creates) == 3
         assert conn.statements.index(creates[0]) > conn.statements.index(drops[-1])
+
+    def test_a_connection_opened_for_the_call_is_closed(self, monkeypatch):
+        opened = []
+
+        def connect(config):
+            opened.append(StubConnection())
+            return opened[-1]
+
+        monkeypatch.setattr(dbadapter, "connect", connect)
+        execute_script(pg_config(), emit_rowwise_insert(SqlDialect.POSTGRES))
+        reset_schema(pg_config())
+        assert len(opened) == 2 and all(conn.closed for conn in opened)
+        assert opened[1].statements[0] == "drop view if exists vwregions;"
