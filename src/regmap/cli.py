@@ -10,7 +10,9 @@ becomes ``columns.RegionColumns`` as soon as its file is parsed, and
 the file's records are released before the next one is read. numpy is
 imported only inside the commands that use it (overlap, mine, gen,
 bench), so importing this module, ``search`` and ``sqlgen`` never load
-it; ``search`` builds no index, because one probe is a scan.
+it; ``search`` builds no index, because one probe is a scan. Likewise
+the store, ``sqlgen`` and ``dbadapter`` load only in the commands that
+use them, so ``overlap`` and ``mine`` start without them.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import __version__, dbadapter, sqlgen
+from . import __version__
 from .bedio import load_catalog_file, parse_bed_file, write_bed
 from .joins import (
     JoinFilter,
@@ -29,7 +31,6 @@ from .joins import (
     write_mining_tsv,
     write_pairs_tsv,
 )
-from .store import RegionStore
 
 SEARCH_TSV_HEADER = ("id", "dataset", "chrom", "start", "end")
 
@@ -121,6 +122,8 @@ def _dataset_names(paths) -> list[str]:
 
 
 def cmd_search(args) -> int:
+    from .store import RegionStore
+
     store = RegionStore()
     for name, path in zip(_dataset_names(args.store_from), args.store_from):
         regions, _ = parse_bed_file(path, mode="permissive")
@@ -141,6 +144,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_sqlgen(args) -> int:
+    from . import sqlgen
+
     dialects = (
         list(sqlgen.SqlDialect)
         if args.dialect == "all"
@@ -165,7 +170,7 @@ def cmd_sqlgen(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from . import bench
+    from . import bench, dbadapter
 
     sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else [5000]
     backends = dbadapter.backends_from_env()
@@ -183,6 +188,22 @@ def cmd_bench(args) -> int:
     text = bench.write_report(report, fmt=args.format)
     _write_text(args.report, text)
     return 0
+
+
+class _SqlgenChoices:
+    """argparse choices: the values of one ``sqlgen`` enum, then ``all``,
+    importing sqlgen when first read."""
+
+    def __init__(self, enum_name: str):
+        self.enum_name = enum_name
+
+    def __iter__(self):
+        from . import sqlgen
+
+        return iter([m.value for m in getattr(sqlgen, self.enum_name)] + ["all"])
+
+    def __contains__(self, value) -> bool:
+        return value in list(self)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,16 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("sqlgen", help="emit SQL scripts per dialect")
-    p.add_argument(
-        "--dialect",
-        choices=[d.value for d in sqlgen.SqlDialect] + ["all"],
-        default="all",
-    )
-    p.add_argument(
-        "--kind",
-        choices=[k.value for k in sqlgen.ScriptKind] + ["all"],
-        default="all",
-    )
+    # Set after add_argument, which lists an option's choices at once:
+    # they are read only when this command's options are checked or shown.
+    p.add_argument("--dialect", default="all").choices = _SqlgenChoices("SqlDialect")
+    p.add_argument("--kind", default="all").choices = _SqlgenChoices("ScriptKind")
     p.add_argument("--out-dir", required=True, help="directory for the .sql files")
     p.set_defaults(func=cmd_sqlgen)
 

@@ -12,13 +12,17 @@ rows, (id, GenomicRegion) lists, and sources whose invalid rows are
 dropped first: RawRegion records or a parsed file's ``BedRecords``
 columns (``from_records``), and a store dataset's (``from_dataset``).
 
-The window join has two public ends over one per-chromosome loop:
-``window_join`` builds the emitted OverlapPair rows, and
-``window_count`` counts the distinct A rows that have a pair, for the
-mining report, building no object. ``RegionColumns.to_id_regions``
-gives the (id, GenomicRegion) lists the reference join takes. Each
-region set sorts its rows by (chromosome, start) once, the first time
-a join needs them.
+``window_join`` builds the emitted OverlapPair rows of two region sets
+with a per-chromosome window join. ``hit_counts`` serves the mining
+report: for k sets at once it counts, for each ordered pair, the
+distinct rows of one that have a pair with the other, building no
+object. A count only needs to know whether a row has a pair, so
+without a centre-distance bound a prefix maximum of the reference's
+ends answers it and no candidate is expanded; with a bound the window
+join's kernel marks the rows. ``RegionColumns.to_id_regions`` gives
+the (id, GenomicRegion) lists the reference join takes. Each region
+set sorts its rows by (chromosome, start) once, the first time a join
+needs them.
 
 ``read_bed_columns`` parses a BED file with numpy. That fast path only
 accepts: it has no reject reasons of its own, and every line it does
@@ -55,7 +59,7 @@ __all__ = [
     "RegionColumns",
     "read_bed_columns",
     "window_join",
-    "window_count",
+    "hit_counts",
 ]
 
 COORD_LIMIT = 1 << 62
@@ -71,6 +75,9 @@ INGEST_BLOCK = 1 << 18
 # 18 digits always fit int64; longer fields go through bedio.
 NAME_WIDTH = 64
 MAX_DIGITS = 18
+
+# Below every q.start + min_bp that hit_counts compares with.
+_BELOW_ALL = np.iinfo(np.int64).min
 
 IdRegion = tuple[int, GenomicRegion]
 
@@ -349,17 +356,73 @@ def window_join(a: RegionColumns, b: RegionColumns, flt: JoinFilter) -> list[Ove
     ]
 
 
-def window_count(a: RegionColumns, b: RegionColumns, flt: JoinFilter) -> int:
-    """Number of distinct A rows in at least one pair of A x B passing ``flt``.
+def hit_counts(sets: Sequence[RegionColumns], flt: JoinFilter) -> np.ndarray:
+    """k x k ``int64`` matrix whose entry ``[q, r]`` counts the distinct
+    rows of ``sets[q]`` in at least one pair passing ``flt`` with a row
+    of ``sets[r]``. The diagonal is 0: no set is counted against itself.
 
-    The same window join as ``window_join``; it marks hit rows instead
-    of building pairs.
+    Per chromosome name two or more sets hold, every set's rows there,
+    each in its start order, form one query side. Each set in turn is
+    the reference, and one ``np.bincount`` of the hit rows' set codes
+    fills its column. Without a centre-distance bound a row hits when
+    some reference row passes, which needs no candidate list: both
+    lengths must be at least ``min_bp`` and, over the reference rows of
+    such a length sorted by start, the prefix maximum of the ends up to
+    the last start ``<= q.end - min_bp`` must reach ``q.start + min_bp``.
+    The cost then does not depend on the widest region. With a bound,
+    ``_join_chromosome`` runs with the query side as A.
     """
-    hit = np.zeros(len(a), dtype=bool)
-    for _, ar, _, chunks in _chromosome_chunks(a, b, flt):
-        for a_rows, _, _, _ in chunks:
-            hit[ar[a_rows]] = True
-    return int(np.count_nonzero(hit))
+    k = len(sets)
+    counts = np.zeros((k, k), dtype=np.int64)
+    min_bp, reach, twice_bound = _window_bounds(flt)
+    per_name: dict[str, list[tuple[int, np.ndarray]]] = {}
+    for i, cols in enumerate(sets):
+        order, bounds = cols._by_chrom
+        for code, name in enumerate(cols.names):
+            if bounds[code] < bounds[code + 1]:
+                per_name.setdefault(name, []).append((i, order[bounds[code] : bounds[code + 1]]))
+    for parts in per_name.values():
+        if len(parts) < 2:
+            continue
+        codes = [i for i, _ in parts]
+        starts = [sets[i].start[rows] for i, rows in parts]
+        ends = [sets[i].end[rows] for i, rows in parts]
+        q_start, q_end = np.concatenate(starts), np.concatenate(ends)
+        q_set = np.repeat(codes, [len(rows) for _, rows in parts])
+        if twice_bound is None:
+            long_enough = (q_end - q_start) >= min_bp
+            last_start, first_end = q_end - min_bp, q_start + min_bp
+        for r, r_start, r_end in zip(codes, starts, ends):
+            if twice_bound is None:
+                keep = (r_end - r_start) >= min_bp
+                # furthest[j]: the largest end among the first j kept rows
+                furthest = np.concatenate(([_BELOW_ALL], np.maximum.accumulate(r_end[keep])))
+                before = np.searchsorted(r_start[keep], last_start, "right")
+                hit = long_enough & (furthest[before] >= first_end)
+            else:
+                hit = np.zeros(len(q_set), dtype=bool)
+                for a_rows, _, _, _ in _join_chromosome(
+                    q_start, q_end, r_start, r_end, min_bp, reach, twice_bound
+                ):
+                    hit[a_rows] = True
+            counts[:, r] += np.bincount(q_set[hit], minlength=k)
+    np.fill_diagonal(counts, 0)
+    return counts
+
+
+def _window_bounds(flt: JoinFilter):
+    """``(min_bp, reach, twice_bound)``: ``min_bp`` clamped into int64's
+    range, the lowest bp overlap a passing pair can have, and twice the
+    centre-distance bound, None for no bound (None or inf)."""
+    # Signed overlaps of coordinates in [0, 2**62) lie in (-2**62, 2**62),
+    # so clamping min_bp changes no result and keeps the bounds in int64.
+    min_bp = min(max(flt.min_bp, 1 - COORD_LIMIT), COORD_LIMIT)
+    max_cd = flt.max_centre_distance
+    if max_cd is None or math.isinf(max_cd):
+        return min_bp, min_bp, None
+    # A pair with centre distance < D has bp overlap >= -ceil(D), which
+    # can narrow the window of a gap join.
+    return min_bp, max(min_bp, -math.ceil(max_cd)), 2 * max_cd
 
 
 def _chromosome_chunks(a: RegionColumns, b: RegionColumns, flt: JoinFilter):
@@ -370,17 +433,7 @@ def _chromosome_chunks(a: RegionColumns, b: RegionColumns, flt: JoinFilter):
     (each side's cached ``_by_chrom``); ``chunks`` is
     ``_join_chromosome`` on them.
     """
-    # Signed overlaps of coordinates in [0, 2**62) lie in (-2**62, 2**62),
-    # so clamping min_bp changes no result and keeps the bounds in int64.
-    min_bp = min(max(flt.min_bp, 1 - COORD_LIMIT), COORD_LIMIT)
-    max_cd = flt.max_centre_distance
-    # A pair with centre distance < D has bp overlap >= -ceil(D), which
-    # can narrow the window of a gap join.
-    reach = min_bp
-    if max_cd is not None and math.isfinite(max_cd):
-        reach = max(min_bp, -math.ceil(max_cd))
-    twice_bound = None if max_cd is None else 2 * max_cd
-
+    min_bp, reach, twice_bound = _window_bounds(flt)
     a_order, a_bounds = a._by_chrom
     b_order, b_bounds = b._by_chrom
     b_codes = {name: code for code, name in enumerate(b.names)}

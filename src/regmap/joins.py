@@ -18,12 +18,13 @@ strictly below ``max_centre_distance``. Output is ordered by
 The mining report, ``mining_report``, runs over one
 ``columns.RegionColumns`` of valid rows per dataset that has a
 same-assembly partner (``paired_datasets``) and builds no region or
-pair objects: each ordered pair is one ``columns.window_count``, the
-number of distinct query rows the same window join hits.
-``pairwise_mining`` feeds it from a RegionStore's columns; ``regmap
-mine`` feeds it from the BED files, converting each once.
-``count_overlapping`` gives the same count for (id, GenomicRegion)
-lists.
+pair objects: each assembly is one ``columns.hit_counts`` matrix, whose
+entry [q, r] is the number of distinct rows of dataset q that have a
+pair with a row of dataset r. ``pairwise_mining`` feeds it from a
+RegionStore's columns; ``regmap mine`` feeds it from the BED files,
+converting each once. ``count_overlapping`` gives the same count for
+two (id, GenomicRegion) lists. Percentages are rounded half up in
+exact integer arithmetic.
 
 Joins are pure functions over immutable inputs and thread-safe.
 """
@@ -33,7 +34,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -43,10 +43,10 @@ from .intervals import (
     case_overlap_coords,
     centre_distance_coords,
 )
-from .store import RegionStore
 
 if TYPE_CHECKING:
     from .columns import RegionColumns
+    from .store import RegionStore
 
 __all__ = [
     "OverlapPair",
@@ -215,21 +215,22 @@ def count_overlapping(
     region counts once however many reference regions it hits.
     Coordinates must lie below 2**62.
     """
-    from .columns import RegionColumns, window_count
+    from .columns import RegionColumns, hit_counts
 
     _check_unique_ids(a_regions, "A")
     _check_unique_ids(b_regions, "B")
     a = RegionColumns.from_id_regions(a_regions)
-    return window_count(a, RegionColumns.from_id_regions(b_regions), flt), len(a)
+    return int(hit_counts([a, RegionColumns.from_id_regions(b_regions)], flt)[0, 1]), len(a)
 
 
 def overlap_percentage(overlapping: int, total: int, digits: int = 2) -> float:
-    """overlapping / total as a percentage, rounded half-up."""
+    """overlapping / total as a percentage, rounded half-up to ``digits``
+    places (0 for fewer). Exact: the rounding is done in integers, and
+    the one division into a float rounds correctly."""
     if total == 0:
         return 0.0
-    exact = Decimal(overlapping * 100) / Decimal(total)
-    q = Decimal(1).scaleb(-digits) if digits > 0 else Decimal(1)
-    return float(exact.quantize(q, rounding=ROUND_HALF_UP))
+    scale = 10 ** max(digits, 0)
+    return (200 * scale * overlapping + total) // (2 * total) / scale
 
 
 def paired_datasets(catalog: Sequence[CatalogEntry]) -> list[str]:
@@ -247,35 +248,42 @@ def mining_report(
     """Overlap counts for every ordered pair of same-assembly datasets.
 
     ``columns`` maps each name of ``paired_datasets(catalog)`` to its
-    valid rows. Pairs across assemblies are never computed. Rows are
+    valid rows. Pairs across assemblies are never computed: each
+    assembly's counts are one ``columns.hit_counts`` matrix. Rows are
     grouped by assembly, then ordered by (query name, reference name).
     """
-    from .columns import window_count
+    from .columns import hit_counts
 
+    per_assembly: dict[str, list[CatalogEntry]] = {}
+    for entry in catalog:
+        per_assembly.setdefault(entry.assembly, []).append(entry)
     rows: list[MiningRow] = []
-    for query in catalog:
-        for ref in catalog:
-            if query.name == ref.name or query.assembly != ref.assembly:
-                continue
-            a = columns[query.name]
-            overlapping = window_count(a, columns[ref.name], flt)
+    for entries in per_assembly.values():
+        if len(entries) < 2:
+            continue
+        sets = [columns[entry.name] for entry in entries]
+        counts = hit_counts(sets, flt).tolist()
+        for query, a, hits in zip(entries, sets, counts):
             total = len(a)
-            rows.append(
-                MiningRow(
-                    assembly=query.assembly,
-                    query_name=query.name,
-                    query_factor=query.factor,
-                    query_cell_line=query.cell_line,
-                    query_treatment=query.treatment,
-                    ref_name=ref.name,
-                    ref_factor=ref.factor,
-                    ref_cell_line=ref.cell_line,
-                    ref_treatment=ref.treatment,
-                    query_total=total,
-                    overlapping=overlapping,
-                    percentage=overlap_percentage(overlapping, total),
+            for ref, overlapping in zip(entries, hits):
+                if query.name == ref.name:
+                    continue
+                rows.append(
+                    MiningRow(
+                        assembly=query.assembly,
+                        query_name=query.name,
+                        query_factor=query.factor,
+                        query_cell_line=query.cell_line,
+                        query_treatment=query.treatment,
+                        ref_name=ref.name,
+                        ref_factor=ref.factor,
+                        ref_cell_line=ref.cell_line,
+                        ref_treatment=ref.treatment,
+                        query_total=total,
+                        overlapping=overlapping,
+                        percentage=overlap_percentage(overlapping, total),
+                    )
                 )
-            )
     rows.sort(key=lambda r: (r.assembly, r.query_name, r.ref_name))
     return rows
 

@@ -1,11 +1,12 @@
 import io
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from test_dbadapter import StubConnection
 
-from regmap import dbadapter
+from regmap import bench, dbadapter, sqlgen
 from regmap.bench import (
     REPORT_COLUMNS,
     BenchmarkReport,
@@ -313,3 +314,32 @@ class TestDatabaseCells:
             "error: postgres insertion size=10: no server",
             "error: postgres insertion size=20: no server",
         ]
+
+    def test_schema_reset_runs_outside_the_timer(self, server, monkeypatch):
+        # The fake clock reads the number of statements run so far, so a
+        # timing is the number of statements its repetition ran.
+        def clock():
+            return float(sum(len(conn.statements) for conn in server.connections))
+
+        monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=clock))
+        regions = generate_regions(GenConfig(seed=4, count=40))
+        report = run_insertion_bench([40], reps=2, backends=self.BACKENDS, seed=4)
+        timed = {r.scenario: (r.min_s, r.max_s) for r in report.rows if r.backend == "postgres"}
+        for scenario, emit in (
+            ("insert_batch", sqlgen.emit_batch_insert),
+            ("insert_rowwise", sqlgen.emit_rowwise_insert),
+        ):
+            count = len(emit(POSTGRES.dialect, regions).statements())
+            assert timed[scenario] == (count, count)
+        # The reset still runs before every repetition, warm-up included.
+        statements = server.connections[0].statements
+        assert statements.count("drop view if exists vwregions;") == 2 * 3
+
+        files = sorted(toy_catalog_path().parent.glob("*.bed"))
+        report = run_import_bench(files, reps=2, backends=self.BACKENDS)
+        (row,) = [r for r in report.rows if r.backend == "postgres"]
+        count = sum(
+            len(sqlgen.emit_bulk_import(POSTGRES.dialect, str(f.resolve()), dataset=i).statements())
+            for i, f in enumerate(files, 1)
+        )
+        assert (row.min_s, row.max_s) == (count, count)

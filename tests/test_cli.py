@@ -647,3 +647,27 @@ def test_cli_import_search_and_sqlgen_leave_numpy_unloaded(tmp_path):
     assert result.returncode == 0, result.stderr
     assert result.stderr == "[False, False]"
     assert len(list((tmp_path / "sql").glob("*.sql"))) == 27
+
+
+def test_cli_import_and_mine_leave_sqlgen_dbadapter_and_store_unloaded(tmp_path):
+    # Only sqlgen and bench need sqlgen and dbadapter, only search and
+    # bench the store; the other commands start without them.
+    code = (
+        "import sys; import regmap.cli; "
+        "unused = ('regmap.sqlgen', 'regmap.dbadapter', 'regmap.store'); "
+        "loaded = [[m for m in unused if m in sys.modules]]; "
+        f"regmap.cli.main(['mine', '--catalog', {str(toy_catalog_path())!r}, '--out', {str(tmp_path / 'm.tsv')!r}]); "
+        "loaded.append([m for m in unused if m in sys.modules]); "
+        "sys.stderr.write(repr(loaded))"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    # mine reads columns, whose module uses the store's coordinate helper
+    assert result.stderr == "[[], ['regmap.store']]"

@@ -17,9 +17,9 @@ from regmap.bedio import (
     write_bed,
 )
 from regmap.bench import GenConfig, generate_regions
-from regmap.columns import RegionColumns, read_bed_columns, window_join
+from regmap.columns import RegionColumns, hit_counts, read_bed_columns, window_join
 from regmap.intervals import GenomicRegion, RawRegion
-from regmap.joins import JoinFilter, nested_loop_join, sweep_join
+from regmap.joins import JoinFilter, count_overlapping, nested_loop_join, sweep_join
 from regmap.store import RegionStore, numpy_coords
 
 def ids(regions, start=1):
@@ -229,6 +229,75 @@ class TestWindowJoin:
         long_id = b[0][0]
         assert sum(p.b_id == long_id for p in pairs) == 50_000
 
+
+# Lengths from 0 bp to 200 Mb, log-uniform in scale: most rows are
+# short, a few cover every start a set can draw.
+HEAVY_LENGTH = st.integers(0, 28).flatmap(lambda e: st.integers(0, min(2**e, 200_000_000)))
+
+
+@st.composite
+def region_sets(draw):
+    """2-5 (id, region) lists, at least one of them empty, each on its
+    own subset of chromosomes; starts lie within 3 kb so pairs occur."""
+    sets = []
+    for _ in range(draw(st.integers(1, 4))):
+        chroms = draw(st.lists(st.sampled_from(["chr1", "chr2", "chr3"]), min_size=1, max_size=3, unique=True))
+        rows = draw(st.lists(
+            st.builds(lambda c, s, n: GenomicRegion(c, s, s + n),
+                      st.sampled_from(chroms), st.integers(0, 3000), HEAVY_LENGTH),
+            max_size=12,
+        ))
+        sets.append(ids(rows))
+    sets.insert(draw(st.integers(0, len(sets))), [])
+    return sets
+
+
+def reference_hits(sets, flt):
+    """hit_counts' matrix from distinct a_ids of the reference join."""
+    k = len(sets)
+    return [
+        [0 if q == r else len({p.a_id for p in nested_loop_join(sets[q], sets[r], flt)}) for r in range(k)]
+        for q in range(k)
+    ]
+
+
+class TestHitCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        region_sets(),
+        st.sampled_from([-50, 0, 1, 7]),
+        st.sampled_from([None, 0, 0.5, 12, float("inf")]),
+    )
+    def test_matches_reference_join(self, sets, min_bp, bound):
+        flt = JoinFilter(min_bp=min_bp, max_centre_distance=bound)
+        got = hit_counts([RegionColumns.from_id_regions(s) for s in sets], flt)
+        assert got.dtype == np.int64 and got.shape == (len(sets), len(sets))
+        want = reference_hits(sets, flt)
+        assert got.tolist() == want
+        assert count_overlapping(sets[0], sets[1], flt) == (want[0][1], len(sets[0]))
+
+    @pytest.mark.parametrize("bound", [None, float("inf")])
+    def test_unbounded_filter_expands_no_candidates(self, monkeypatch, bound):
+        def expand(*args):
+            raise AssertionError("the unbounded count expanded candidates")
+
+        monkeypatch.setattr(columns, "_join_chromosome", expand)
+        a, b = long_region_case(300, 50)
+        sets = [a, b, ids(gen(5, 200), start=1_000)]
+        for min_bp in (1, 0, -500, 200):
+            flt = JoinFilter(min_bp=min_bp, max_centre_distance=bound)
+            got = hit_counts([RegionColumns.from_id_regions(s) for s in sets], flt)
+            assert got.tolist() == reference_hits(sets, flt), min_bp
+
+    def test_no_sets_and_one_set(self):
+        assert hit_counts([], JoinFilter()).shape == (0, 0)
+        one = RegionColumns.from_id_regions(ids(gen(6, 40)))
+        assert hit_counts([one], JoinFilter()).tolist() == [[0]]
+
+    def test_a_set_given_twice_counts_against_itself(self):
+        a = RegionColumns.from_id_regions(ids(gen(7, 60)))
+        got = hit_counts([a, a], JoinFilter(min_bp=0))
+        assert got.tolist() == [[0, 60], [60, 0]]
 
 
 raw_records = st.lists(

@@ -237,6 +237,31 @@ class TestCountOverlapping:
         assert overlap_percentage(1, 800) == 0.13  # exact .125 rounds up
         assert overlap_percentage(0, 0) == 0.0
 
+    @staticmethod
+    def decimal_percentage(overlapping, total, digits):
+        """overlap_percentage computed with Decimal, the oracle of the
+        integer rounding."""
+        if total == 0:
+            return 0.0
+        exact = Decimal(overlapping * 100) / Decimal(total)
+        q = Decimal(1).scaleb(-digits) if digits > 0 else Decimal(1)
+        return float(exact.quantize(q, rounding=ROUND_HALF_UP))
+
+    def test_percentage_matches_decimal_rounding_for_small_totals(self):
+        for total in range(200):
+            for overlapping in range(total + 1):
+                for digits in (-1, 0, 1, 2, 3):
+                    got = overlap_percentage(overlapping, total, digits)
+                    assert got == self.decimal_percentage(overlapping, total, digits), (
+                        overlapping, total, digits)
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.integers(1, 10**7), st.floats(0, 1), st.sampled_from([-1, 0, 1, 2, 3]))
+    def test_percentage_matches_decimal_rounding(self, total, share, digits):
+        overlapping = round(total * share)
+        got = overlap_percentage(overlapping, total, digits)
+        assert got == self.decimal_percentage(overlapping, total, digits)
+
 
 def load_toy():
     catalog = load_catalog_file(toy_catalog_path())
