@@ -10,18 +10,25 @@ the erroneous-region search.
 Coordinates accept only ASCII digits with an optional leading ``-``,
 keeping the parse locale-independent.
 
-``scan_bed`` is the one line scanner and the rulebook: it alone decides
-that a line is malformed, and why. It reads a path whole, as text with
-universal newlines, and accepts at once a line whose name it accepted
-before and whose coordinates are ASCII digits. ``parse_bed`` returns
-its columns as ``BedRecords``, which ``store`` and ``columns`` take as
-they are. ``columns.read_bed_columns`` builds arrays with a numpy fast
-path that only accepts; it hands every other line to ``scan_numbered``,
-which is ``scan_bed``'s rules over numbered lines.
+``scan_numbered`` is the one line scanner and the rulebook: it alone
+decides that a line is malformed, and why. It accepts at once a line
+whose name it accepted before and whose coordinates are ASCII digits.
+``scan_bed`` runs it over a stream, or over a path read whole as text
+with universal newlines (``scan_text``). ``parse_bed`` returns the
+columns as ``BedRecords``, which ``store`` and ``columns`` take as they
+are.
+
+When numpy is already loaded, ``scan_bed`` reads a path with
+``columns._read_bed`` instead, the numpy reader that
+``columns.read_bed_columns`` uses, and returns the same result. Its
+fast path only accepts; every other line goes to ``scan_numbered``
+under its own line number. This module never imports numpy itself, so
+a parse in a numpy-free process stays numpy-free.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -135,23 +142,34 @@ def scan_bed(
     source: str | Path | IO | Iterable[str],
     mode: Literal["strict", "permissive"] = "strict",
 ) -> tuple[list[str], list[int], list[int], list[int], ParseReport]:
-    """The one BED line scanner: accepted rows as parallel columns.
+    """Accepted rows of a BED source as parallel lists.
 
     Returns ``(names, codes, starts, ends, report)``: row i lies on
     chromosome ``names[codes[i]]``, and the name table lists each
-    chromosome once, in order of first appearance. Each distinct
+    chromosome once, in order of first appearance: a name that passes
+    the chromosome rule enters it at its first line of three or more
+    fields, even when that line's coordinates are rejected. Each distinct
     chromosome name is checked once. In strict mode the first malformed
     line raises BedParseError; in permissive mode malformed lines are
-    recorded in the report and skipped.
+    recorded in the report and skipped. A path goes through the numpy
+    reader when numpy is already loaded, else through ``scan_text``.
     """
     if mode not in ("strict", "permissive"):
         raise ValueError(f"unknown parse mode: {mode!r}")
+    strict = mode == "strict"
     if isinstance(source, (str, Path)):
+        # Only a numpy already loaded picks the columnar reader, so a parse
+        # never pays numpy's import; a None entry is a blocked import.
+        if sys.modules.get("numpy") is not None:
+            from .columns import _read_bed
+
+            names, codes, starts, ends, report = _read_bed(source, strict)
+            return names, codes.tolist(), starts.tolist(), ends.tolist(), report
         with open(source, "r", encoding="utf-8") as fh:
-            return scan_text(fh.read(), strict=mode == "strict")
+            return scan_text(fh.read(), strict)
     # Without its "\n", a streamed 3-column line can take the fast accept.
     lines = (line.removesuffix("\n") for line in _iter_lines(source))
-    return scan_numbered(enumerate(lines, start=1), strict=mode == "strict")
+    return scan_numbered(enumerate(lines, start=1), strict)
 
 
 def scan_text(text: str, strict: bool):

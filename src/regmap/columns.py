@@ -7,10 +7,11 @@ for the first row that is invalid or reaches ``COORD_LIMIT``. The
 coordinates come from one of two sources: the numpy BED reader's
 ``int64`` arrays, or Python ints made columns by ``store.numpy_coords``
 (``int64`` when every value fits, exact ``object`` ints otherwise, so
-no value is wrapped or guessed). The second serves ``bedio.scan_bed``'s
-rows, (id, GenomicRegion) lists, and sources whose invalid rows are
-dropped first: RawRegion records or a parsed file's ``BedRecords``
-columns (``from_records``), and a store dataset's (``from_dataset``).
+no value is wrapped or guessed). The second serves the rows of a file
+that bedio's Python scanner reads whole, (id, GenomicRegion) lists, and
+sources whose invalid rows are dropped first: RawRegion records or a
+parsed file's ``BedRecords`` columns (``from_records``), and a store
+dataset's (``from_dataset``).
 
 ``window_join`` builds the emitted OverlapPair rows of two region sets
 with a per-chromosome window join. ``hit_counts`` serves the mining
@@ -24,17 +25,19 @@ the (id, GenomicRegion) lists the reference join takes. Each region
 set sorts its rows by (chromosome, start) once, the first time a join
 needs them.
 
-``read_bed_columns`` parses a BED file with numpy. That fast path only
-accepts: it has no reject reasons of its own, and every line it does
-not accept goes through ``bedio``'s rules, so ``bedio.scan_bed`` stays
-the one rulebook and the reference reader.
+``_read_bed`` parses a BED file with numpy, for ``read_bed_columns``
+and for ``bedio.scan_bed`` on a path once numpy is loaded. Its fast
+path only accepts: it has no reject reasons of its own, and every line
+it does not accept goes through ``bedio.scan_numbered``, so bedio's
+Python scanner stays the one rulebook and the reference reader.
 
 Coordinates must lie below ``COORD_LIMIT`` (2**62), so the sum of two
 coordinates and every window bound fit in ``int64``; a larger one is
 refused with a ValueError rather than wrapped.
 
 This module imports numpy. ``import regmap`` must not load it, so the
-package imports this module only inside the calls that join.
+package imports this module only inside the calls that join, and in
+``bedio.scan_bed`` once numpy is loaded.
 """
 
 from __future__ import annotations
@@ -48,7 +51,14 @@ from typing import NoReturn, Sequence
 
 import numpy as np
 
-from .bedio import _SKIP_PREFIXES, BedRecords, _chrom_reason, scan_numbered, scan_text
+from .bedio import (
+    _SKIP_PREFIXES,
+    BedRecords,
+    ParseReport,
+    _chrom_reason,
+    scan_numbered,
+    scan_text,
+)
 from .intervals import GenomicRegion, RawRegion
 from .joins import JoinFilter, OverlapPair
 from .store import DatasetColumns, numpy_coords
@@ -166,51 +176,66 @@ def read_bed_columns(path: str | Path, first_id: int = 1) -> RegionColumns:
 
     Rows get ids ``first_id, first_id + 1, ...`` in file order. A
     malformed line raises BedParseError; the first invalid row raises
-    the ValueError that GenomicRegion raises for it.
+    the ValueError that GenomicRegion raises for it. The file is read
+    by ``_read_bed``, the reader ``bedio.scan_bed`` also uses.
+    """
+    names, codes, starts, ends, _ = _read_bed(path, strict=True)
+    return _checked(tuple(names), codes, starts, ends, _ids(first_id, len(codes)))
+
+
+def _read_bed(path: str | Path, strict: bool):
+    """``bedio.scan_bed``'s result for a path, with numpy columns:
+    ``(names, codes, starts, ends, report)``, ``int32`` codes and
+    coordinates through ``numpy_coords``.
 
     The file is read once, as bytes, and parsed with numpy
-    (``_scan_fast``). That fast path only accepts; ``bedio.scan_bed``
-    stays the rulebook. Each line the fast path does not accept goes
-    through bedio's rules under its own line number. A file holding a
-    non-ASCII byte, a ``\\r``, a NUL or a line that only bedio accepts
-    is decoded whole and scanned by ``bedio.scan_text``, as ``scan_bed``
-    reads a path, so newline handling and decode errors are bedio's.
+    (``_scan_fast``). That fast path only accepts; bedio stays the
+    rulebook. Each line the fast path does not accept goes through
+    bedio's rules under its own line number. A file holding a non-ASCII
+    byte, a ``\\r``, a NUL, a line that only bedio accepts or a name
+    that only bedio enters into the name table is decoded whole and
+    scanned by ``bedio.scan_text``, as ``scan_bed`` reads a path without
+    numpy, so newline handling and decode errors are bedio's.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-        parsed = None
-        if data.isascii() and b"\r" not in data and b"\0" not in data:
-            parsed = _scan_fast(data)
-        if parsed is None:
-            # Decoded as open(path, encoding="utf-8").read() decodes it.
-            text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
-            names, codes, starts, ends, _ = scan_text(text, strict=True)
-            codes = np.array(codes, dtype=np.int32)
-            parsed = tuple(names), codes, numpy_coords(starts), numpy_coords(ends)
-    names, codes, starts, ends = parsed
-    return _checked(names, codes, starts, ends, _ids(first_id, len(codes)))
+    if data.isascii() and b"\r" not in data and b"\0" not in data:
+        parsed = _scan_fast(data, strict)
+        if parsed is not None:
+            return parsed
+    # Decoded as open(path, encoding="utf-8").read() decodes it.
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    names, codes, starts, ends, report = scan_text(text, strict)
+    return names, np.array(codes, dtype=np.int32), numpy_coords(starts), numpy_coords(ends), report
 
 
-def _scan_fast(data: bytes):
-    """``(names, codes, starts, ends)`` of an ASCII file with no ``\\r``
-    and no NUL, block by block; None if some line is one that only
-    bedio accepts (a coordinate of over MAX_DIGITS digits, a name
-    longer than NAME_WIDTH). A malformed line raises bedio's error."""
-    table: dict[str, int] = {}  # accepted chromosome name -> code
+def _scan_fast(data: bytes, strict: bool):
+    """``_read_bed``'s result for an ASCII file with no ``\\r`` and no
+    NUL, block by block; None if bedio would accept a line the fast
+    path declined (a coordinate of over MAX_DIGITS digits, a name
+    longer than NAME_WIDTH) or enter its name into the table (such a
+    name on a line with bad coordinates). The declined lines' rejects
+    are bedio's, in line order; in strict mode the first raises."""
+    table: dict[str, int] = {}  # chromosome name -> code
     blocks = [(np.zeros(0, np.int32), np.zeros(0, np.int64), np.zeros(0, np.int64))]
+    report = ParseReport()
     lineno = pos = 0
     while pos < len(data):
         stop = data.find(b"\n", pos + INGEST_BLOCK - 1) + 1 or len(data)
         *rows, count, declined = _scan_block(data, pos, stop, lineno, table)
-        if declined and scan_numbered(declined, strict=True)[-1].accepted:
-            return None
+        if declined:
+            names, _, _, _, part = scan_numbered(declined, strict)
+            if part.accepted or not all(map(table.__contains__, names)):
+                return None
+            report.rejects += part.rejects
         blocks.append(rows)
         lineno += count
         pos = stop
     codes, starts, ends = (np.concatenate(col) for col in zip(*blocks))
-    # Every line with an accepted name was accepted, so the table lists
-    # the names in order of first appearance.
-    return tuple(table), codes, starts, ends
+    report.accepted, report.rejected = len(codes), len(report.rejects)
+    # Like bedio, the fast path enters each name of at most NAME_WIDTH
+    # bytes at its first line of three fields, so the tables are equal.
+    return list(table), codes, starts, ends, report
 
 
 def _scan_block(data: bytes, pos: int, stop: int, lineno: int, table: dict[str, int]):

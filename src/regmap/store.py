@@ -34,7 +34,8 @@ tests compare the index against.
 
 numpy loads at the first ``build_index``, never for writes,
 ``find_invalid`` or an unindexed probe, so ``import regmap`` and
-``regmap search`` stay numpy-free.
+``regmap search`` stay numpy-free. A write's parse
+(``bedio.parse_bed_file``) uses numpy only when it is already loaded.
 
 Concurrency: any number of reader threads may run beside writers.
 Writes and index builds and drops are serialized on an internal lock

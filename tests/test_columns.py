@@ -1,19 +1,23 @@
 import io
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from regmap import columns
+from regmap import bedio, columns
 from regmap.bedio import (
     BedParseError,
     BedRecords,
     parse_bed,
     parse_bed_file,
-    scan_bed,
+    scan_text,
     write_bed,
 )
 from regmap.bench import GenConfig, generate_regions
@@ -97,9 +101,16 @@ class TestReadBedColumns:
         assert (pair.bp_overlap, pair.centre_distance) == (10, 0.0)
 
 
+def text_scan(path, strict):
+    """The reference reader: bedio's Python scanner over the file's text,
+    as ``scan_bed`` reads a path when numpy is not loaded."""
+    with open(path, encoding="utf-8") as fh:
+        return scan_text(fh.read(), strict)
+
+
 def scanned(path, first_id=1):
-    """The reference reader: bedio.scan_bed's rows through the same build."""
-    names, codes, starts, ends, _ = scan_bed(path, mode="strict")
+    """The reference reader's rows through the same build."""
+    names, codes, starts, ends, _ = text_scan(path, strict=True)
     ids = np.arange(first_id, first_id + len(codes), dtype=np.int64)
     chrom = np.array(codes, dtype=np.int32)
     return columns._checked(tuple(names), chrom, numpy_coords(starts), numpy_coords(ends), ids)
@@ -189,6 +200,162 @@ class TestReadBedColumnsDifferential:
         for block in (1 << 40, 1, 100, 4096):
             monkeypatch.setattr(columns, "INGEST_BLOCK", block)
             assert outcome(read_bed_columns, bed, 1) == want, block
+
+
+def read_as_bedio(path, strict):
+    """``columns._read_bed`` as ``bedio.scan_bed`` returns it, with lists."""
+    names, codes, starts, ends, report = columns._read_bed(path, strict)
+    assert codes.dtype == np.int32 and starts.dtype in (np.int64, object)
+    return names, codes.tolist(), starts.tolist(), ends.tolist(), report
+
+
+def scan_outcome(read, path, strict):
+    """The whole scan result, report included, or the exception's type and message."""
+    try:
+        return read(path, strict)
+    except Exception as exc:  # noqa: BLE001 - the comparison is the point
+        return type(exc), str(exc)
+
+
+def refuse(*args):
+    raise AssertionError("a reader the test rules out was called")
+
+
+NAME_64 = "chr" + "n" * 61
+NAME_65 = "chr" + "n" * 62
+assert (len(NAME_64), len(NAME_65)) == (columns.NAME_WIDTH, columns.NAME_WIDTH + 1)
+# The malformed lines perfbench/gen.py injects, one per reject reason.
+GEN_MALFORMED = [b"chr1\t500", b"chr1\t500x\t600", b"chr1\t500\tNA", b"chr 1\t500\t600", b"\t500\t600"]
+READER_COORDS = [
+    "0", "7", "120", "-7", "-0", "x", "", "9" * 18, "-" + "9" * 18, "1" * 19, "-" + "1" * 19, "9" * 20,
+]
+READER_LINE = st.one_of(
+    VALID_LINE,
+    VALID_LINE,
+    st.tuples(VALID_LINE, st.sampled_from(TAILS)).map(lambda t: t[0] + t[1].encode()),
+    st.tuples(
+        st.sampled_from(["chr1", "chr2", NAME_64, NAME_65, LONG_NAME, "chr 1", ""]),
+        st.sampled_from(READER_COORDS),
+        st.sampled_from(READER_COORDS),
+    ).map(lambda t: "\t".join(t).encode()),
+    st.sampled_from(GEN_MALFORMED),
+    OTHER_LINE,
+)
+READER_FILE = st.one_of(
+    st.lists(st.tuples(READER_LINE, st.just(b"\n")), max_size=20),
+    st.lists(st.tuples(READER_LINE, st.just(b"\n")), max_size=20),
+    st.lists(
+        st.tuples(
+            st.one_of(READER_LINE, st.sampled_from(["chr\u00e9\t1\t2".encode(), b"chr1\t\xff\t9"])),
+            st.sampled_from([b"\n", b"\r\n"]),
+        ),
+        max_size=20,
+    ),
+)
+
+
+class TestReadBedDifferential:
+    """``columns._read_bed``, which ``scan_bed`` runs on a path once numpy
+    is loaded, against the Python scanner over the file's text: names,
+    codes, coordinates and the whole report, or the same error."""
+
+    @settings(max_examples=500, deadline=None)
+    @example(  # a name over NAME_WIDTH bytes on a rejected line
+        [(b"chr1\t1\t2", b"\n"), (b"c" * 70 + b"\tx\t5", b"\n"), (b"chr2\t3\t4", b"\n")],
+        True,
+        columns.INGEST_BLOCK,
+        False,
+    )
+    @given(
+        READER_FILE,
+        st.booleans(),
+        st.sampled_from([1, 5, 40, columns.INGEST_BLOCK]),
+        st.booleans(),
+    )
+    def test_matches_scan_text(self, tmp_path_factory, lines, final_newline, block, strict):
+        data = b"".join(line + end for line, end in lines)
+        if lines and not final_newline:
+            data = data[: -len(lines[-1][1])]
+        path = tmp_path_factory.mktemp("bed") / "x.bed"
+        path.write_bytes(data)
+        default = columns.INGEST_BLOCK
+        columns.INGEST_BLOCK = block
+        try:
+            got = scan_outcome(read_as_bedio, path, strict)
+        finally:
+            columns.INGEST_BLOCK = default
+        assert got == scan_outcome(text_scan, path, strict)
+
+    def test_long_name_on_a_rejected_line_keeps_its_code(self, tmp_path):
+        # The fast path never enters a name over NAME_WIDTH bytes; bedio
+        # enters it even when the line's coordinates are bad.
+        path = tmp_path / "x.bed"
+        path.write_text(f"chr1\t1\t2\n{'c' * 70}\tx\t5\nchr2\t3\t4\n")
+        names, codes, starts, ends, report = read_as_bedio(path, strict=False)
+        assert (names, codes, starts, ends) == (["chr1", "c" * 70, "chr2"], [0, 2], [1, 3], [2, 4])
+        assert report.rejects == [(2, "non-integer start")]
+
+    def test_rejects_across_blocks_without_the_text_scanner(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(11)
+        lines = []
+        for i in range(30_000):
+            start = int(rng.integers(0, 10**8))
+            lines.append(f"chr{i % 3 + 1}\t{start}\t{start + int(rng.integers(1, 500))}".encode())
+            if i % 97 == 0:
+                lines.append(GEN_MALFORMED[i % len(GEN_MALFORMED)])
+            if i % 1_001 == 0:
+                lines += [b"# comment", b"", b"track name=x"]
+        path = tmp_path / "x.bed"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        assert path.stat().st_size > 2 * columns.INGEST_BLOCK
+        want = text_scan(path, strict=False)
+        monkeypatch.setattr(columns, "scan_text", refuse)
+        assert read_as_bedio(path, strict=False) == want
+        assert want[-1].rejected == 310
+
+
+class TestParseDispatch:
+    """``bedio.scan_bed`` reads a path with the columnar reader when
+    numpy is already loaded (it is, in this module) and a stream with
+    the Python scanner."""
+
+    TEXT = "# c\nchr1\t0\t10\nchr1\tbad\t1\n\nchr2\t-5\t3\nchr1\t7\n"
+    ROWS = [RawRegion("chr1", 0, 10), RawRegion("chr2", -5, 3)]
+    REJECTS = [(3, "non-integer start"), (6, "too few columns")]
+
+    def test_path_skips_the_python_scanner(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.bed"
+        path.write_text(self.TEXT)
+        monkeypatch.setattr(bedio, "scan_text", refuse)
+        monkeypatch.setattr(columns, "scan_text", refuse)
+        records, report = parse_bed_file(path, mode="permissive")
+        assert isinstance(records, BedRecords) and records == self.ROWS
+        assert report.rejects == self.REJECTS and report.accepted == 2
+        assert all(type(v) is int for v in records.codes + records.starts + records.ends)
+
+    def test_path_with_numpy_blocked_uses_the_python_scanner(self, tmp_path):
+        path = tmp_path / "x.bed"
+        path.write_text(self.TEXT)
+        code = (
+            "import sys; sys.modules['numpy'] = None; from regmap.bedio import parse_bed_file; "
+            f"records, report = parse_bed_file({str(path)!r}, mode='permissive'); "
+            "print([(r.chrom, r.start, r.end) for r in records], report.rejects)"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"[('chr1', 0, 10), ('chr2', -5, 3)] {self.REJECTS}\n"
+
+    def test_stream_uses_the_python_scanner(self, monkeypatch):
+        monkeypatch.setattr(columns, "_read_bed", refuse)
+        records, report = parse_bed(io.StringIO(self.TEXT), mode="permissive")
+        assert records == self.ROWS and report.rejects == self.REJECTS
 
 
 class TestWindowJoin:
