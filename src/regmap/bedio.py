@@ -1,46 +1,58 @@
-"""BED-like region file parsing/writing and the dataset catalog.
+"""BED-like region file parsing/writing, the dataset catalog, and
+``BedRecords``, the one numpy-free column type for a region set.
 
 Input files are tab-separated with at least three columns (chromosome,
 start, end); extra columns are ignored. Blank lines and lines starting
-with ``#``, ``track`` or ``browser`` are skipped. Parsing yields
-RawRegion records on purpose: coordinate sanity is NOT enforced here,
-so that invalid rows can be ingested into a store and later located by
-the erroneous-region search.
+with ``#``, ``track`` or ``browser`` are skipped. Coordinates accept
+only ASCII digits with an optional leading ``-``, keeping the parse
+locale-independent; their sanity is NOT enforced here, so that invalid
+rows can be stored and later located by the erroneous-region search.
 
-Coordinates accept only ASCII digits with an optional leading ``-``,
-keeping the parse locale-independent.
+``BedRecords`` holds a chromosome name table, ``array('i')`` codes and
+two coordinate columns. The coordinate rule, ``coord_column``: an
+``array('q')`` when every value fits int64, else a list of the exact
+ints; a value that is not an integer raises ValueError. A parse returns
+the scanner's columns as they are; other region-shaped records go
+through ``RecordBuilder`` (``as_records``), which checks each distinct
+chromosome name once. The store keeps each dataset as one, and
+``columns.RegionColumns`` views one as numpy (``numpy_coords``).
 
 ``scan_numbered`` is the one line scanner and the rulebook: it alone
 decides that a line is malformed, and why. It accepts at once a line
 whose name it accepted before and whose coordinates are ASCII digits.
 ``scan_bed`` runs it over a stream, or over a path read whole as text
-with universal newlines (``scan_text``). ``parse_bed`` returns the
-columns as ``BedRecords``, which ``store`` and ``columns`` take as they
-are.
-
-When numpy is already loaded, ``scan_bed`` reads a path with
-``columns._read_bed`` instead, the numpy reader that
-``columns.read_bed_columns`` uses, and returns the same result. Its
-fast path only accepts; every other line goes to ``scan_numbered``
-under its own line number. This module never imports numpy itself, so
-a parse in a numpy-free process stays numpy-free.
+with universal newlines (``scan_text``). When numpy is already loaded,
+it reads a path with ``columns._read_bed`` instead, the numpy reader of
+``columns.read_bed_columns``, and copies its columns by bytes; that
+reader's fast path only accepts, and sends every other line to
+``scan_numbered``. This module never imports numpy itself, so a parse
+in a numpy-free process stays numpy-free.
 """
 
 from __future__ import annotations
 
+import operator
 import sys
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Literal
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Literal
 
-from .intervals import GenomicRegion, RawRegion
+from .intervals import GenomicRegion, RawRegion, _check_chrom
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BedParseError",
     "BedRecords",
     "CatalogEntry",
     "ParseReport",
+    "RecordBuilder",
+    "as_records",
+    "coord_column",
+    "numpy_coords",
     "parse_bed",
     "parse_bed_file",
     "scan_bed",
@@ -84,15 +96,40 @@ class ParseReport:
     rejects: list[tuple[int, str]] = field(default_factory=list)
 
 
+def coord_column(values) -> array | list[int]:
+    """The coordinate rule: ``array('q')`` when every value fits int64,
+    else a list of the exact ints. A value that is not an integer
+    raises ValueError."""
+    try:
+        try:
+            return array("q", values)
+        except OverflowError:
+            return list(map(operator.index, values))
+    except TypeError:
+        bad = next((v for v in values if not hasattr(type(v), "__index__")), None)
+        raise ValueError(f"coordinate {bad!r} is not an integer") from None
+
+
+def numpy_coords(values: array | list[int]) -> "np.ndarray":
+    """A ``coord_column`` as numpy: an ``int64`` view of an ``array('q')``,
+    exact ``object`` ints of a list, never numpy's own dtype guess
+    (``np.array([2**63])`` is uint64). Imports numpy."""
+    import numpy as np
+
+    return np.frombuffer(values, np.int64) if isinstance(values, array) else np.array(values, object)
+
+
 class BedRecords(Sequence):
-    """The accepted rows of one parse as the scanner's columns: row i is
-    ``RawRegion(names[codes[i]], starts[i], ends[i])``, built only when
-    it is read. Read-only; a slice is a list. Equal to any sequence of
-    equal records, so unhashable."""
+    """A region set as columns: row i is ``RawRegion(names[codes[i]],
+    starts[i], ends[i])``, built only when it is read. ``codes`` is an
+    ``array('i')``; ``starts`` and ``ends`` follow ``coord_column``.
+    Read-only: nothing changes the columns once built, and callers must
+    not either. A slice is a list. Equal to any sequence of equal
+    records, so unhashable."""
 
     __slots__ = ("names", "codes", "starts", "ends")
 
-    def __init__(self, names, codes: list[int], starts: list[int], ends: list[int]):
+    def __init__(self, names, codes: array, starts: array | list[int], ends: array | list[int]):
         self.names, self.codes, self.starts, self.ends = tuple(names), codes, starts, ends
 
     def __len__(self) -> int:
@@ -110,6 +147,51 @@ class BedRecords(Sequence):
         if not isinstance(other, Sequence) or isinstance(other, str):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def arrays(self):
+        """``(codes, starts, ends)`` as numpy: the codes viewed as ``intc``
+        (int32), coordinates through ``numpy_coords``. Imports numpy."""
+        import numpy as np
+
+        return np.frombuffer(self.codes, np.intc), numpy_coords(self.starts), numpy_coords(self.ends)
+
+
+class RecordBuilder:
+    """Builds a ``BedRecords`` from region-shaped records (any objects
+    with ``chrom``, ``start`` and ``end``), one at a time. Each distinct
+    chromosome name is checked once, at its first record."""
+
+    def __init__(self):
+        self.names: dict[str, int] = {}  # chromosome name -> its code
+        self.codes, self.starts, self.ends = array("i"), [], []
+
+    def add(self, region) -> None:
+        """Append one record; a rejected name or a coordinate that is not
+        an integer raises ValueError and appends nothing."""
+        chrom, start, end = region.chrom, region.start, region.end
+        if chrom not in self.names:
+            _check_chrom(chrom)
+        if start.__class__ is not int or end.__class__ is not int:
+            coord_column((start, end))
+        self.codes.append(self.names.setdefault(chrom, len(self.names)))
+        self.starts.append(start)
+        self.ends.append(end)
+
+    def build(self) -> BedRecords:
+        """The records added so far, coordinates by ``coord_column``. The
+        result shares the builder's codes, so nothing is added after."""
+        return BedRecords(self.names, self.codes, coord_column(self.starts), coord_column(self.ends))
+
+
+def as_records(regions) -> BedRecords:
+    """``regions`` as columns: a ``BedRecords`` as it is, any other
+    region-shaped records through ``RecordBuilder``."""
+    if isinstance(regions, BedRecords):
+        return regions
+    builder = RecordBuilder()
+    for region in regions:
+        builder.add(region)
+    return builder.build()
 
 
 def _iter_lines(source: str | Path | IO | Iterable[str]) -> Iterator[str]:
@@ -141,11 +223,9 @@ def _is_int(text: str) -> bool:
 def scan_bed(
     source: str | Path | IO | Iterable[str],
     mode: Literal["strict", "permissive"] = "strict",
-) -> tuple[list[str], list[int], list[int], list[int], ParseReport]:
-    """Accepted rows of a BED source as parallel lists.
-
-    Returns ``(names, codes, starts, ends, report)``: row i lies on
-    chromosome ``names[codes[i]]``, and the name table lists each
+) -> tuple[list[str], array, array | list[int], array | list[int], ParseReport]:
+    """Accepted rows of a BED source as ``(names, codes, starts, ends,
+    report)``, the columns of ``BedRecords``. The name table lists each
     chromosome once, in order of first appearance: a name that passes
     the chromosome rule enters it at its first line of three or more
     fields, even when that line's coordinates are rejected. Each distinct
@@ -163,13 +243,23 @@ def scan_bed(
         if sys.modules.get("numpy") is not None:
             from .columns import _read_bed
 
-            names, codes, starts, ends, report = _read_bed(source, strict)
-            return names, codes.tolist(), starts.tolist(), ends.tolist(), report
+            names, *columns, report = _read_bed(source, strict)
+            return names, *map(_copied, columns, "iqq"), report
         with open(source, "r", encoding="utf-8") as fh:
             return scan_text(fh.read(), strict)
     # Without its "\n", a streamed 3-column line can take the fast accept.
     lines = (line.removesuffix("\n") for line in _iter_lines(source))
     return scan_numbered(enumerate(lines, start=1), strict)
+
+
+def _copied(column: "np.ndarray", typecode: str) -> array | list[int]:
+    """A numpy reader column as bedio keeps it: an ``array(typecode)``
+    copied by bytes, or the exact ints of an ``object`` column."""
+    if column.dtype.hasobject:
+        return list(column)
+    copy = array(typecode)
+    copy.frombytes(memoryview(column).cast("B"))
+    return copy
 
 
 def scan_text(text: str, strict: bool):
@@ -180,7 +270,7 @@ def scan_text(text: str, strict: bool):
 
 def scan_numbered(
     numbered: Iterable[tuple[int, str]], strict: bool
-) -> tuple[list[str], list[int], list[int], list[int], ParseReport]:
+) -> tuple[list[str], array, array | list[int], array | list[int], ParseReport]:
     """``scan_bed``'s rules over (line number, line) pairs.
 
     The columnar reader sends here each line its fast path does not
@@ -236,7 +326,7 @@ def scan_numbered(
         report.rejects.append((lineno, reason))
     report.accepted = len(codes)
     report.rejected = len(report.rejects)
-    return names, codes, starts, ends, report
+    return names, array("i", codes), coord_column(starts), coord_column(ends), report
 
 
 def parse_bed(

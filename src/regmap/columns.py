@@ -1,17 +1,13 @@
-"""Region sets as columns, and the window join that runs on them.
+"""Region sets as numpy columns, and the window join that runs on them.
 
 A region set is held as parallel arrays: an ``int32`` chromosome code
 indexing a name table, plus ``int64`` start, end and id arrays. One
 validator, ``_checked``, builds every region set; vectorised, it raises
-for the first row that is invalid or reaches ``COORD_LIMIT``. The
-coordinates come from one of two sources: the numpy BED reader's
-``int64`` arrays, or Python ints made columns by ``store.numpy_coords``
-(``int64`` when every value fits, exact ``object`` ints otherwise, so
-no value is wrapped or guessed). The second serves the rows of a file
-that bedio's Python scanner reads whole, (id, GenomicRegion) lists, and
-sources whose invalid rows are dropped first: RawRegion records or a
-parsed file's ``BedRecords`` columns (``from_records``), and a store
-dataset's (``from_dataset``).
+for the first row that is invalid or reaches ``COORD_LIMIT``. Every
+source but the numpy BED reader is first a ``bedio.BedRecords``, viewed
+as numpy by ``BedRecords.arrays``: a parsed file or other records
+(``from_records``, which drops invalid rows), a store dataset
+(``from_dataset``) and (id, GenomicRegion) lists (``from_id_regions``).
 
 ``window_join`` builds the emitted OverlapPair rows of two region sets
 with a per-chromosome window join. ``hit_counts`` serves the mining
@@ -47,21 +43,24 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import NoReturn, Sequence
+from typing import TYPE_CHECKING, NoReturn, Sequence
 
 import numpy as np
 
 from .bedio import (
     _SKIP_PREFIXES,
-    BedRecords,
     ParseReport,
     _chrom_reason,
+    as_records,
+    numpy_coords,
     scan_numbered,
     scan_text,
 )
 from .intervals import GenomicRegion, RawRegion
 from .joins import JoinFilter, OverlapPair
-from .store import DatasetColumns, numpy_coords
+
+if TYPE_CHECKING:
+    from .store import DatasetColumns
 
 __all__ = [
     "COORD_LIMIT",
@@ -118,47 +117,28 @@ class RegionColumns:
     @classmethod
     def from_id_regions(cls, regions: Sequence[IdRegion]) -> "RegionColumns":
         """Columns of (id, region) pairs, in the given order."""
-        codes: dict[str, int] = {}
-        chrom = [codes.setdefault(r.chrom, len(codes)) for _, r in regions]
-        return _checked(
-            tuple(codes),
-            np.array(chrom, dtype=np.int32),
-            numpy_coords([r.start for _, r in regions]),
-            numpy_coords([r.end for _, r in regions]),
-            np.array([rid for rid, _ in regions], dtype=np.int64),
-        )
+        rows = as_records([r for _, r in regions])
+        ids = np.array([rid for rid, _ in regions], dtype=np.int64)
+        return _checked(rows.names, *rows.arrays(), ids)
 
     @classmethod
     def from_records(cls, records: Sequence[RawRegion], first_id: int = 1) -> "RegionColumns":
         """Columns of the valid records, in the given order; record i
         keeps id ``first_id + i``, the id a store import starting at
-        ``first_id`` gives it.
-
-        Records with ``start < 0`` or ``end < start`` are dropped, as
-        ``RegionStore.valid_regions`` drops them. A parsed file
-        (``bedio.BedRecords``) is read from its columns, building no record.
-        """
-        if isinstance(records, BedRecords):
-            start, end = numpy_coords(records.starts), numpy_coords(records.ends)
-            rows = np.flatnonzero((start >= 0) & (end >= start))
-            chrom = np.array(records.codes, dtype=np.int32)[rows]
-            return _checked(records.names, chrom, start[rows], end[rows], rows + first_id)
-        return cls.from_id_regions([
-            (rid, r) for rid, r in enumerate(records, first_id) if r.start >= 0 and r.end >= r.start
-        ])
+        ``first_id`` gives it. Records go through ``bedio.as_records``,
+        so a record the store refuses raises its ValueError; then rows
+        with ``start < 0`` or ``end < start`` are dropped, as
+        ``RegionStore.valid_regions`` drops them."""
+        rows = as_records(records)
+        chrom, start, end = rows.arrays()
+        keep = np.flatnonzero((start >= 0) & (end >= start))
+        return _checked(rows.names, chrom[keep], start[keep], end[keep], keep + first_id)
 
     @classmethod
     def from_dataset(cls, dataset: DatasetColumns) -> "RegionColumns":
-        """Columns of a store dataset's valid rows, read from the store's
-        columns; the dataset's row i keeps id ``dataset.first_id + i``.
-
-        Invalid rows are dropped, as ``RegionStore.valid_regions`` drops
-        them; a valid row with a coordinate >= 2**62 raises the
-        ValueError ``from_records`` raises for it.
-        """
-        chrom, start, end = dataset.arrays()
-        rows = np.delete(np.arange(len(chrom)), dataset.invalid)
-        return _checked(dataset.names, chrom[rows], start[rows], end[rows], rows + dataset.first_id)
+        """Columns of a store dataset's valid rows; the dataset's row i
+        keeps id ``dataset.first_id + i``."""
+        return cls.from_records(dataset.rows, dataset.first_id)
 
     def to_id_regions(self) -> list[IdRegion]:
         """(id, GenomicRegion) pairs in row order."""
@@ -180,7 +160,8 @@ def read_bed_columns(path: str | Path, first_id: int = 1) -> RegionColumns:
     by ``_read_bed``, the reader ``bedio.scan_bed`` also uses.
     """
     names, codes, starts, ends, _ = _read_bed(path, strict=True)
-    return _checked(tuple(names), codes, starts, ends, _ids(first_id, len(codes)))
+    ids = np.arange(first_id, first_id + len(codes), dtype=np.int64)
+    return _checked(tuple(names), codes, starts, ends, ids)
 
 
 def _read_bed(path: str | Path, strict: bool):
@@ -206,7 +187,7 @@ def _read_bed(path: str | Path, strict: bool):
     # Decoded as open(path, encoding="utf-8").read() decodes it.
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     names, codes, starts, ends, report = scan_text(text, strict)
-    return names, np.array(codes, dtype=np.int32), numpy_coords(starts), numpy_coords(ends), report
+    return names, np.frombuffer(codes, np.int32), numpy_coords(starts), numpy_coords(ends), report
 
 
 def _scan_fast(data: bytes, strict: bool):
@@ -320,10 +301,6 @@ def _parse_ints(b: np.ndarray, begin: np.ndarray, end: np.ndarray, ok: np.ndarra
         ok &= ~has | (digit <= 9)
         value = value * 10 + np.where(has, digit, 0)
     return np.where(negative, -value, value)
-
-
-def _ids(first_id: int, count: int) -> np.ndarray:
-    return np.arange(first_id, first_id + count, dtype=np.int64)
 
 
 def _checked(names, chrom, start: np.ndarray, end: np.ndarray, ids) -> RegionColumns:

@@ -8,19 +8,14 @@ a staging buffer, copy it into production while assigning ids, then
 empty staging. A failed import leaves production untouched, and
 staging is always empty once an import returns.
 
-Representation: no Python object is kept per row. A dataset is held
-as columns (``DatasetColumns``): its first id, a chromosome name
-table with ``int32`` codes, ``start``/``end`` columns and the offsets
-of its invalid rows (``start < 0`` or ``end < start``), found once at
-import. A coordinate column is a stdlib ``array('q')`` when every
-value fits int64, and a list of exact Python ints otherwise, so every
-integer is stored as given. ``numpy_coords`` turns such a column, or
-any list of ints, into numpy by the same rule, for ``arrays()`` and
-for ``columns.RegionColumns``. ``StoredRegion``/``RawRegion`` objects
-are built only at the API edge: for ``rows()``, ``regions()``, search
-hits and ``find_invalid``. Returned rows are fresh objects, equal to what
-was imported; a coordinate that is not an integer is refused at import.
-A parsed file's columns (``bedio.BedRecords``) are taken as they are.
+Representation: no Python object is kept per row. A dataset
+(``DatasetColumns``) is its first id, its rows as one
+``bedio.BedRecords`` and the offsets of its invalid rows (``start < 0``
+or ``end < start``), found once at import. A parsed file's columns are
+kept as they are; other records go through ``bedio.as_records``.
+``StoredRegion``/``RawRegion`` objects are built only at the API edge
+(``rows()``, ``regions()``, search hits and ``find_invalid``), fresh and
+equal to what was imported.
 
 An optional index serves proximity queries: one entry per chromosome,
 covering every dataset, holding the valid rows of non-zero length
@@ -50,20 +45,18 @@ committed. Query results are fresh lists of fresh objects.
 
 from __future__ import annotations
 
-import operator
 import threading
-from array import array
 from dataclasses import dataclass
 from itertools import count
 from typing import TYPE_CHECKING
 
-from .bedio import BedRecords
-from .intervals import GenomicRegion, RawRegion, _check_chrom
+from .bedio import BedRecords, RecordBuilder, as_records
+from .intervals import GenomicRegion, RawRegion
 
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["StoredRegion", "DatasetColumns", "RegionStore", "numpy_coords"]
+__all__ = ["StoredRegion", "DatasetColumns", "RegionStore"]
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
@@ -79,84 +72,27 @@ class StoredRegion:
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class DatasetColumns:
-    """One dataset as columns; row i has id ``first_id + i`` and lies on
-    ``names[chrom[i]]``. Read-only: the store never changes it once
-    published, and callers must not either. Compared by identity."""
+    """One dataset; row i of ``rows`` has id ``first_id + i``. Read-only:
+    the store never changes it once published, and callers must not
+    either. Compared by identity."""
 
     first_id: int
-    names: tuple[str, ...]
-    chrom: array  # 'i', int32 codes into names
-    start: array | list[int]  # array('q') when every value fits int64, else exact ints
-    end: array | list[int]
+    rows: BedRecords
     invalid: tuple[int, ...]  # offsets of rows with start < 0 or end < start
 
     def __len__(self) -> int:
-        return len(self.chrom)
-
-    def arrays(self):
-        """``(chrom, start, end)`` as numpy arrays: ``intc`` (int32)
-        codes, and coordinates through ``numpy_coords``. Imports numpy."""
-        import numpy as np
-
-        chrom = np.frombuffer(self.chrom, dtype=np.intc)
-        return chrom, numpy_coords(self.start), numpy_coords(self.end)
+        return len(self.rows)
 
     def stored(self, name: str, offsets) -> list[StoredRegion]:
         """The rows at ``offsets`` as StoredRegion objects of dataset ``name``."""
-        names, chrom, start, end = self.names, self.chrom, self.start, self.end
-        first = self.first_id
-        return [
-            StoredRegion(first + i, name, RawRegion(names[chrom[i]], start[i], end[i]))
-            for i in offsets
-        ]
+        rows, first = self.rows, self.first_id
+        return [StoredRegion(first + i, name, rows[i]) for i in offsets]
 
 
-def numpy_coords(values: array | list[int]) -> "np.ndarray":
-    """Integers as a numpy column: a view of ``array('q')`` when every
-    value fits int64, exact ``object`` ints otherwise, never numpy's
-    own dtype guess (``np.array([2**63])`` is uint64). Imports numpy."""
-    import numpy as np
-
-    try:
-        return np.frombuffer(values if isinstance(values, array) else array("q", values), np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
-def _coords(values: list) -> array | list[int]:
-    """A coordinate column: int64 when every value fits, exact ints otherwise."""
-    try:
-        try:
-            return array("q", values)
-        except OverflowError:
-            return list(map(operator.index, values))
-    except TypeError:
-        bad = next((v for v in values if not hasattr(type(v), "__index__")), None)
-        raise ValueError(f"coordinate {bad!r} is not an integer") from None
-
-
-def _dataset(first_id: int, names, chrom: array, starts: list, ends: list) -> DatasetColumns:
-    """One dataset's columns from checked chromosome codes; refuses a
-    coordinate that is not an integer and records the invalid rows."""
-    start, end = _coords(starts), _coords(ends)
-    invalid = tuple(i for i, s, e in zip(count(), start, end) if s < 0 or e < s)
-    return DatasetColumns(first_id, tuple(names), chrom, start, end, invalid)
-
-
-def _dataset_from_records(first_id: int, regions) -> DatasetColumns:
-    """Validate and build one dataset's columns from region-shaped
-    records; each distinct chromosome name is checked once. A parsed
-    file's columns are taken as they are: its names passed the same rule."""
-    if isinstance(regions, BedRecords):
-        chrom = array("i", regions.codes)
-        return _dataset(first_id, regions.names, chrom, regions.starts, regions.ends)
-    regions = list(regions)
-    chroms = [r.chrom for r in regions]
-    codes = {name: code for code, name in enumerate(dict.fromkeys(chroms))}
-    for name in codes:
-        _check_chrom(name)
-    chrom = array("i", map(codes.__getitem__, chroms))
-    return _dataset(first_id, codes, chrom, [r.start for r in regions], [r.end for r in regions])
+def _dataset(first_id: int, rows: BedRecords) -> DatasetColumns:
+    """One dataset of ``rows``, with its invalid rows recorded."""
+    invalid = tuple(i for i, s, e in zip(count(), rows.starts, rows.ends) if s < 0 or e < s)
+    return DatasetColumns(first_id, rows, invalid)
 
 
 # An index entry, one per chromosome: its indexed rows sorted by start,
@@ -171,7 +107,7 @@ def _index_dataset(dataset: DatasetColumns) -> dict[str, tuple]:
     when every such end fits, else exact ``object`` ints."""
     import numpy as np
 
-    chrom, start, end = dataset.arrays()
+    chrom, start, end = dataset.rows.arrays()
     rows = np.flatnonzero((start >= 0) & (end > start))
     chrom, start, end = chrom[rows], start[rows], end[rows]
     # Here 0 <= start < end, so the ends decide whether both fit int64.
@@ -179,9 +115,10 @@ def _index_dataset(dataset: DatasetColumns) -> dict[str, tuple]:
     start, end = start.astype(dtype), end.astype(dtype)
     ids = rows + dataset.first_id
     order = np.argsort(chrom, kind="stable")
-    bounds = np.searchsorted(chrom[order], np.arange(len(dataset.names) + 1))
+    names = dataset.rows.names
+    bounds = np.searchsorted(chrom[order], np.arange(len(names) + 1))
     part = {}
-    for code, name in enumerate(dataset.names):
+    for code, name in enumerate(names):
         on_chrom = order[bounds[code] : bounds[code + 1]]
         if len(on_chrom):
             part[name] = (start[on_chrom], end[on_chrom], ids[on_chrom])
@@ -260,10 +197,11 @@ class RegionStore:
         ds = self._datasets.get(dataset)
         if ds is None:
             return []
-        names = ds.names
+        rows = ds.rows
+        names = rows.names
         return [
             (rid, GenomicRegion(names[c], s, e))
-            for rid, c, s, e in zip(count(ds.first_id), ds.chrom, ds.start, ds.end)
+            for rid, c, s, e in zip(count(ds.first_id), rows.codes, rows.starts, rows.ends)
             if 0 <= s <= e
         ]
 
@@ -294,14 +232,14 @@ class RegionStore:
 
         ``regions`` holds RawRegion, GenomicRegion or any objects with
         ``chrom``, ``start`` and ``end``; coordinates must be integers.
-        A parsed file (``bedio.BedRecords``) is taken as its columns,
-        building no record. Atomic: any failure leaves production
+        A parsed file (``bedio.BedRecords``) is kept as it is, building
+        no record. Atomic: any failure leaves production
         untouched and staging empty. Returns the number of imported rows.
         """
         with self._write_lock:
             self._check_new(name)
             try:
-                self._staging = _dataset_from_records(self._next_id, regions)
+                self._staging = _dataset(self._next_id, as_records(regions))
                 self._check_capacity(len(self._staging))
                 return self._commit(name, self._staging)
             finally:
@@ -319,23 +257,14 @@ class RegionStore:
         """
         with self._write_lock:
             self._check_new(name)
-            codes: dict[str, int] = {}
-            chrom = array("i")
-            starts: list[int] = []
-            ends: list[int] = []
+            rows = RecordBuilder()
             try:
                 for r in regions:
-                    label, start, end = r.chrom, r.start, r.end
-                    if label not in codes:
-                        _check_chrom(label)
-                    _coords([start, end])
-                    self._check_capacity(len(starts) + 1)
-                    chrom.append(codes.setdefault(label, len(codes)))
-                    starts.append(start)
-                    ends.append(end)
+                    self._check_capacity(len(rows.codes) + 1)
+                    rows.add(r)
             finally:
-                self._commit(name, _dataset(self._next_id, codes, chrom, starts, ends))
-            return len(starts)
+                self._commit(name, _dataset(self._next_id, rows.build()))
+            return len(rows.codes)
 
     def find_invalid(self) -> list[StoredRegion]:
         """All rows with start < 0 or end < start, in id order.
@@ -405,12 +334,13 @@ def _scan(datasets: dict[str, DatasetColumns], chrom: str, lo: int, hi: int) -> 
     """The unindexed probe: every row of every dataset is tested."""
     hits: list[StoredRegion] = []
     for name, ds in datasets.items():
-        if chrom not in ds.names:
+        rows = ds.rows
+        if chrom not in rows.names:
             continue
-        code = ds.names.index(chrom)
+        code = rows.names.index(chrom)
         offsets = [
             i
-            for i, c, s, e in zip(count(), ds.chrom, ds.start, ds.end)
+            for i, c, s, e in zip(count(), rows.codes, rows.starts, rows.ends)
             if c == code and s >= 0 and min(e, hi) - max(s, lo) >= 1
         ]
         hits += ds.stored(name, offsets)

@@ -1,6 +1,7 @@
 import io
 import re
 import sys
+from array import array
 from collections.abc import Sequence
 
 import pytest
@@ -137,7 +138,9 @@ class TestBedRecords:
         assert isinstance(records, BedRecords) and isinstance(records, Sequence)
         assert len(records) == report.accepted == 3
         assert records.names == ("chr1", "chr2", "chrX")  # a rejected row's name is listed
-        assert (records.codes, records.starts, records.ends) == ([0, 1, 0], [0, -3, 7], [5, 9, 2])
+        assert (records.codes, records.starts, records.ends) == (
+            array("i", [0, 1, 0]), array("q", [0, -3, 7]), array("q", [5, 9, 2])
+        )
         assert [records[i] for i in range(3)] == expected
         assert (records[-1], records[-3]) == (expected[-1], expected[-3])
         for i in (3, -4):

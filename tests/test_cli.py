@@ -652,11 +652,13 @@ def test_cli_import_search_and_sqlgen_leave_numpy_unloaded(tmp_path):
 def test_cli_import_and_mine_leave_sqlgen_dbadapter_and_store_unloaded(tmp_path):
     # Only sqlgen and bench need sqlgen and dbadapter, only search and
     # bench the store; the other commands start without them.
+    bed = str(toy_data_dir() / "hnf4g_hepg2.bed")
     code = (
         "import sys; import regmap.cli; "
         "unused = ('regmap.sqlgen', 'regmap.dbadapter', 'regmap.store'); "
         "loaded = [[m for m in unused if m in sys.modules]]; "
         f"regmap.cli.main(['mine', '--catalog', {str(toy_catalog_path())!r}, '--out', {str(tmp_path / 'm.tsv')!r}]); "
+        f"regmap.cli.main(['overlap', '--a', {bed!r}, '--b', {bed!r}, '--out', {str(tmp_path / 'o.tsv')!r}]); "
         "loaded.append([m for m in unused if m in sys.modules]); "
         "sys.stderr.write(repr(loaded))"
     )
@@ -669,5 +671,6 @@ def test_cli_import_and_mine_leave_sqlgen_dbadapter_and_store_unloaded(tmp_path)
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    # mine reads columns, whose module uses the store's coordinate helper
-    assert result.stderr == "[[], ['regmap.store']]"
+    # mine and overlap read columns, which convert bedio's records and
+    # import the store only for its type annotations
+    assert result.stderr == "[[], []]"

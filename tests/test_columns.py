@@ -4,7 +4,9 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from regmap import bedio, columns
 from regmap.bedio import (
     BedParseError,
     BedRecords,
+    numpy_coords,
     parse_bed,
     parse_bed_file,
     scan_text,
@@ -24,7 +27,7 @@ from regmap.bench import GenConfig, generate_regions
 from regmap.columns import RegionColumns, hit_counts, read_bed_columns, window_join
 from regmap.intervals import GenomicRegion, RawRegion
 from regmap.joins import JoinFilter, count_overlapping, nested_loop_join, sweep_join
-from regmap.store import RegionStore, numpy_coords
+from regmap.store import RegionStore
 
 def ids(regions, start=1):
     return [(start + i, r) for i, r in enumerate(regions)]
@@ -103,9 +106,10 @@ class TestReadBedColumns:
 
 def text_scan(path, strict):
     """The reference reader: bedio's Python scanner over the file's text,
-    as ``scan_bed`` reads a path when numpy is not loaded."""
+    as ``scan_bed`` reads a path when numpy is not loaded, with lists."""
     with open(path, encoding="utf-8") as fh:
-        return scan_text(fh.read(), strict)
+        names, codes, starts, ends, report = scan_text(fh.read(), strict)
+    return names, list(codes), list(starts), list(ends), report
 
 
 def scanned(path, first_id=1):
@@ -331,7 +335,9 @@ class TestParseDispatch:
         records, report = parse_bed_file(path, mode="permissive")
         assert isinstance(records, BedRecords) and records == self.ROWS
         assert report.rejects == self.REJECTS and report.accepted == 2
-        assert all(type(v) is int for v in records.codes + records.starts + records.ends)
+        assert (records.codes, records.starts, records.ends) == (
+            array("i", [0, 1]), array("q", [0, -5]), array("q", [10, 3])
+        )
 
     def test_path_with_numpy_blocked_uses_the_python_scanner(self, tmp_path):
         path = tmp_path / "x.bed"
@@ -356,6 +362,64 @@ class TestParseDispatch:
         monkeypatch.setattr(columns, "_read_bed", refuse)
         records, report = parse_bed(io.StringIO(self.TEXT), mode="permissive")
         assert records == self.ROWS and report.rejects == self.REJECTS
+
+
+def coordinate_column_type_ok(column):
+    """The coordinate rule: ``array('q')`` when every value fits int64,
+    else a list."""
+    if all(-(2**63) <= v < 2**63 for v in column):
+        return type(column) is array and column.typecode == "q"
+    return type(column) is list
+
+
+# Valid rows, malformed lines and invalid rows; the last three texts
+# hold a 19-digit coordinate that fits int64, a 20-digit one that does
+# not, and a negative one that does not.
+DIFFERENTIAL_TEXTS = [
+    "chr1\t0\t10\nchr1\tbad\t5\n# c\nchr2\t-5\t3\nchr 1\t1\t2\nchr1\t7\n\nchr2\t9\t4\n",
+    f"chr1\t0\t10\nchr1\tx\t5\nchr2\t3\t{'1' * 19}\nchr1\t5\t7\n",
+    f"chr1\t0\t10\nchr1\tx\t5\nchr2\t3\t{10**19}\nchr1\t5\t7\n",
+    f"track t\nchr1\t-{10**19}\t10\nchr2\t1\t2\t+\nchr1\t5\n",
+]
+
+
+@pytest.mark.parametrize(
+    "text", DIFFERENTIAL_TEXTS, ids=["malformed", "19-digit", "20-digit", "negative-20-digit"]
+)
+def test_numpy_path_parse_equals_scan_text_with_the_same_column_types(tmp_path, text):
+    path = tmp_path / "x.bed"
+    path.write_text(text)
+    records, report = parse_bed_file(path, mode="permissive")  # numpy is loaded here
+    names, codes, starts, ends, want = scan_text(text, strict=False)
+    expected = BedRecords(names, codes, starts, ends)
+    assert records == expected and records.names == expected.names
+    assert (report.accepted, report.rejects) == (want.accepted, want.rejects)
+    for got in (records, expected):
+        assert got.codes.typecode == "i"
+        assert coordinate_column_type_ok(got.starts) and coordinate_column_type_ok(got.ends)
+    assert (records.codes, records.starts, records.ends) == (codes, starts, ends)
+
+
+REFUSED_RECORDS = [
+    ([RawRegion("chr1", 1.5, 3)], "coordinate 1.5 is not an integer"),
+    ([RawRegion("chr1", "1", "3")], "coordinate '1' is not an integer"),
+    (
+        [RawRegion("chr1", 0, 5), SimpleNamespace(chrom="chr 1", start=0, end=5)],
+        "chromosome name contains whitespace: 'chr 1'",
+    ),
+]
+
+
+@pytest.mark.parametrize("records, message", REFUSED_RECORDS)
+@pytest.mark.parametrize(
+    "convert",
+    [lambda records: RegionStore().import_dataset("ds", records), RegionColumns.from_records],
+    ids=["import_dataset", "from_records"],
+)
+def test_from_records_refuses_what_the_store_refuses(convert, records, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as refused:
+        convert(records)
+    assert type(refused.value) is ValueError
 
 
 class TestWindowJoin:
@@ -498,7 +562,7 @@ class TestFromRecords:
     def test_invalid_rows_dropped_even_out_of_range(self):
         records = [RawRegion("chr1", -1, 2**70), RawRegion("chr2", 5, 9), RawRegion("chr1", 2**70, 3)]
         cols = RegionColumns.from_records(records, first_id=7)
-        assert cols.names == ("chr2",)
+        assert cols.names == ("chr1", "chr2")
         assert cols.to_id_regions() == [(8, GenomicRegion("chr2", 5, 9))]
         assert len(RegionColumns.from_records([])) == 0
         store = RegionStore()
