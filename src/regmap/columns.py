@@ -13,13 +13,15 @@ as numpy by ``BedRecords.arrays``: a parsed file or other records
 with a per-chromosome window join. ``hit_counts`` serves the mining
 report: for k sets at once it counts, for each ordered pair, the
 distinct rows of one that have a pair with the other, building no
-object. A count only needs to know whether a row has a pair, so
-without a centre-distance bound a prefix maximum of the reference's
-ends answers it and no candidate is expanded; with a bound the window
-join's kernel marks the rows. ``RegionColumns.to_id_regions`` gives
-the (id, GenomicRegion) lists the reference join takes. Each region
-set sorts its rows by (chromosome, start) once, the first time a join
-needs them.
+object. Both start a query row's candidates at the first row, in start
+order, whose running maximum of ends reaches it (the "max end" of the
+Augmented Interval List); the store's index probes by the same rule. A
+count only needs to know whether a row has a pair, so without a
+centre-distance bound that running maximum answers it and no candidate
+is expanded; with a bound the window join's kernel marks the rows.
+``RegionColumns.to_id_regions`` gives the (id, GenomicRegion) lists the
+reference join takes. Each region set sorts its rows by (chromosome,
+start) once, the first time a join needs them.
 
 ``_read_bed`` parses a BED file with numpy, for ``read_bed_columns``
 and for ``bedio.scan_bed`` on a path once numpy is loaded. Its fast
@@ -72,10 +74,10 @@ __all__ = [
 ]
 
 COORD_LIMIT = 1 << 62
-# Candidate pairs expanded at once. A long region in B widens every
-# window on its chromosome; expanding all candidates together would
-# then allocate |A_chr| * |B_chr| int64s. One chunk holds about this
-# many candidates, or one A row's window when that alone is larger.
+# Candidate pairs expanded at once. A long region in B opens the window
+# of every A row that starts inside it; expanding all candidates
+# together could then allocate |A_chr| * |B_chr| int64s. One chunk holds
+# about this many candidates, or one A row's window when that is larger.
 CANDIDATE_CHUNK = 1 << 16
 # Bytes of whole lines the BED reader parses at once; bounds the size of
 # its temporaries. A line longer than this is one block.
@@ -329,20 +331,23 @@ def _reject(chrom: str, start: int, end: int) -> NoReturn:
 def window_join(a: RegionColumns, b: RegionColumns, flt: JoinFilter) -> list[OverlapPair]:
     """Pairs of A x B passing ``flt``, ordered by (a_id, b_id).
 
-    Per chromosome, B is sorted by start. A pair needs
-    ``b.start <= a.end - min_bp`` and ``b.end >= a.start + min_bp``, so
-    each A row's candidates are the B starts in
-    ``[a.start + min_bp - widest_B, a.end - min_bp]``: a bounded window
-    for every ``min_bp``. Candidates are expanded with ``np.repeat``,
-    gathered and filtered exactly, in chunks of CANDIDATE_CHUNK.
+    Per chromosome, B is sorted by start. Each A row's candidates run
+    from the first B row whose running maximum of ends reaches
+    ``a.start + min_bp`` to the last B start ``<= a.end - min_bp``
+    (``_windows``): a bounded window for every ``min_bp``. They are
+    expanded with ``np.repeat``, gathered and filtered exactly, in
+    chunks of CANDIDATE_CHUNK.
     """
+    min_bp, reach, twice_bound = _window_bounds(flt)
     found = []
-    for code, ar, br, chunks in _chromosome_chunks(a, b, flt):
-        for a_rows, b_rows, bp, twice in chunks:
-            found.append((ar[a_rows], br[b_rows], np.full(len(bp), code, np.int32), bp, twice))
+    for (_, ar), (_, br) in _aligned([a, b]):
+        for a_rows, b_rows, bp, twice in _join_chromosome(
+            a.start[ar], a.end[ar], b.start[br], b.end[br], min_bp, reach, twice_bound
+        ):
+            found.append((ar[a_rows], br[b_rows], bp, twice))
     if not found:
         return []
-    a_rows, b_rows, codes, bp, twice = (np.concatenate(col) for col in zip(*found))
+    a_rows, b_rows, bp, twice = (np.concatenate(col) for col in zip(*found))
     a_ids, b_ids = a.ids[a_rows], b.ids[b_rows]
     order = np.lexsort((b_ids, a_ids))
     names = a.names
@@ -351,7 +356,7 @@ def window_join(a: RegionColumns, b: RegionColumns, flt: JoinFilter) -> list[Ove
         for x, y, c, p, t in zip(
             a_ids[order].tolist(),
             b_ids[order].tolist(),
-            codes[order].tolist(),
+            a.chrom[a_rows[order]].tolist(),
             bp[order].tolist(),
             twice[order].tolist(),
         )
@@ -369,23 +374,15 @@ def hit_counts(sets: Sequence[RegionColumns], flt: JoinFilter) -> np.ndarray:
     fills its column. Without a centre-distance bound a row hits when
     some reference row passes, which needs no candidate list: both
     lengths must be at least ``min_bp`` and, over the reference rows of
-    such a length sorted by start, the prefix maximum of the ends up to
-    the last start ``<= q.end - min_bp`` must reach ``q.start + min_bp``.
-    The cost then does not depend on the widest region. With a bound,
-    ``_join_chromosome`` runs with the query side as A.
+    such a length sorted by start, the running maximum of the ends up to
+    the last start ``<= q.end - min_bp`` must reach ``q.start + min_bp``,
+    and no candidate is expanded. With a bound, ``_join_chromosome``
+    runs with the query side as A.
     """
     k = len(sets)
     counts = np.zeros((k, k), dtype=np.int64)
     min_bp, reach, twice_bound = _window_bounds(flt)
-    per_name: dict[str, list[tuple[int, np.ndarray]]] = {}
-    for i, cols in enumerate(sets):
-        order, bounds = cols._by_chrom
-        for code, name in enumerate(cols.names):
-            if bounds[code] < bounds[code + 1]:
-                per_name.setdefault(name, []).append((i, order[bounds[code] : bounds[code + 1]]))
-    for parts in per_name.values():
-        if len(parts) < 2:
-            continue
+    for parts in _aligned(sets):
         codes = [i for i, _ in parts]
         starts = [sets[i].start[rows] for i, rows in parts]
         ends = [sets[i].end[rows] for i, rows in parts]
@@ -427,27 +424,28 @@ def _window_bounds(flt: JoinFilter):
     return min_bp, max(min_bp, -math.ceil(max_cd)), 2 * max_cd
 
 
-def _chromosome_chunks(a: RegionColumns, b: RegionColumns, flt: JoinFilter):
-    """Yield (code, A rows, B rows, chunks) for each chromosome both sides hold.
+def _aligned(sets: Sequence[RegionColumns]) -> list[list[tuple[int, np.ndarray]]]:
+    """One list per chromosome name two or more of ``sets`` hold, in
+    order of first appearance: ``(i, rows)`` for each set ``i`` that
+    holds the name, in set order, with ``rows`` its rows there sorted by
+    start (the set's cached ``_by_chrom``)."""
+    per_name: dict[str, list[tuple[int, np.ndarray]]] = {}
+    for i, cols in enumerate(sets):
+        order, bounds = cols._by_chrom
+        for code, name in enumerate(cols.names):
+            if bounds[code] < bounds[code + 1]:
+                per_name.setdefault(name, []).append((i, order[bounds[code] : bounds[code + 1]]))
+    return [parts for parts in per_name.values() if len(parts) > 1]
 
-    ``code`` indexes ``a.names``; the row arrays map the chromosome's
-    local rows to rows of ``a`` and of ``b``, both sorted by start
-    (each side's cached ``_by_chrom``); ``chunks`` is
-    ``_join_chromosome`` on them.
-    """
-    min_bp, reach, twice_bound = _window_bounds(flt)
-    a_order, a_bounds = a._by_chrom
-    b_order, b_bounds = b._by_chrom
-    b_codes = {name: code for code, name in enumerate(b.names)}
-    for code, name in enumerate(a.names):
-        j = b_codes.get(name)
-        if j is None or b_bounds[j] == b_bounds[j + 1]:
-            continue
-        ar = a_order[a_bounds[code] : a_bounds[code + 1]]
-        br = b_order[b_bounds[j] : b_bounds[j + 1]]
-        yield code, ar, br, _join_chromosome(
-            a.start[ar], a.end[ar], b.start[br], b.end[br], min_bp, reach, twice_bound
-        )
+
+def _windows(a_start, a_end, b_start, b_end, reach):
+    """``(lo, hi)``: A row i's candidates are rows ``lo[i]:hi[i]`` of B
+    sorted by start. A pair with bp overlap ``>= reach`` has
+    ``b.end >= a.start + reach``, which no row before ``lo`` reaches,
+    and ``b.start <= a.end - reach``, which no row from ``hi`` on has."""
+    lo = np.searchsorted(np.maximum.accumulate(b_end), a_start + reach, "left")
+    hi = np.searchsorted(b_start, a_end - reach, "right")
+    return lo, hi
 
 
 def _join_chromosome(a_start, a_end, b_start, b_end, min_bp, reach, twice_bound):
@@ -456,9 +454,7 @@ def _join_chromosome(a_start, a_end, b_start, b_end, min_bp, reach, twice_bound)
 
     ``b_start`` must be sorted; B rows index the sorted arrays.
     """
-    widest = int((b_end - b_start).max())
-    lo = np.searchsorted(b_start, a_start + (reach - widest), "left")
-    hi = np.searchsorted(b_start, a_end - reach, "right")
+    lo, hi = _windows(a_start, a_end, b_start, b_end, reach)
     counts = np.maximum(hi - lo, 0)
     ends = np.cumsum(counts)
     r0, rows = 0, len(counts)
@@ -480,3 +476,4 @@ def _join_chromosome(a_start, a_end, b_start, b_end, min_bp, reach, twice_bound)
                 keep &= twice < twice_bound
             yield a_rows[keep], b_rows[keep], bp[keep], twice[keep]
         r0 = r1
+

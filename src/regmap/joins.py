@@ -6,9 +6,10 @@ Two join implementations produce identical output:
   the executable reference for the SQL view semantics (it evaluates the
   four-branch case analysis per pair); the tests compare against it;
 - ``sweep_join`` runs the one window-join kernel,
-  ``columns.window_join``: each chromosome's B side is sorted by start
-  and every A region scans a window that ``min_bp`` bounds, for any
-  ``min_bp``, so non-overlap (gap) joins need no centre-distance bound.
+  ``columns.window_join``: each chromosome's B side is sorted by start,
+  and every A region's window starts where the running maximum of B's
+  ends reaches it; ``min_bp`` bounds the window for any ``min_bp``, so
+  non-overlap (gap) joins need no centre-distance bound.
 
 A pair (a, b) is emitted when its signed bp overlap is at least
 ``min_bp`` and, if a bound is set, its exact centre distance is

@@ -20,10 +20,11 @@ equal to what was imported.
 An optional index serves proximity queries: one entry per chromosome,
 covering every dataset, holding the valid rows of non-zero length
 (the only rows a probe can hit) as numpy ``start`` (sorted), ``end``
-and ``id`` arrays, plus the widest region. A probe is two
-``searchsorted`` calls and one vectorised filter; objects are built
-for the hits only. Once built, each write merges its dataset in, so
-results are identical with and without the index. Without an index a
+and ``id`` arrays, plus the running maximum of the ends. A probe is
+two ``searchsorted`` calls, the first into that running maximum, and
+one vectorised filter; objects are built for the hits only. Once
+built, each write merges its dataset in, so results are identical
+with and without the index. Without an index a
 probe is a linear scan of the columns, which is also the reference the
 tests compare the index against.
 
@@ -96,9 +97,9 @@ def _dataset(first_id: int, rows: BedRecords) -> DatasetColumns:
 
 
 # An index entry, one per chromosome: its indexed rows sorted by start,
-# as numpy (start, end, id) arrays, and the widest row's length. start
-# and end are int64, or object (exact ints) when some end exceeds int64.
-_IndexEntry = tuple["np.ndarray", "np.ndarray", "np.ndarray", int]
+# as numpy (start, end, id) arrays, and the running maximum of the ends.
+# Coordinates are int64, or object (exact ints) when some end exceeds int64.
+_IndexEntry = tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]
 
 
 def _index_dataset(dataset: DatasetColumns) -> dict[str, tuple]:
@@ -142,7 +143,7 @@ def _merge(index: dict[str, _IndexEntry], parts: list[dict]) -> dict[str, _Index
         start, end, ids = (np.concatenate(col) for col in zip(*cols))
         order = np.argsort(start, kind="stable")
         start, end, ids = start[order], end[order], ids[order]
-        merged[chrom] = (start, end, ids, int((end - start).max()))
+        merged[chrom] = (start, end, ids, np.maximum.accumulate(end))
     return merged
 
 
@@ -315,14 +316,13 @@ class RegionStore:
             return _scan(datasets, chrom, lo, hi)
         if chrom not in index:
             return []
-        start, end, ids, widest = index[chrom]
-        # A hit has start <= hi - 1 and end >= lo + 1, so start >= lo + 1 - widest.
-        first, last = lo + 1 - widest, hi - 1
+        start, end, ids, furthest = index[chrom]
+        first, last = lo + 1, hi - 1  # a hit has end >= lo + 1 and start <= hi - 1
         if start.dtype != object:
             # Every indexed row has 0 <= start < end <= 2**63 - 1, so
             # clamping the bounds to int64 changes no comparison.
             first, last, lo = _clamp(first), _clamp(last), _clamp(lo)
-        i = start.searchsorted(first, "left")
+        i = furthest.searchsorted(first, "left")  # every row before i ends too early
         j = start.searchsorted(last, "right")
         rows = (end[i:j] > lo).nonzero()[0] + i
         rows = rows[ids[rows].argsort()]

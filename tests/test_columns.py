@@ -531,6 +531,51 @@ class TestHitCounts:
         assert got.tolist() == [[0, 60], [60, 0]]
 
 
+def narrow_and_long(n, long_start, seed=1):
+    """n narrow A rows and n narrow B rows on chr1 in [0, 1 Mb), and the
+    B rows plus one 50 Mb row starting at ``long_start``, given last."""
+    rng = np.random.default_rng(seed)
+    a = ids([GenomicRegion("chr1", s, s + 300) for s in rng.integers(0, 1_000_000, n).tolist()])
+    b = ids(
+        [GenomicRegion("chr1", s, s + 300) for s in rng.integers(0, 1_000_000, n).tolist()],
+        start=n + 1,
+    )
+    return a, b, b + [(2 * n + 1, GenomicRegion("chr1", long_start, long_start + 50_000_000))]
+
+
+class TestLongRowWindows:
+    def test_long_row_right_of_every_a_row_widens_no_window(self, monkeypatch):
+        windows = columns._windows
+        totals = []
+
+        def counted(*args):
+            lo, hi = windows(*args)
+            totals.append(int(np.maximum(hi - lo, 0).sum()))
+            return lo, hi
+
+        monkeypatch.setattr(columns, "_windows", counted)
+        a, b, with_long = narrow_and_long(2_000, 150_000_000)
+        a_cols = RegionColumns.from_id_regions(a)
+        plain = window_join(a_cols, RegionColumns.from_id_regions(b), JoinFilter())
+        widened = window_join(a_cols, RegionColumns.from_id_regions(with_long), JoinFilter())
+        assert widened == plain
+        assert len(totals) == 2 and totals[0] == totals[1]
+
+    @pytest.mark.parametrize("long_start", [0, 500_000, 150_000_000])
+    def test_long_row_anywhere_matches_reference(self, long_start):
+        a, _, b = narrow_and_long(300, long_start)
+        a_cols, b_cols = RegionColumns.from_id_regions(a), RegionColumns.from_id_regions(b)
+        for flt in (
+            JoinFilter(),
+            JoinFilter(min_bp=-1000),
+            JoinFilter(min_bp=0, max_centre_distance=300),
+            JoinFilter(min_bp=-500, max_centre_distance=25_000_000),
+        ):
+            assert window_join(a_cols, b_cols, flt) == nested_loop_join(a, b, flt), flt
+            if flt.max_centre_distance is not None:
+                assert hit_counts([a_cols, b_cols], flt).tolist() == reference_hits([a, b], flt)
+
+
 raw_records = st.lists(
     st.builds(
         RawRegion,

@@ -115,8 +115,9 @@ class TestSweepJoin:
         assert sweep_join([], a) == []
 
     def test_non_overlap_join_needs_no_centre_distance_bound(self):
-        # The window b.start in [a.start + min_bp - widest, a.end - min_bp]
-        # is bounded for every min_bp, so gap joins run without a bound.
+        # The window from the first b whose running maximum of ends reaches
+        # a.start + min_bp to the last b.start <= a.end - min_bp is bounded
+        # for every min_bp, so gap joins run without a bound.
         a = ids(gen_dataset(seed=44, count=150))
         b = ids(gen_dataset(seed=45, count=150), start=500)
         for min_bp in (0, -1, -50, -5000):

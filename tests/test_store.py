@@ -171,6 +171,31 @@ class TestProximitySearch:
         hits = store.proximity_search("chr1", 100, 10)
         assert [row.id for row in hits] == [2]
 
+    @pytest.mark.parametrize(
+        "start, end",
+        [(0, 20_000), (40_000, 60_000), (90_000, 120_000), (40_000, 2**63 + 7)],
+    )
+    def test_long_row_in_its_own_dataset_matches_scan(self, start, end):
+        # Narrow rows cover [0, 100 kb) of chr1; the long row sits at its
+        # start, middle or end, and the last one takes the exact-int index.
+        datasets = [
+            ("narrow", [raw("chr1", s, s + 30) for s in range(0, 100_000, 997)]),
+            ("long", [raw("chr1", start, end)]),
+            ("more", [raw("chr1", s, s + 300) for s in range(50, 100_000, 4_999)]),
+        ]
+        indexed, plain = RegionStore(), RegionStore()
+        indexed.build_index()  # each import below merges into the index
+        for name, rows in datasets:
+            indexed.import_dataset(name, rows)
+            plain.import_dataset(name, rows)
+        long_id = len(datasets[0][1]) + 1
+        inside = start + min(end - start, 1_000_000) // 2
+        for position in (start - 5_000, inside, end + 5_000):  # left, inside, right
+            for window in (1, 40, 3_000):
+                want = plain.proximity_search("chr1", position, window)
+                assert indexed.proximity_search("chr1", position, window) == want
+                assert (long_id in {row.id for row in want}) == (position == inside)
+
     def test_invalid_and_zero_length_rows_never_match(self):
         store = RegionStore()
         store.import_dataset(
