@@ -9,13 +9,14 @@ locale-independent; their sanity is NOT enforced here, so that invalid
 rows can be stored and later located by the erroneous-region search.
 
 ``BedRecords`` holds a chromosome name table, ``array('i')`` codes and
-two coordinate columns. The coordinate rule, ``coord_column``: an
-``array('q')`` when every value fits int64, else a list of the exact
-ints; a value that is not an integer raises ValueError. A parse returns
-the scanner's columns as they are; other region-shaped records go
-through ``RecordBuilder`` (``as_records``), which checks each distinct
-chromosome name once. The store keeps each dataset as one, and
-``columns.RegionColumns`` views one as numpy (``numpy_coords``).
+two coordinate columns; its constructor checks each name once, so it
+builds rows without checking them again. The coordinate rule,
+``coord_column``: an ``array('q')`` when every value fits int64, else a
+list of the exact ints; a value that is not an integer raises
+ValueError. A parse returns the scanner's columns as they are; other
+region-shaped records are converted column by column (``as_records``)
+or record by record (``RecordBuilder``). The store keeps each dataset
+as one, and ``columns.RegionColumns`` views one as numpy.
 
 ``scan_numbered`` is the one line scanner and the rulebook: it alone
 decides that a line is malformed, and why. It accepts at once a line
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, Literal
 
-from .intervals import GenomicRegion, RawRegion, _check_chrom
+from .intervals import GenomicRegion, RawRegion, _check_chrom, _raw_region
 
 if TYPE_CHECKING:
     import numpy as np
@@ -123,14 +124,18 @@ class BedRecords(Sequence):
     """A region set as columns: row i is ``RawRegion(names[codes[i]],
     starts[i], ends[i])``, built only when it is read. ``codes`` is an
     ``array('i')``; ``starts`` and ``ends`` follow ``coord_column``.
-    Read-only: nothing changes the columns once built, and callers must
-    not either. A slice is a list. Equal to any sequence of equal
-    records, so unhashable."""
+    The constructor checks each name once, raising ``RawRegion``'s
+    ValueError, so rows are built without checking it again. Read-only:
+    nothing changes the columns once built, and callers must not either.
+    A slice is a list. Equal to any sequence of equal records, so
+    unhashable."""
 
     __slots__ = ("names", "codes", "starts", "ends")
 
     def __init__(self, names, codes: array, starts: array | list[int], ends: array | list[int]):
         self.names, self.codes, self.starts, self.ends = tuple(names), codes, starts, ends
+        for name in self.names:
+            _check_chrom(name)
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -138,10 +143,10 @@ class BedRecords(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        return RawRegion(self.names[self.codes[i]], self.starts[i], self.ends[i])
+        return _raw_region(self.names[self.codes[i]], self.starts[i], self.ends[i])
 
     def __iter__(self) -> Iterator[RawRegion]:
-        return map(RawRegion, map(self.names.__getitem__, self.codes), self.starts, self.ends)
+        return map(_raw_region, map(self.names.__getitem__, self.codes), self.starts, self.ends)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence) or isinstance(other, str):
@@ -158,8 +163,8 @@ class BedRecords(Sequence):
 
 class RecordBuilder:
     """Builds a ``BedRecords`` from region-shaped records (any objects
-    with ``chrom``, ``start`` and ``end``), one at a time. Each distinct
-    chromosome name is checked once, at its first record."""
+    with ``chrom``, ``start`` and ``end``) one at a time, for rowwise
+    inserts. Each distinct name is checked once, at its first record."""
 
     def __init__(self):
         self.names: dict[str, int] = {}  # chromosome name -> its code
@@ -185,13 +190,17 @@ class RecordBuilder:
 
 def as_records(regions) -> BedRecords:
     """``regions`` as columns: a ``BedRecords`` as it is, any other
-    region-shaped records through ``RecordBuilder``."""
+    region-shaped records one column at a time. A coordinate that is
+    not an integer or a rejected name (each distinct one checked once)
+    raises ValueError."""
     if isinstance(regions, BedRecords):
         return regions
-    builder = RecordBuilder()
-    for region in regions:
-        builder.add(region)
-    return builder.build()
+    regions = regions if isinstance(regions, Sequence) else list(regions)
+    chroms = [r.chrom for r in regions]
+    names = {name: code for code, name in enumerate(dict.fromkeys(chroms))}
+    codes = array("i", [names[chrom] for chrom in chroms])
+    starts = coord_column([r.start for r in regions])
+    return BedRecords(names, codes, starts, coord_column([r.end for r in regions]))
 
 
 def _iter_lines(source: str | Path | IO | Iterable[str]) -> Iterator[str]:

@@ -25,7 +25,7 @@ safe to call concurrently from any number of threads.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 __all__ = [
     "RawRegion",
@@ -79,6 +79,23 @@ class RawRegion:
     def to_region(self) -> "GenomicRegion":
         """Validate and convert; raises ValueError on an invalid record."""
         return GenomicRegion(self.chrom, self.start, self.end)
+
+
+def _unchecked(cls):
+    """A builder of ``cls(a, b, c)``, for a frozen slotted dataclass of
+    three fields, that skips ``__init__`` and its checks: for checked values."""
+    new = object.__new__
+    set_a, set_b, set_c = (getattr(cls, f.name).__set__ for f in fields(cls))
+
+    def build(a, b, c):
+        obj = new(cls)
+        set_a(obj, a), set_b(obj, b), set_c(obj, c)
+        return obj
+
+    return build
+
+
+_raw_region = _unchecked(RawRegion)
 
 
 @dataclass(frozen=True, slots=True)

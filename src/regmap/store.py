@@ -15,18 +15,19 @@ or ``end < start``), found once at import. A parsed file's columns are
 kept as they are; other records go through ``bedio.as_records``.
 ``StoredRegion``/``RawRegion`` objects are built only at the API edge
 (``rows()``, ``regions()``, search hits and ``find_invalid``), fresh and
-equal to what was imported.
+equal to what was imported; a ``BedRecords`` holds only checked names,
+so all but ``find_invalid`` skip the constructors' checks.
 
 An optional index serves proximity queries: one entry per chromosome,
 covering every dataset, holding the valid rows of non-zero length
 (the only rows a probe can hit) as numpy ``start`` (sorted), ``end``
 and ``id`` arrays, plus the running maximum of the ends. A probe is
-two ``searchsorted`` calls, the first into that running maximum, and
-one vectorised filter; objects are built for the hits only. Once
-built, each write merges its dataset in, so results are identical
-with and without the index. Without an index a
-probe is a linear scan of the columns, which is also the reference the
-tests compare the index against.
+two ``searchsorted`` calls, the first into that running maximum, one
+vectorised filter and one Python sort of the hits by id; a bisect over
+the datasets' first ids, kept in the index, names each hit's dataset.
+Once built, each write merges its dataset in, so results are identical
+with and without the index. Without an index a probe is a linear scan
+of the columns, the reference the tests compare the index against.
 
 numpy loads at the first ``build_index``, never for writes,
 ``find_invalid`` or an unindexed probe, so ``import regmap`` and
@@ -37,22 +38,23 @@ Concurrency: any number of reader threads may run beside writers.
 Writes and index builds and drops are serialized on an internal lock
 and publish new structures instead of mutating published ones; no
 published column or array is written after it is published. A query
-reads each published structure once (an indexed probe reads the index
-before the datasets, which are published first on a write), so its
-result is correct for the store before or after a concurrent write; a
-rowwise insert's dataset is seen either absent or with every record it
+reads each published structure once (an indexed probe reads only the
+index, which names the dataset of every id it holds), so its result is
+correct for the store before or after a concurrent write; a rowwise
+insert's dataset is seen either absent or with every record it
 committed. Query results are fresh lists of fresh objects.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import count
 from typing import TYPE_CHECKING
 
 from .bedio import BedRecords, RecordBuilder, as_records
-from .intervals import GenomicRegion, RawRegion
+from .intervals import GenomicRegion, RawRegion, _raw_region, _unchecked
 
 if TYPE_CHECKING:
     import numpy as np
@@ -71,6 +73,9 @@ class StoredRegion:
     region: RawRegion
 
 
+_stored_region = _unchecked(StoredRegion)
+
+
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class DatasetColumns:
     """One dataset; row i of ``rows`` has id ``first_id + i``. Read-only:
@@ -86,8 +91,7 @@ class DatasetColumns:
 
     def stored(self, name: str, offsets) -> list[StoredRegion]:
         """The rows at ``offsets`` as StoredRegion objects of dataset ``name``."""
-        rows, first = self.rows, self.first_id
-        return [StoredRegion(first + i, name, rows[i]) for i in offsets]
+        return [_stored_region(self.first_id + i, name, self.rows[i]) for i in offsets]
 
 
 def _dataset(first_id: int, rows: BedRecords) -> DatasetColumns:
@@ -100,6 +104,9 @@ def _dataset(first_id: int, rows: BedRecords) -> DatasetColumns:
 # as numpy (start, end, id) arrays, and the running maximum of the ends.
 # Coordinates are int64, or object (exact ints) when some end exceeds int64.
 _IndexEntry = tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]
+# The index, published as one tuple: its entries by chromosome, then the
+# first ids and names of the datasets it covers, in id order.
+_Index = tuple[dict[str, _IndexEntry], list[int], list[str]]
 
 
 def _index_dataset(dataset: DatasetColumns) -> dict[str, tuple]:
@@ -126,29 +133,26 @@ def _index_dataset(dataset: DatasetColumns) -> dict[str, tuple]:
     return part
 
 
-def _merge(index: dict[str, _IndexEntry], parts: list[dict]) -> dict[str, _IndexEntry]:
-    """A new index: ``index`` with the rows of ``parts`` merged in. Each
-    chromosome that gains rows is one concatenate and one stable argsort;
-    ``index`` is not changed."""
+def _merge(index: _Index, datasets: dict[str, DatasetColumns]) -> _Index:
+    """A new index: ``index`` with ``datasets`` (in id order, after its
+    own) merged in. Each chromosome that gains rows is one concatenate
+    and one stable argsort; ``index`` is not changed."""
     import numpy as np
 
     grouped: dict[str, list[tuple]] = {}
-    for part in parts:
-        for chrom, cols in part.items():
+    for ds in datasets.values():
+        for chrom, cols in _index_dataset(ds).items():
             grouped.setdefault(chrom, []).append(cols)
-    merged = dict(index)
+    entries, first_ids, names = index
+    merged = dict(entries)
     for chrom, cols in grouped.items():
-        if chrom in index:
-            cols.insert(0, index[chrom][:3])
+        if chrom in merged:
+            cols.insert(0, merged[chrom][:3])
         start, end, ids = (np.concatenate(col) for col in zip(*cols))
         order = np.argsort(start, kind="stable")
         start, end, ids = start[order], end[order], ids[order]
         merged[chrom] = (start, end, ids, np.maximum.accumulate(end))
-    return merged
-
-
-def _clamp(value: int) -> int:
-    return min(max(value, _INT64_MIN), _INT64_MAX)
+    return merged, first_ids + [ds.first_id for ds in datasets.values()], names + list(datasets)
 
 
 class RegionStore:
@@ -164,7 +168,7 @@ class RegionStore:
         self._staging: DatasetColumns | None = None
         self._next_id = 1
         self._capacity = capacity
-        self._index: dict[str, _IndexEntry] | None = None
+        self._index: _Index | None = None
         self._write_lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -184,9 +188,7 @@ class RegionStore:
 
     def rows(self) -> list[StoredRegion]:
         """All production rows in id order."""
-        return [
-            row for name, ds in self._datasets.items() for row in ds.stored(name, range(len(ds)))
-        ]
+        return [r for name, ds in self._datasets.items() for r in ds.stored(name, range(len(ds)))]
 
     def regions(self, dataset: str) -> list[StoredRegion]:
         """All rows of one dataset in id order."""
@@ -225,7 +227,7 @@ class RegionStore:
             self._next_id += len(dataset)
             index = self._index
             if index is not None:
-                self._index = _merge(index, [_index_dataset(dataset)])
+                self._index = _merge(index, {name: dataset})
         return len(dataset)
 
     def import_dataset(self, name: str, regions) -> int:
@@ -270,9 +272,18 @@ class RegionStore:
     def find_invalid(self) -> list[StoredRegion]:
         """All rows with start < 0 or end < start, in id order.
 
-        Reads the invalid offsets each dataset recorded at import.
+        Reads the invalid offsets each dataset recorded at import. Its few
+        rows go through the public constructors, whose ``__post_init__``
+        ``test_parsed_file_to_store_and_columns_builds_no_record`` counts.
         """
-        return [row for name, ds in self._datasets.items() for row in ds.stored(name, ds.invalid)]
+        found = []
+        for name, ds in self._datasets.items():
+            names, codes, starts, ends = ds.rows.names, ds.rows.codes, ds.rows.starts, ds.rows.ends
+            found += [
+                StoredRegion(ds.first_id + i, name, RawRegion(names[codes[i]], starts[i], ends[i]))
+                for i in ds.invalid
+            ]
+        return found
 
     def build_index(self) -> None:
         """Build the per-chromosome index over every dataset. Idempotent.
@@ -286,7 +297,7 @@ class RegionStore:
             return
         with self._write_lock:
             if self._index is None:
-                self._index = _merge({}, [_index_dataset(ds) for ds in self._datasets.values()])
+                self._index = _merge(({}, [], []), self._datasets)
 
     def drop_index(self) -> None:
         """Discard the index; a no-op when none is built."""
@@ -306,28 +317,28 @@ class RegionStore:
         """
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
-        lo = position - window
-        hi = position + window
-        # One read each, index first: a concurrent write publishes its
-        # dataset before the index that covers it.
+        lo, hi = position - window, position + window
+        # One read: the index names the dataset of every id it holds.
         index = self._index
-        datasets = self._datasets
         if index is None:
-            return _scan(datasets, chrom, lo, hi)
-        if chrom not in index:
+            return _scan(self._datasets, chrom, lo, hi)
+        entries, first_ids, names = index
+        if chrom not in entries:
             return []
-        start, end, ids, furthest = index[chrom]
+        start, end, ids, furthest = entries[chrom]
         first, last = lo + 1, hi - 1  # a hit has end >= lo + 1 and start <= hi - 1
-        if start.dtype != object:
+        if not _INT64_MIN <= lo < hi <= _INT64_MAX and start.dtype != object:
             # Every indexed row has 0 <= start < end <= 2**63 - 1, so
             # clamping the bounds to int64 changes no comparison.
-            first, last, lo = _clamp(first), _clamp(last), _clamp(lo)
-        i = furthest.searchsorted(first, "left")  # every row before i ends too early
+            first, last, lo = (min(max(v, _INT64_MIN), _INT64_MAX) for v in (first, last, lo))
+        i = furthest.searchsorted(first)  # every row before i ends too early
         j = start.searchsorted(last, "right")
-        rows = (end[i:j] > lo).nonzero()[0] + i
-        rows = rows[ids[rows].argsort()]
-        hits = zip(ids[rows].tolist(), start[rows].tolist(), end[rows].tolist())
-        return _stored_hits(datasets, chrom, hits)
+        start, end, ids = start[i:j], end[i:j], ids[i:j]
+        hit = end > lo
+        return [
+            _stored_region(rid, names[bisect_right(first_ids, rid) - 1], _raw_region(chrom, s, e))
+            for rid, s, e in sorted(zip(ids[hit].tolist(), start[hit].tolist(), end[hit].tolist()))
+        ]
 
 
 def _scan(datasets: dict[str, DatasetColumns], chrom: str, lo: int, hi: int) -> list[StoredRegion]:
@@ -335,27 +346,10 @@ def _scan(datasets: dict[str, DatasetColumns], chrom: str, lo: int, hi: int) -> 
     hits: list[StoredRegion] = []
     for name, ds in datasets.items():
         rows = ds.rows
-        if chrom not in rows.names:
-            continue
-        code = rows.names.index(chrom)
-        offsets = [
-            i
-            for i, c, s, e in zip(count(), rows.codes, rows.starts, rows.ends)
-            if c == code and s >= 0 and min(e, hi) - max(s, lo) >= 1
-        ]
-        hits += ds.stored(name, offsets)
+        if chrom in rows.names:
+            code = rows.names.index(chrom)
+            hits += ds.stored(name, [
+                i for i, c, s, e in zip(count(), rows.codes, rows.starts, rows.ends)
+                if c == code and s >= 0 and min(e, hi) - max(s, lo) >= 1
+            ])
     return hits
-
-
-def _stored_hits(datasets: dict[str, DatasetColumns], chrom: str, hits) -> list[StoredRegion]:
-    """StoredRegion objects of ``(id, start, end)`` hits on ``chrom`` in id
-    order; each id's dataset is found by walking the datasets in id order."""
-    found: list[StoredRegion] = []
-    walk = iter(datasets.items())
-    name, stop = None, 0
-    for rid, start, end in hits:
-        while rid >= stop:
-            name, ds = next(walk)
-            stop = ds.first_id + len(ds)
-        found.append(StoredRegion(rid, name, RawRegion(chrom, start, end)))
-    return found

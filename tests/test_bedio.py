@@ -166,6 +166,15 @@ class TestBedRecords:
         with pytest.raises(TypeError):
             hash(records)
 
+    def test_constructor_checks_each_name_as_raw_region_does(self):
+        coords = array("q", [0]), array("q", [5])
+        assert BedRecords(("chr1", "chrUn_x"), array("i", [1]), *coords)[0] == RawRegion("chrUn_x", 0, 5)
+        for name in ("", "chr 1", "chr1\t", "\u3000"):
+            with pytest.raises(ValueError) as constructed:
+                RawRegion(name, 0, 5)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(constructed.value))}$"):
+                BedRecords(["chr1", name], array("i", [0]), *coords)
+
     def test_read_only(self):
         records, _ = parse_text(self.TEXT, mode="permissive")
         with pytest.raises(TypeError):

@@ -422,6 +422,17 @@ def test_from_records_refuses_what_the_store_refuses(convert, records, message):
     assert type(refused.value) is ValueError
 
 
+@pytest.mark.parametrize("name", ["", "chr 1", "chr1\u00a0"])
+def test_from_records_refuses_hand_built_records_with_a_rejected_name(name):
+    with pytest.raises(ValueError) as refused:
+        RegionColumns.from_records(
+            BedRecords(["chr1", name], array("i", [0, 1]), array("q", [0, 2]), array("q", [5, 9]))
+        )
+    with pytest.raises(ValueError) as constructed:
+        RawRegion(name, 2, 9)
+    assert str(refused.value) == str(constructed.value)
+
+
 class TestWindowJoin:
     def test_extreme_filters_match_reference(self):
         a = ids(gen(1, 80))

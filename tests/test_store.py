@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 import threading
+from array import array
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -89,6 +91,28 @@ class TestImport:
         with pytest.raises(ValueError, match="not an integer"):
             store.insert_regions_rowwise("d1", rows)
         assert store.rows() == [store_module.StoredRegion(1, "d1", raw("chr1", 0, 5))]
+
+
+class TestRejectedNameInRecords:
+    @pytest.mark.parametrize(
+        "name, message",
+        [("", "chromosome name must be non-empty"),
+         ("chr 1", "chromosome name contains whitespace: 'chr 1'")],
+    )
+    def test_hand_built_records_with_a_rejected_name_are_refused(self, name, message):
+        # Before the name check moved into BedRecords, these records were
+        # imported, and every later find_invalid and probe raised.
+        store = RegionStore()
+        store.import_dataset("ok", VALID)
+        store.build_index()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            store.import_dataset(
+                "bad",
+                BedRecords(["chr1", name], array("i", [0, 1]), array("q", [0, -3]), array("q", [5, 9])),
+            )
+        assert store.dataset_names() == ["ok"] and len(store) == 3 and store.staging_size == 0
+        assert store.find_invalid() == []
+        assert [row.id for row in store.proximity_search("chr1", 5, 3)] == [1]
 
 
 class TestBatchVsRowwise:
@@ -484,6 +508,61 @@ class TestConcurrency:
         for probe in probes:
             assert [r.id for r in store.proximity_search(*probe, 400)] == want[probe]
 
+    def test_probe_hits_name_the_dataset_that_owns_their_id(self):
+        # An indexed probe finds a hit's dataset in the index it read;
+        # beside imports that dataset must still be the one owning the id.
+        def regions(seed, count):
+            return generate_regions(
+                GenConfig(seed=seed, count=count, coord_upper=50_000, max_size=300,
+                          chromosomes=("chr1", "chr2"))
+            )
+
+        base = regions(3, 2000)
+        batches = [regions(100 + k, 4) for k in range(150)]
+        owner = {}  # id -> (dataset, record) once every batch is imported
+        for name, records in [("d0", base)] + [(f"d{k}", b) for k, b in enumerate(batches, 1)]:
+            owner.update({len(owner) + 1 + i: (name, raw(r.chrom, r.start, r.end))
+                          for i, r in enumerate(records)})
+        probes = [("chr1", p) for p in range(0, 50_000, 2500)]
+
+        store = RegionStore()
+        store.import_dataset("d0", base)
+        store.build_index()
+        writer_done = threading.Event()
+        seen, failures = [], []
+
+        def read():
+            try:
+                while not writer_done.is_set():
+                    for probe in probes:
+                        seen.extend(store.proximity_search(*probe, 400))
+            except Exception as exc:  # reported through failures
+                failures.append(repr(exc))
+
+        def write():
+            try:
+                for k, batch in enumerate(batches, 1):
+                    store.import_dataset(f"d{k}", batch)
+            finally:
+                writer_done.set()
+
+        threads = [threading.Thread(target=read) for _ in range(3)]
+        threads.append(threading.Thread(target=write))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        assert any(hit.id > len(base) for hit in seen)  # some probe saw an import
+        for hit in seen:
+            assert (hit.dataset, hit.region) == owner[hit.id], hit
+
     def test_drop_index_beside_a_write_is_not_undone(self, monkeypatch):
         # A write extends the index it finds. Hold one write inside that
         # extension while another thread drops the index: the drop must
@@ -649,3 +728,69 @@ class TestImportParsedColumns:
             store.insert_regions_rowwise("q", [raw("chr3", 8, 12)])
         assert columns.valid_regions("p") == objects.valid_regions("p")
         assert columns.rows() == objects.rows()
+
+
+# Rows of every kind: valid, zero-length, end < start, a negative start
+# past int64, and ends past int64 (the exact-int index).
+BUILT_DATASETS = [
+    ("plain", [raw("chr1", 0, 10), raw("chr1", 5, 5), raw("chr2", 40, 90), raw("chr1", 30, 20)]),
+    ("wide", [raw("chr1", -(2**70), 3), raw("chr1", 8, 2**64), raw("chrX", 2**63, 2**63 + 9)]),
+    ("more", [raw("chr2", -4, 60), raw("chr1", 2, 12)]),
+]
+BUILT_RECORDS = dict(enumerate(((n, r) for n, records in BUILT_DATASETS for r in records), 1))
+
+
+class TestBuiltObjects:
+    """Rows read from the columns or the index skip the constructors'
+    checks; they must still be what the public constructors build."""
+
+    @staticmethod
+    def constructed(row):
+        """What the public constructors build for row.id's imported record."""
+        name, r = BUILT_RECORDS[row.id]
+        return store_module.StoredRegion(row.id, name, RawRegion(r.chrom, r.start, r.end))
+
+    @staticmethod
+    def assert_built_like_constructed(rows, want):
+        assert rows, "no row to compare"
+        for row in rows:
+            assert type(row) is store_module.StoredRegion and type(row.region) is RawRegion
+            assert row == want(row) and hash(row) == hash(want(row)) and repr(row) == repr(want(row))
+            assert hash(row.region) == hash(want(row).region)
+            for obj, field, value in ((row, "id", 0), (row, "dataset", "x"), (row, "region", None),
+                                      (row.region, "chrom", "chr9"), (row.region, "start", 1),
+                                      (row.region, "end", 2)):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(obj, field, value)
+
+    def test_every_read_builds_what_the_constructors_build(self):
+        store = RegionStore()
+        for name, records in BUILT_DATASETS:
+            store.import_dataset(name, records)
+        want = self.constructed
+        reads = {
+            "rows": store.rows,
+            "regions": lambda: [row for name, _ in BUILT_DATASETS for row in store.regions(name)],
+            "find_invalid": store.find_invalid,
+        }
+        probes = [("chr1", 6, 5), ("chr1", 2**63 + 100, 2**62), ("chr2", 50, 20), ("chrX", 2**63, 4)]
+        for label, read in reads.items():
+            first, again = read(), read()
+            self.assert_built_like_constructed(first, want)
+            assert first == again and all(a is not b for a, b in zip(first, again)), label
+        assert [row.id for row in store.rows()] == list(range(1, 10))
+        assert [row.id for row in store.find_invalid()] == [4, 5, 8]
+        unindexed = [store.proximity_search(*probe) for probe in probes]
+        store.build_index()
+        indexed = [store.proximity_search(*probe) for probe in probes]
+        assert indexed == unindexed
+        for hits in (unindexed, indexed):
+            self.assert_built_like_constructed([row for found in hits for row in found], want)
+        again = [store.proximity_search(*probe) for probe in probes]
+        assert all(a is not b for x, y in zip(indexed, again) for a, b in zip(x, y))
+
+    def test_public_constructors_still_check(self):
+        with pytest.raises(ValueError, match="whitespace"):
+            RawRegion("chr 1", 0, 5)
+        with pytest.raises(ValueError, match="non-empty"):
+            RawRegion("", 0, 5)
