@@ -414,28 +414,17 @@ def run_search_bench(
             raise AssertionError(
                 f"expected {invalid_rows} invalid rows, found {len(found)}"
             )
-        report.add(
-            "search_invalid", "native", size, _time_reps(lambda: store.find_invalid(), reps)
-        )
+        report.add("search_invalid", "native", size, _time_reps(store.find_invalid, reps))
 
+        probe = partial(store.proximity_search, chrom, position, window)
         store.drop_index()
-        unindexed = store.proximity_search(chrom, position, window)
-        report.add(
-            "search_proximity_scan",
-            "native",
-            size,
-            _time_reps(lambda: store.proximity_search(chrom, position, window), reps),
-        )
+        unindexed = probe()
+        report.add("search_proximity_scan", "native", size, _time_reps(probe, reps))
         store.build_index()
-        indexed = store.proximity_search(chrom, position, window)
-        if [r.id for r in indexed] != [r.id for r in unindexed]:
+        indexed = probe()
+        if indexed != unindexed:
             raise AssertionError("indexed and unindexed proximity results differ")
-        report.add(
-            "search_proximity_indexed",
-            "native",
-            size,
-            _time_reps(lambda: store.proximity_search(chrom, position, window), reps),
-        )
+        report.add("search_proximity_indexed", "native", size, _time_reps(probe, reps))
         report.note(f"search size={size}: proximity hits={len(indexed)}")
     return report
 

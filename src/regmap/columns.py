@@ -13,15 +13,15 @@ as numpy by ``BedRecords.arrays``: a parsed file or other records
 with a per-chromosome window join. ``hit_counts`` serves the mining
 report: for k sets at once it counts, for each ordered pair, the
 distinct rows of one that have a pair with the other, building no
-object. Both start a query row's candidates at the first row, in start
-order, whose running maximum of ends reaches it (the "max end" of the
-Augmented Interval List); the store's index probes by the same rule. A
-count only needs to know whether a row has a pair, so without a
-centre-distance bound that running maximum answers it and no candidate
-is expanded; with a bound the window join's kernel marks the rows.
+object. Both run on the interval index the store's probes share
+(``intervals``): a region set groups its rows by chromosome, in start
+order, once; per chromosome the reference rows are one entry, in which
+``_windows`` finds each query row's candidates. A count only needs to
+know whether a row has a pair, so without a centre-distance bound the
+entry's running maximum of ends answers it with one search; with a
+bound the window join's kernel marks the rows.
 ``RegionColumns.to_id_regions`` gives the (id, GenomicRegion) lists the
-reference join takes. Each region set sorts its rows by (chromosome,
-start) once, the first time a join needs them.
+reference join takes.
 
 ``_read_bed`` parses a BED file with numpy, for ``read_bed_columns``
 and for ``bedio.scan_bed`` on a path once numpy is loaded. Its fast
@@ -58,7 +58,7 @@ from .bedio import (
     scan_numbered,
     scan_text,
 )
-from .intervals import GenomicRegion, RawRegion
+from .intervals import GenomicRegion, RawRegion, _by_code, _sorted_entry, _windows
 from .joins import JoinFilter, OverlapPair
 
 if TYPE_CHECKING:
@@ -87,9 +87,6 @@ INGEST_BLOCK = 1 << 18
 NAME_WIDTH = 64
 MAX_DIGITS = 18
 
-# Below every q.start + min_bp that hit_counts compares with.
-_BELOW_ALL = np.iinfo(np.int64).min
-
 IdRegion = tuple[int, GenomicRegion]
 
 
@@ -107,14 +104,10 @@ class RegionColumns:
         return len(self.ids)
 
     @cached_property
-    def _by_chrom(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(order, bounds)``: the rows sorted by (chromosome, start),
-        and code k's rows as ``order[bounds[k]:bounds[k + 1]]``. Sorted
-        once per region set, however many joins use it."""
-        order = np.lexsort((self.start, self.chrom))
-        if len(order) < 2**31:
-            order = order.astype(np.int32)  # the cache is held as long as the set
-        return order, np.searchsorted(self.chrom[order], np.arange(len(self.names) + 1))
+    def _by_chrom(self) -> list[np.ndarray]:
+        """Code k's row numbers sorted by start, as item k, grouped once per
+        region set: a query side in start order keeps its searches local."""
+        return _by_code(self.chrom, len(self.names), self.start)
 
     @classmethod
     def from_id_regions(cls, regions: Sequence[IdRegion]) -> "RegionColumns":
@@ -331,7 +324,7 @@ def _reject(chrom: str, start: int, end: int) -> NoReturn:
 def window_join(a: RegionColumns, b: RegionColumns, flt: JoinFilter) -> list[OverlapPair]:
     """Pairs of A x B passing ``flt``, ordered by (a_id, b_id).
 
-    Per chromosome, B is sorted by start. Each A row's candidates run
+    Per chromosome, B is one index entry. Each A row's candidates run
     from the first B row whose running maximum of ends reaches
     ``a.start + min_bp`` to the last B start ``<= a.end - min_bp``
     (``_windows``): a bounded window for every ``min_bp``. They are
@@ -342,9 +335,10 @@ def window_join(a: RegionColumns, b: RegionColumns, flt: JoinFilter) -> list[Ove
     found = []
     for (_, ar), (_, br) in _aligned([a, b]):
         for a_rows, b_rows, bp, twice in _join_chromosome(
-            a.start[ar], a.end[ar], b.start[br], b.end[br], min_bp, reach, twice_bound
+            a.start[ar], a.end[ar], _sorted_entry(b.start[br], b.end[br], br),
+            min_bp, reach, twice_bound,
         ):
-            found.append((ar[a_rows], br[b_rows], bp, twice))
+            found.append((ar[a_rows], b_rows, bp, twice))
     if not found:
         return []
     a_rows, b_rows, bp, twice = (np.concatenate(col) for col in zip(*found))
@@ -383,25 +377,26 @@ def hit_counts(sets: Sequence[RegionColumns], flt: JoinFilter) -> np.ndarray:
     counts = np.zeros((k, k), dtype=np.int64)
     min_bp, reach, twice_bound = _window_bounds(flt)
     for parts in _aligned(sets):
-        codes = [i for i, _ in parts]
         starts = [sets[i].start[rows] for i, rows in parts]
         ends = [sets[i].end[rows] for i, rows in parts]
         q_start, q_end = np.concatenate(starts), np.concatenate(ends)
-        q_set = np.repeat(codes, [len(rows) for _, rows in parts])
+        q_set = np.repeat([i for i, _ in parts], [len(rows) for _, rows in parts])
         if twice_bound is None:
             long_enough = (q_end - q_start) >= min_bp
             last_start, first_end = q_end - min_bp, q_start + min_bp
-        for r, r_start, r_end in zip(codes, starts, ends):
+        for (r, rows), r_start, r_end in zip(parts, starts, ends):
             if twice_bound is None:
-                keep = (r_end - r_start) >= min_bp
-                # furthest[j]: the largest end among the first j kept rows
-                furthest = np.concatenate(([_BELOW_ALL], np.maximum.accumulate(r_end[keep])))
-                before = np.searchsorted(r_start[keep], last_start, "right")
-                hit = long_enough & (furthest[before] >= first_end)
+                keep = np.flatnonzero((r_end - r_start) >= min_bp)
+                if not len(keep):
+                    continue
+                start, _, _, furthest = _sorted_entry(r_start[keep], r_end[keep], keep)
+                before = start.searchsorted(last_start, "right")  # rows that start early enough
+                hit = long_enough & (before > 0) & (furthest[before - 1] >= first_end)
             else:
                 hit = np.zeros(len(q_set), dtype=bool)
                 for a_rows, _, _, _ in _join_chromosome(
-                    q_start, q_end, r_start, r_end, min_bp, reach, twice_bound
+                    q_start, q_end, _sorted_entry(r_start, r_end, rows),
+                    min_bp, reach, twice_bound,
                 ):
                     hit[a_rows] = True
             counts[:, r] += np.bincount(q_set[hit], minlength=k)
@@ -431,30 +426,20 @@ def _aligned(sets: Sequence[RegionColumns]) -> list[list[tuple[int, np.ndarray]]
     start (the set's cached ``_by_chrom``)."""
     per_name: dict[str, list[tuple[int, np.ndarray]]] = {}
     for i, cols in enumerate(sets):
-        order, bounds = cols._by_chrom
-        for code, name in enumerate(cols.names):
-            if bounds[code] < bounds[code + 1]:
-                per_name.setdefault(name, []).append((i, order[bounds[code] : bounds[code + 1]]))
+        for name, rows in zip(cols.names, cols._by_chrom):
+            if len(rows):
+                per_name.setdefault(name, []).append((i, rows))
     return [parts for parts in per_name.values() if len(parts) > 1]
 
 
-def _windows(a_start, a_end, b_start, b_end, reach):
-    """``(lo, hi)``: A row i's candidates are rows ``lo[i]:hi[i]`` of B
-    sorted by start. A pair with bp overlap ``>= reach`` has
-    ``b.end >= a.start + reach``, which no row before ``lo`` reaches,
-    and ``b.start <= a.end - reach``, which no row from ``hi`` on has."""
-    lo = np.searchsorted(np.maximum.accumulate(b_end), a_start + reach, "left")
-    hi = np.searchsorted(b_start, a_end - reach, "right")
-    return lo, hi
-
-
-def _join_chromosome(a_start, a_end, b_start, b_end, min_bp, reach, twice_bound):
+def _join_chromosome(a_start, a_end, entry, min_bp, reach, twice_bound):
     """Yield (A rows, B rows, bp overlap, twice the centre distance) of
     the passing pairs of one chromosome, one chunk of A at a time.
 
-    ``b_start`` must be sorted; B rows index the sorted arrays.
+    B is an index entry; its ``rows`` are the B rows yielded.
     """
-    lo, hi = _windows(a_start, a_end, b_start, b_end, reach)
+    b_start, b_end, b_row, _ = entry
+    lo, hi = _windows(entry, a_start + reach, a_end - reach)
     counts = np.maximum(hi - lo, 0)
     ends = np.cumsum(counts)
     r0, rows = 0, len(counts)
@@ -474,6 +459,6 @@ def _join_chromosome(a_start, a_end, b_start, b_end, min_bp, reach, twice_bound)
             keep = bp >= min_bp
             if twice_bound is not None:
                 keep &= twice < twice_bound
-            yield a_rows[keep], b_rows[keep], bp[keep], twice[keep]
+            yield a_rows[keep], b_row[b_rows[keep]], bp[keep], twice[keep]
         r0 = r1
 

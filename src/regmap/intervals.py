@@ -18,6 +18,11 @@ Coordinate-level kernels (``overlap_coords`` and friends) are exposed
 for callers that work on raw integers, e.g. array pipelines and tests
 that sweep millions of coordinate pairs.
 
+The interval index that joins, mining counts and store probes share
+is three steps here: ``_by_code`` groups rows by chromosome,
+``_sorted_entry`` builds a chromosome's entry and ``_windows`` finds a
+query's candidates in it. Only the builders import numpy, in the call.
+
 All functions here are pure and operate on immutable values; they are
 safe to call concurrently from any number of threads.
 """
@@ -269,3 +274,32 @@ def geo_intersects(a: GenomicRegion, b: GenomicRegion) -> bool:
 def region_length(r: GenomicRegion) -> int:
     """Region length under half-open coordinates: end - start."""
     return r.end - r.start
+
+
+def _by_code(codes, count: int, start=None) -> list:
+    """Item k: the rows whose numpy code is k, int32 when they fit; in
+    row order, or stably sorted by ``start`` when it is given."""
+    import numpy as np
+
+    order = np.argsort(codes, kind="stable") if start is None else np.lexsort((start, codes))
+    order = order.astype(np.int32) if len(order) < 2**31 else order
+    ends = np.bincount(codes, minlength=count).cumsum().tolist()
+    return [order[i:j] for i, j in zip([0] + ends, ends)]
+
+
+def _sorted_entry(start, end, rows) -> tuple:
+    """An index entry ``(start, end, rows, furthest)``: the numpy arrays
+    stably sorted by start, and the running maximum of the ends (the "max
+    end" of the Augmented Interval List); int64 or exact ``object`` ints."""
+    import numpy as np
+
+    order = np.argsort(start, kind="stable")
+    end = end[order]
+    return start[order], end, rows[order], np.maximum.accumulate(end)
+
+
+def _windows(entry, first, last):
+    """``(lo, hi)``: the entry rows with ``end >= first`` and ``start <=
+    last`` lie in ``lo:hi``, for scalar or array bounds."""
+    start, _, _, furthest = entry
+    return furthest.searchsorted(first), start.searchsorted(last, "right")

@@ -16,13 +16,13 @@ kept as they are; other records go through ``bedio.as_records``.
 ``StoredRegion``/``RawRegion`` objects are built only at the API edge
 (``rows()``, ``regions()``, search hits and ``find_invalid``), fresh and
 equal to what was imported; a ``BedRecords`` holds only checked names,
-so all but ``find_invalid`` skip the constructors' checks.
+so every read skips the constructors' checks.
 
-An optional index serves proximity queries: one entry per chromosome,
-covering every dataset, holding the valid rows of non-zero length
-(the only rows a probe can hit) as numpy ``start`` (sorted), ``end``
-and ``id`` arrays, plus the running maximum of the ends. A probe is
-two ``searchsorted`` calls, the first into that running maximum, one
+An optional index serves proximity queries. It is the interval index
+the joins use (``intervals._by_code``, ``_sorted_entry`` and
+``_windows``): one entry per chromosome, covering every dataset, over
+the valid rows of non-zero length (the only rows a probe can hit), with
+their ids as the entry's rows. A probe is one ``_windows`` lookup, one
 vectorised filter and one Python sort of the hits by id; a bisect over
 the datasets' first ids, kept in the index, names each hit's dataset.
 Once built, each write merges its dataset in, so results are identical
@@ -47,6 +47,7 @@ committed. Query results are fresh lists of fresh objects.
 
 from __future__ import annotations
 
+import operator
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -55,6 +56,7 @@ from typing import TYPE_CHECKING
 
 from .bedio import BedRecords, RecordBuilder, as_records
 from .intervals import GenomicRegion, RawRegion, _raw_region, _unchecked
+from .intervals import _by_code, _sorted_entry, _windows
 
 if TYPE_CHECKING:
     import numpy as np
@@ -100,9 +102,9 @@ def _dataset(first_id: int, rows: BedRecords) -> DatasetColumns:
     return DatasetColumns(first_id, rows, invalid)
 
 
-# An index entry, one per chromosome: its indexed rows sorted by start,
-# as numpy (start, end, id) arrays, and the running maximum of the ends.
-# Coordinates are int64, or object (exact ints) when some end exceeds int64.
+# An index entry, one per chromosome: ``intervals._sorted_entry`` of
+# its indexed rows' numpy (start, end, id) arrays. Coordinates are int64,
+# or object (exact ints) when some end exceeds int64.
 _IndexEntry = tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]
 # The index, published as one tuple: its entries by chromosome, then the
 # first ids and names of the datasets it covers, in id order.
@@ -122,37 +124,25 @@ def _index_dataset(dataset: DatasetColumns) -> dict[str, tuple]:
     dtype = np.int64 if len(end) == 0 or end.max() <= _INT64_MAX else object
     start, end = start.astype(dtype), end.astype(dtype)
     ids = rows + dataset.first_id
-    order = np.argsort(chrom, kind="stable")
     names = dataset.rows.names
-    bounds = np.searchsorted(chrom[order], np.arange(len(names) + 1))
-    part = {}
-    for code, name in enumerate(names):
-        on_chrom = order[bounds[code] : bounds[code + 1]]
-        if len(on_chrom):
-            part[name] = (start[on_chrom], end[on_chrom], ids[on_chrom])
-    return part
+    groups = zip(names, _by_code(chrom, len(names)))
+    return {name: (start[at], end[at], ids[at]) for name, at in groups if len(at)}
 
 
 def _merge(index: _Index, datasets: dict[str, DatasetColumns]) -> _Index:
     """A new index: ``index`` with ``datasets`` (in id order, after its
     own) merged in. Each chromosome that gains rows is one concatenate
-    and one stable argsort; ``index`` is not changed."""
+    and one ``_sorted_entry``; ``index`` is not changed."""
     import numpy as np
 
+    entries, first_ids, names = index
     grouped: dict[str, list[tuple]] = {}
     for ds in datasets.values():
         for chrom, cols in _index_dataset(ds).items():
-            grouped.setdefault(chrom, []).append(cols)
-    entries, first_ids, names = index
-    merged = dict(entries)
-    for chrom, cols in grouped.items():
-        if chrom in merged:
-            cols.insert(0, merged[chrom][:3])
-        start, end, ids = (np.concatenate(col) for col in zip(*cols))
-        order = np.argsort(start, kind="stable")
-        start, end, ids = start[order], end[order], ids[order]
-        merged[chrom] = (start, end, ids, np.maximum.accumulate(end))
-    return merged, first_ids + [ds.first_id for ds in datasets.values()], names + list(datasets)
+            grouped.setdefault(chrom, [entries[chrom][:3]] if chrom in entries else []).append(cols)
+    merged = {c: _sorted_entry(*map(np.concatenate, zip(*cols))) for c, cols in grouped.items()}
+    first_ids = first_ids + [ds.first_id for ds in datasets.values()]
+    return {**entries, **merged}, first_ids, names + list(datasets)
 
 
 class RegionStore:
@@ -270,20 +260,9 @@ class RegionStore:
             return len(rows.codes)
 
     def find_invalid(self) -> list[StoredRegion]:
-        """All rows with start < 0 or end < start, in id order.
-
-        Reads the invalid offsets each dataset recorded at import. Its few
-        rows go through the public constructors, whose ``__post_init__``
-        ``test_parsed_file_to_store_and_columns_builds_no_record`` counts.
-        """
-        found = []
-        for name, ds in self._datasets.items():
-            names, codes, starts, ends = ds.rows.names, ds.rows.codes, ds.rows.starts, ds.rows.ends
-            found += [
-                StoredRegion(ds.first_id + i, name, RawRegion(names[codes[i]], starts[i], ends[i]))
-                for i in ds.invalid
-            ]
-        return found
+        """All rows with start < 0 or end < start, in id order: the
+        invalid offsets each dataset recorded at import."""
+        return [row for name, ds in self._datasets.items() for row in ds.stored(name, ds.invalid)]
 
     def build_index(self) -> None:
         """Build the per-chromosome index over every dataset. Idempotent.
@@ -313,8 +292,11 @@ class RegionStore:
         window [position - window, position + window), in id order.
 
         Uses the index when built, a linear scan otherwise; unknown
-        chromosomes yield an empty list.
+        chromosomes yield an empty list. ``position`` and ``window`` must
+        be integers (``operator.index``).
         """
+        if position.__class__ is not int or window.__class__ is not int:
+            position, window = _integer("position", position), _integer("window", window)
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         lo, hi = position - window, position + window
@@ -323,22 +305,30 @@ class RegionStore:
         if index is None:
             return _scan(self._datasets, chrom, lo, hi)
         entries, first_ids, names = index
-        if chrom not in entries:
+        entry = entries.get(chrom)
+        if entry is None:
             return []
-        start, end, ids, furthest = entries[chrom]
+        start, end, ids, _ = entry
         first, last = lo + 1, hi - 1  # a hit has end >= lo + 1 and start <= hi - 1
         if not _INT64_MIN <= lo < hi <= _INT64_MAX and start.dtype != object:
             # Every indexed row has 0 <= start < end <= 2**63 - 1, so
             # clamping the bounds to int64 changes no comparison.
             first, last, lo = (min(max(v, _INT64_MIN), _INT64_MAX) for v in (first, last, lo))
-        i = furthest.searchsorted(first)  # every row before i ends too early
-        j = start.searchsorted(last, "right")
+        i, j = _windows(entry, first, last)
         start, end, ids = start[i:j], end[i:j], ids[i:j]
         hit = end > lo
         return [
             _stored_region(rid, names[bisect_right(first_ids, rid) - 1], _raw_region(chrom, s, e))
             for rid, s, e in sorted(zip(ids[hit].tolist(), start[hit].tolist(), end[hit].tolist()))
         ]
+
+
+def _integer(name: str, value) -> int:
+    """``operator.index(value)``; a value it rejects raises ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _scan(datasets: dict[str, DatasetColumns], chrom: str, lo: int, hi: int) -> list[StoredRegion]:

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regmap import bedio, columns
+from regmap import store as store_module
 from regmap.bedio import (
     BedParseError,
     BedRecords,
@@ -684,6 +685,12 @@ def test_parsed_file_to_store_and_columns_builds_no_record(tmp_path, monkeypatch
     built = []
     original = RawRegion.__post_init__
     monkeypatch.setattr(RawRegion, "__post_init__", lambda r: (built.append(r), original(r)))
+    # Rows read from columns skip __post_init__: count the builder they use too.
+    for module in (bedio, store_module):
+        unchecked = module._raw_region
+        monkeypatch.setattr(
+            module, "_raw_region", lambda *a, build=unchecked: built.append(build(*a)) or built[-1]
+        )
     records, _ = parse_bed_file(path, mode="permissive")
     store = RegionStore()
     store.import_dataset("p", records)

@@ -220,6 +220,60 @@ class TestProximitySearch:
                 assert indexed.proximity_search("chr1", position, window) == want
                 assert (long_id in {row.id for row in want}) == (position == inside)
 
+    @pytest.mark.parametrize(
+        "position, window, name", [(19.5, 10, "position"), (20, 10.0, "window"), ("20", 10, "position")]
+    )
+    def test_non_integer_probe_is_refused_with_and_without_index(self, position, window, name):
+        store = RegionStore()
+        store.import_dataset("d1", [raw("chr1", 0, 100), raw("chr1", 5, 10)])
+        for build in (False, True):
+            if build:
+                store.build_index()
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                store.proximity_search("chr1", position, window)
+
+    def test_index_like_probe_matches_int_probe(self):
+        class Index:
+            def __init__(self, value):
+                self.value = value
+
+            def __index__(self):
+                return self.value
+
+        store = RegionStore()
+        store.import_dataset("d1", [raw("chr1", 0, 100), raw("chr1", 5, 10)])
+        for build in (False, True):
+            if build:
+                store.build_index()
+            hits = store.proximity_search("chr1", Index(19), Index(10))
+            assert hits == store.proximity_search("chr1", 19, 10) and [r.id for r in hits] == [1, 2]
+
+    def test_long_row_right_of_every_probe_widens_no_window(self, monkeypatch):
+        windows = store_module._windows
+        totals = []
+
+        def counted(*args):
+            lo, hi = windows(*args)
+            totals.append(max(int(hi - lo), 0))
+            return lo, hi
+
+        monkeypatch.setattr(store_module, "_windows", counted)
+        narrow = [raw("chr1", s, s + 300) for s in range(0, 1_000_000, 997)]
+        long = [raw("chr1", 150_000_000, 200_000_000)]  # 50 Mb, right of every probe
+
+        def probed(datasets):
+            store = RegionStore()
+            store.build_index()
+            for name, rows in datasets:
+                store.import_dataset(name, rows)
+            totals.clear()
+            hits = [store.proximity_search("chr1", p, 500) for p in range(0, 1_000_000, 9_973)]
+            return hits, len(totals), sum(totals)
+
+        plain = probed([("narrow", narrow)])
+        assert plain[1] == 101 and plain[2] > 0
+        assert probed([("narrow", narrow), ("long", long)]) == plain
+
     def test_invalid_and_zero_length_rows_never_match(self):
         store = RegionStore()
         store.import_dataset(
@@ -374,6 +428,56 @@ SEEDED = [
     # -1 and 2**63 in one dataset: neither int64 nor uint64 holds both
     ("edge", [raw("chr2", -1, 5), raw("chr2", 10, 2**63), raw("chr2", 2**63, 2**63 + 9)]),
 ]
+
+
+@st.composite
+def spread_record(draw):
+    """A row 0 bp to 200 Mb long, rarely invalid, some ending past int64."""
+    start = draw(st.one_of(
+        st.integers(-5, 400), st.integers(0, 300_000_000), st.sampled_from([2**63 - 20, 2**63 + 3])
+    ))
+    length = draw(st.one_of(
+        st.integers(-2, 400), st.integers(0, 200_000_000), st.sampled_from([0, 200_000_000])
+    ))
+    return raw(draw(st.sampled_from(["chr1", "chr2"])), start, start + length)
+
+
+SPREAD_WRITES = st.lists(
+    st.tuples(st.sampled_from(["import_dataset", "insert_regions_rowwise"]),
+              st.lists(spread_record(), min_size=1, max_size=8)),
+    max_size=6,
+)
+# Windows reach past int64 on either side at the far positions.
+SPREAD_PROBES = st.lists(st.tuples(
+    st.sampled_from(["chr1", "chr2", "chr3"]),
+    st.one_of(st.integers(-100, 400), st.integers(0, 400_000_000),
+              st.sampled_from([0, 2**63 - 1, 2**63 + 10, -(2**63)])),
+    st.one_of(st.integers(1, 500), st.integers(1, 100_000_000), st.sampled_from([2**62, 2**63, 2**64])),
+), min_size=1, max_size=10)
+
+
+class TestMergedIndexAgainstScan:
+    """Indexed probes against ``store._scan`` after every write merged into the index."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(SPREAD_WRITES, SPREAD_PROBES)
+    def test_indexed_probe_matches_scan_after_every_write(self, writes, probes):
+        store = RegionStore()
+        store.build_index()
+        # a 200 Mb row at chr1's start and an end past int64 on chr2
+        head = [raw("chr1", 0, 200_000_000), raw("chr2", 2**63 - 5, 2**63 + 50)]
+        writes = [("import_dataset", head)] + writes
+        # windows that end one base into a row, or just short of it, at either edge
+        edges = [
+            (r.chrom, p, 2) for _, records in writes for r in records
+            for p in (r.start - 2, r.start - 1, r.end + 1, r.end + 2)
+        ]
+        for k, (op, records) in enumerate(writes):
+            getattr(store, op)(f"w{k}", records)
+            assert store.has_index
+            for chrom, position, window in probes + edges:
+                want = store_module._scan(store._datasets, chrom, position - window, position + window)
+                assert store.proximity_search(chrom, position, window) == want
 
 
 class TestRecordModel:
