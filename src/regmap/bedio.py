@@ -14,9 +14,9 @@ builds rows without checking them again. The coordinate rule,
 ``coord_column``: an ``array('q')`` when every value fits int64, else a
 list of the exact ints; a value that is not an integer raises
 ValueError. A parse returns the scanner's columns as they are; other
-region-shaped records are converted column by column (``as_records``)
-or record by record (``RecordBuilder``). The store keeps each dataset
-as one, and ``columns.RegionColumns`` views one as numpy.
+region-shaped records are converted column by column, by
+``as_records`` alone. The store keeps each dataset as one, and
+``columns.RegionColumns`` views one as numpy.
 
 ``scan_numbered`` is the one line scanner and the rulebook: it alone
 decides that a line is malformed, and why. It accepts at once a line
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, Literal
 
-from .intervals import GenomicRegion, RawRegion, _check_chrom, _raw_region
+from .intervals import GenomicRegion, RawRegion, _check_chrom, _chrom_reason, _raw_region
 
 if TYPE_CHECKING:
     import numpy as np
@@ -50,7 +50,6 @@ __all__ = [
     "BedRecords",
     "CatalogEntry",
     "ParseReport",
-    "RecordBuilder",
     "as_records",
     "coord_column",
     "numpy_coords",
@@ -161,33 +160,6 @@ class BedRecords(Sequence):
         return np.frombuffer(self.codes, np.intc), numpy_coords(self.starts), numpy_coords(self.ends)
 
 
-class RecordBuilder:
-    """Builds a ``BedRecords`` from region-shaped records (any objects
-    with ``chrom``, ``start`` and ``end``) one at a time, for rowwise
-    inserts. Each distinct name is checked once, at its first record."""
-
-    def __init__(self):
-        self.names: dict[str, int] = {}  # chromosome name -> its code
-        self.codes, self.starts, self.ends = array("i"), [], []
-
-    def add(self, region) -> None:
-        """Append one record; a rejected name or a coordinate that is not
-        an integer raises ValueError and appends nothing."""
-        chrom, start, end = region.chrom, region.start, region.end
-        if chrom not in self.names:
-            _check_chrom(chrom)
-        if start.__class__ is not int or end.__class__ is not int:
-            coord_column((start, end))
-        self.codes.append(self.names.setdefault(chrom, len(self.names)))
-        self.starts.append(start)
-        self.ends.append(end)
-
-    def build(self) -> BedRecords:
-        """The records added so far, coordinates by ``coord_column``. The
-        result shares the builder's codes, so nothing is added after."""
-        return BedRecords(self.names, self.codes, coord_column(self.starts), coord_column(self.ends))
-
-
 def as_records(regions) -> BedRecords:
     """``regions`` as columns: a ``BedRecords`` as it is, any other
     region-shaped records one column at a time. A coordinate that is
@@ -210,16 +182,6 @@ def _iter_lines(source: str | Path | IO | Iterable[str]) -> Iterator[str]:
         return
     for line in source:
         yield line.decode("utf-8") if isinstance(line, bytes) else line
-
-
-def _chrom_reason(chrom: str) -> str | None:
-    """Why a chromosome name is rejected, or None when it is accepted."""
-    if not chrom:
-        return "empty chromosome"
-    # split() cuts at exactly the characters str.isspace() accepts
-    if chrom.split() != [chrom]:
-        return "chromosome contains whitespace"
-    return None
 
 
 def _is_int(text: str) -> bool:

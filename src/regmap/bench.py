@@ -222,22 +222,27 @@ def run_insertion_bench(
     backends: Sequence[dbadapter.BackendConfig] | None = None,
     seed: int = 0,
 ) -> BenchmarkReport:
-    """Batch vs rowwise insertion of freshly generated regions."""
+    """Batch vs rowwise insertion of freshly generated regions; the two
+    native stores' rows are verified equal."""
     report = _new_report(CONTEXT_INSERTION, backends)
     for size in sizes:
         regions = generate_regions(GenConfig(seed=seed, count=size))
-
-        def batch() -> None:
-            RegionStore().insert_regions_batch("bench", regions)
-
-        def rowwise() -> None:
-            RegionStore().insert_regions_rowwise("bench", regions)
-
+        batch = partial(_inserted, RegionStore.insert_regions_batch, regions)
+        rowwise = partial(_inserted, RegionStore.insert_regions_rowwise, regions)
         report.add("insert_batch", "native", size, _time_reps(batch, reps))
         report.add("insert_rowwise", "native", size, _time_reps(rowwise, reps))
+        if batch().rows() != rowwise().rows():
+            raise AssertionError("batch and rowwise insertion rows differ")
         _db_cells(report, backends, f"insertion size={size}",
                   partial(_db_insertion_cell, report, regions, size, reps))
     return report
+
+
+def _inserted(insert, regions) -> RegionStore:
+    """A new store after ``insert(store, "bench", regions)``."""
+    store = RegionStore()
+    insert(store, "bench", regions)
+    return store
 
 
 def _db_insertion_cell(report, regions, size, reps, backend, conn) -> None:

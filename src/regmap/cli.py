@@ -161,9 +161,6 @@ def cmd_sqlgen(args) -> int:
             target = out_dir / script.filename
             target.write_text(script.text, encoding="utf-8", newline="")
             written.append(target)
-    if not written:
-        print(f"no scripts matched kind {args.kind!r}", file=sys.stderr)
-        return 1
     for path in written:
         print(path)
     return 0

@@ -52,13 +52,12 @@ import numpy as np
 from .bedio import (
     _SKIP_PREFIXES,
     ParseReport,
-    _chrom_reason,
     as_records,
     numpy_coords,
     scan_numbered,
     scan_text,
 )
-from .intervals import GenomicRegion, RawRegion, _by_code, _sorted_entry, _windows
+from .intervals import GenomicRegion, RawRegion, _by_code, _chrom_reason, _sorted_entry, _windows
 from .joins import JoinFilter, OverlapPair
 
 if TYPE_CHECKING:
@@ -219,7 +218,7 @@ def _scan_block(data: bytes, pos: int, stop: int, lineno: int, table: dict[str, 
 
     A line is accepted when it has at least three tab-separated fields,
     its chromosome name has at most NAME_WIDTH bytes and passes
-    ``bedio._chrom_reason`` and the skip prefixes, and its start and
+    ``intervals._chrom_reason`` and the skip prefixes, and its start and
     end match ``-?[0-9]{1,MAX_DIGITS}``. ``lineno`` is the number of
     lines before ``pos``; ``table`` maps accepted names to codes and
     gains the block's new names in order of first appearance. Returns

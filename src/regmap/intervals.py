@@ -53,12 +53,24 @@ __all__ = [
 ]
 
 
-def _check_chrom(chrom: str) -> None:
+def _chrom_reason(chrom: str) -> str | None:
+    """The chromosome-name rule: why a name is rejected, or None when it
+    is accepted."""
     if not chrom:
-        raise ValueError("chromosome name must be non-empty")
+        return "empty chromosome"
     # split() cuts at exactly the characters str.isspace() accepts
     if chrom.split() != [chrom]:
-        raise ValueError(f"chromosome name contains whitespace: {chrom!r}")
+        return "chromosome contains whitespace"
+    return None
+
+
+def _check_chrom(chrom: str) -> None:
+    """Raise ValueError for a name ``_chrom_reason`` rejects."""
+    if _chrom_reason(chrom) is not None:
+        raise ValueError(
+            f"chromosome name contains whitespace: {chrom!r}" if chrom
+            else "chromosome name must be non-empty"
+        )
 
 
 @dataclass(frozen=True, slots=True)

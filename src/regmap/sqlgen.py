@@ -192,18 +192,18 @@ def emit_regmap_query(
     sql-compat mode models it. MySQL needs ``div`` for integer
     division; PostgreSQL truncates ``/`` on integers. A centre-distance
     bound filters on twice the exact distance, as the native join
-    does; an infinite bound emits no clause, as the native join treats
-    it as none. Rows with ``start_pos < 0`` or ``end_pos < start_pos``
-    take part on neither side, as in the native joins.
+    does; a bound whose double is infinite emits no clause, as the
+    native join treats it as none. Rows with ``start_pos < 0`` or
+    ``end_pos < start_pos`` take part on neither side, as in the native
+    joins.
     """
     q = _check_int(query_dataset, "query_dataset")
     r = _check_int(ref_dataset, "ref_dataset")
     div = "div" if dialect.is_mysql else "/"
     where = [f"where bpooverlap >= {_check_int(flt.min_bp, 'min_bp')}"]
-    if flt.max_centre_distance is not None and math.isfinite(flt.max_centre_distance):
-        where.append(
-            f"  and twicecentredistance < {_format_bound(2 * flt.max_centre_distance)}"
-        )
+    bound = flt.max_centre_distance
+    if bound is not None and math.isfinite(2 * bound):
+        where.append(f"  and twicecentredistance < {_format_bound(2 * bound)}")
     where_clause = "\n".join(where)
     text = f"""\
 create or replace view vwregions as

@@ -12,7 +12,8 @@ Representation: no Python object is kept per row. A dataset
 (``DatasetColumns``) is its first id, its rows as one
 ``bedio.BedRecords`` and the offsets of its invalid rows (``start < 0``
 or ``end < start``), found once at import. A parsed file's columns are
-kept as they are; other records go through ``bedio.as_records``.
+kept as they are; other records, on either write path, go through
+``bedio.as_records``.
 ``StoredRegion``/``RawRegion`` objects are built only at the API edge
 (``rows()``, ``regions()``, search hits and ``find_invalid``), fresh and
 equal to what was imported; a ``BedRecords`` holds only checked names,
@@ -54,7 +55,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import TYPE_CHECKING
 
-from .bedio import BedRecords, RecordBuilder, as_records
+from .bedio import BedRecords, as_records
 from .intervals import GenomicRegion, RawRegion, _raw_region, _unchecked
 from .intervals import _by_code, _sorted_entry, _windows
 
@@ -245,19 +246,27 @@ class RegionStore:
     def insert_regions_rowwise(self, name: str, regions) -> int:
         """Insert regions one at a time (autocommit semantics).
 
-        On failure at record k the first k-1 records stay committed;
-        they are published together when the call ends.
+        Each record is refused as ``import_dataset`` would refuse it, by
+        ``bedio.as_records``. On failure at record k the first k-1
+        records stay committed; they are published together, as one
+        ``as_records`` of them, when the call ends.
         """
         with self._write_lock:
             self._check_new(name)
-            rows = RecordBuilder()
+            taken, chroms = [], set()
             try:
                 for r in regions:
-                    self._check_capacity(len(rows.codes) + 1)
-                    rows.add(r)
+                    self._check_capacity(len(taken) + 1)
+                    # Only a new name or a coordinate not of class int can
+                    # be refused, so each name is checked once.
+                    if (r.chrom not in chroms or r.start.__class__ is not int
+                            or r.end.__class__ is not int):
+                        as_records((r,))
+                        chroms.add(r.chrom)
+                    taken.append(r)
             finally:
-                self._commit(name, _dataset(self._next_id, rows.build()))
-            return len(rows.codes)
+                self._commit(name, _dataset(self._next_id, as_records(taken)))
+            return len(taken)
 
     def find_invalid(self) -> list[StoredRegion]:
         """All rows with start < 0 or end < start, in id order: the

@@ -83,6 +83,16 @@ class TestInsertionBench:
         report = run_insertion_bench([100], reps=1)
         assert any("reference timings" in line for line in report.context)
 
+    def test_rowwise_store_that_differs_from_batch_fails(self, monkeypatch):
+        insert = bench.RegionStore.insert_regions_rowwise
+
+        def drop_last(store, name, regions):
+            return insert(store, name, list(regions)[:-1])
+
+        monkeypatch.setattr(bench.RegionStore, "insert_regions_rowwise", drop_last)
+        with pytest.raises(AssertionError, match="rows differ"):
+            run_insertion_bench([50], reps=1)
+
 
 class TestImportBench:
     def test_row_counts_verified_against_files(self):

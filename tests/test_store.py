@@ -92,6 +92,30 @@ class TestImport:
             store.insert_regions_rowwise("d1", rows)
         assert store.rows() == [store_module.StoredRegion(1, "d1", raw("chr1", 0, 5))]
 
+    def test_both_write_paths_refuse_a_record_with_the_same_error(self):
+        # A rejected name and a non-integer coordinate in one record: both
+        # paths convert through bedio.as_records, which checks coordinates first.
+        rows = [raw("chr1", 0, 5), SimpleNamespace(chrom="chr 1", start=1.5, end=9)]
+        store = RegionStore()
+        with pytest.raises(ValueError, match="not an integer"):
+            store.import_dataset("d1", rows)
+        assert len(store) == 0 and store.staging_size == 0
+        with pytest.raises(ValueError, match="not an integer"):
+            store.insert_regions_rowwise("d1", rows)
+        assert store.rows() == [store_module.StoredRegion(1, "d1", raw("chr1", 0, 5))]
+
+    def test_rowwise_commits_the_records_taken_before_the_iterator_raises(self):
+        def regions():
+            yield from VALID[:2]
+            raise RuntimeError("source failed")
+
+        store = RegionStore()
+        store.import_dataset("d0", VALID[2:])
+        with pytest.raises(RuntimeError, match="source failed"):
+            store.insert_regions_rowwise("d1", regions())
+        assert [(row.id, row.region) for row in store.regions("d1")] == [(2, VALID[0]), (3, VALID[1])]
+        assert len(store) == 3 and store.staging_size == 0
+
 
 class TestRejectedNameInRecords:
     @pytest.mark.parametrize(
