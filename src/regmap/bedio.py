@@ -23,11 +23,11 @@ decides that a line is malformed, and why. It accepts at once a line
 whose name it accepted before and whose coordinates are ASCII digits.
 ``scan_bed`` runs it over a stream, or over a path read whole as text
 with universal newlines (``scan_text``). When numpy is already loaded,
-it reads a path with ``columns._read_bed`` instead, the numpy reader of
-``columns.read_bed_columns``, and copies its columns by bytes; that
-reader's fast path only accepts, and sends every other line to
-``scan_numbered``. This module never imports numpy itself, so a parse
-in a numpy-free process stays numpy-free.
+it returns the numpy reader ``columns._read_bed`` of a path instead,
+whose columns are this module's own; that reader's fast path only
+accepts, and sends every other line to ``scan_numbered``. This module
+never imports numpy itself, so a parse in a numpy-free process stays
+numpy-free.
 """
 
 from __future__ import annotations
@@ -214,23 +214,12 @@ def scan_bed(
         if sys.modules.get("numpy") is not None:
             from .columns import _read_bed
 
-            names, *columns, report = _read_bed(source, strict)
-            return names, *map(_copied, columns, "iqq"), report
+            return _read_bed(source, strict)
         with open(source, "r", encoding="utf-8") as fh:
             return scan_text(fh.read(), strict)
     # Without its "\n", a streamed 3-column line can take the fast accept.
     lines = (line.removesuffix("\n") for line in _iter_lines(source))
     return scan_numbered(enumerate(lines, start=1), strict)
-
-
-def _copied(column: "np.ndarray", typecode: str) -> array | list[int]:
-    """A numpy reader column as bedio keeps it: an ``array(typecode)``
-    copied by bytes, or the exact ints of an ``object`` column."""
-    if column.dtype.hasobject:
-        return list(column)
-    copy = array(typecode)
-    copy.frombytes(memoryview(column).cast("B"))
-    return copy
 
 
 def scan_text(text: str, strict: bool):

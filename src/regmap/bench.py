@@ -33,7 +33,7 @@ import numpy as np
 from . import dbadapter, sqlgen
 from .bedio import parse_bed_file
 from .columns import RegionColumns, window_join
-from .intervals import GenomicRegion, RawRegion
+from .intervals import GenomicRegion, RawRegion, centre_distance_sql_compat
 from .joins import JoinFilter, nested_loop_join
 from .store import RegionStore
 
@@ -310,7 +310,7 @@ def run_overlap_bench(
     times ``columns.window_join`` on columns built once, as ``regmap
     overlap`` joins them. Pair counts must agree wherever semantics
     coincide; the nested-loop reference is capped at NESTED_LOOP_CAP
-    regions per side.
+    regions per side. A database's rows must equal the native pairs.
     """
     report = _new_report(CONTEXT_OVERLAP, backends)
     for size in sizes:
@@ -324,7 +324,8 @@ def run_overlap_bench(
 
         a_cols, b_cols = RegionColumns.from_id_regions(a), RegionColumns.from_id_regions(b)
         sweep = partial(window_join, a_cols, b_cols, JoinFilter())
-        sweep_count = len(sweep())
+        pairs = sweep()
+        sweep_count = len(pairs)
         report.add("overlap_sweep", "native", size, _time_reps(sweep, reps))
         if size <= NESTED_LOOP_CAP:
             nested_count = len(nested_loop_join(a, b))
@@ -339,7 +340,8 @@ def run_overlap_bench(
                 _time_reps(lambda: nested_loop_join(a, b), reps),
             )
         # adjacency-inclusive: closed segments that touch count too
-        geo_count = len(window_join(a_cols, b_cols, JoinFilter(min_bp=0)))
+        geo_pairs = window_join(a_cols, b_cols, JoinFilter(min_bp=0))
+        geo_count = len(geo_pairs)
         if geo_count < sweep_count:
             raise AssertionError(
                 f"geo count {geo_count} below overlap count {sweep_count}"
@@ -349,12 +351,12 @@ def run_overlap_bench(
         )
         _db_cells(report, backends, f"overlap size={size}",
                   partial(_db_overlap_cell, report, regions_a, regions_b, size, reps,
-                          sweep_count, geo_count))
+                          pairs, geo_pairs))
     return report
 
 
 def _db_overlap_cell(report, regions_a, regions_b, size, reps,
-                     expect_regmap, expect_geo, backend, conn) -> None:
+                     pairs, geo_pairs, backend, conn) -> None:
     dbadapter.reset_schema(backend, conn=conn)
     dbadapter.execute_script(
         backend,
@@ -372,15 +374,14 @@ def _db_overlap_cell(report, regions_a, regions_b, size, reps,
     geo_script = sqlgen.emit_geo_query(backend.dialect)
 
     rows = dbadapter.fetch_rows(backend, regmap_script, conn=conn)
-    if len(rows) != expect_regmap:
-        raise AssertionError(
-            f"regmap rows {len(rows)} != native pairs {expect_regmap}"
-        )
+    region = dict(enumerate([*regions_a, *regions_b], start=1))
+    _check_rows("regmap", rows, "native pairs", [
+        (p.a_id, p.b_id, p.chrom, p.bp_overlap,
+         centre_distance_sql_compat(region[p.a_id], region[p.b_id]))
+        for p in pairs
+    ])
     geo_rows = dbadapter.fetch_rows(backend, geo_script, conn=conn)
-    if len(geo_rows) != expect_geo:
-        raise AssertionError(
-            f"geo rows {len(geo_rows)} != native geo pairs {expect_geo}"
-        )
+    _check_rows("geo", geo_rows, "native geo pairs", [(p.a_id, p.b_id) for p in geo_pairs])
 
     report.add(
         "overlap_regmap_sql",
@@ -394,6 +395,17 @@ def _db_overlap_cell(report, regions_a, regions_b, size, reps,
         size,
         _time_reps(lambda: dbadapter.fetch_rows(backend, geo_script, conn=conn), reps),
     )
+
+
+def _check_rows(what: str, rows, native: str, expected) -> None:
+    """Raise AssertionError unless a database's ``rows`` (as text, as
+    ``dbadapter`` returns them) equal the native rows ``expected``."""
+    expected = [tuple(map(str, row)) for row in expected]
+    if len(rows) != len(expected):
+        raise AssertionError(f"{what} rows {len(rows)} != {native} {len(expected)}")
+    for i, (got, want) in enumerate(zip(rows, expected)):
+        if got != want:
+            raise AssertionError(f"{what} row {i} {got} != {native} row {want}")
 
 
 def run_search_bench(

@@ -4,30 +4,32 @@ A region set is held as parallel arrays: an ``int32`` chromosome code
 indexing a name table, plus ``int64`` start, end and id arrays. One
 validator, ``_checked``, builds every region set; vectorised, it raises
 for the first row that is invalid or reaches ``COORD_LIMIT``. Every
-source but the numpy BED reader is first a ``bedio.BedRecords``, viewed
-as numpy by ``BedRecords.arrays``: a parsed file or other records
-(``from_records``, which drops invalid rows), a store dataset
-(``from_dataset``) and (id, GenomicRegion) lists (``from_id_regions``).
+source is first a ``bedio.BedRecords``, viewed as numpy by
+``BedRecords.arrays``: a strictly parsed file (``read_bed_columns``),
+other records or a store dataset's rows (``from_records``, which drops
+invalid rows) and (id, GenomicRegion) lists (``from_id_regions``).
 
 ``window_join`` builds the emitted OverlapPair rows of two region sets
 with a per-chromosome window join. ``hit_counts`` serves the mining
 report: for k sets at once it counts, for each ordered pair, the
 distinct rows of one that have a pair with the other, building no
 object. Both run on the interval index the store's probes share
-(``intervals``): a region set groups its rows by chromosome, in start
-order, once; per chromosome the reference rows are one entry, in which
-``_windows`` finds each query row's candidates. A count only needs to
-know whether a row has a pair, so without a centre-distance bound the
-entry's running maximum of ends answers it with one search; with a
-bound the window join's kernel marks the rows.
+(``intervals``): a join groups each set's rows by chromosome, in row
+order, and builds one chromosome's entries (``_sorted_entry``, the only
+sort of a set's rows) when it reaches it. An entry's rows are a query
+side in start order and a reference, in which ``_windows`` finds each
+query row's candidates. A count only needs to know whether a row has a
+pair, so without a centre-distance bound the entry's running maximum
+of ends answers it with one search; with a bound the window join's
+kernel marks the rows.
 ``RegionColumns.to_id_regions`` gives the (id, GenomicRegion) lists the
 reference join takes.
 
-``_read_bed`` parses a BED file with numpy, for ``read_bed_columns``
-and for ``bedio.scan_bed`` on a path once numpy is loaded. Its fast
-path only accepts: it has no reject reasons of its own, and every line
-it does not accept goes through ``bedio.scan_numbered``, so bedio's
-Python scanner stays the one rulebook and the reference reader.
+``_read_bed`` parses a BED file with numpy for ``bedio.scan_bed``, on
+a path once numpy is loaded, and returns ``scan_bed``'s own columns.
+Its fast path only accepts: it has no reject reasons of its own, and
+every line it does not accept goes through ``bedio.scan_numbered``, so
+bedio's Python scanner stays the one rulebook and the reference reader.
 
 Coordinates must lie below ``COORD_LIMIT`` (2**62), so the sum of two
 coordinates and every window bound fit in ``int64``; a larger one is
@@ -42,26 +44,16 @@ from __future__ import annotations
 
 import io
 import math
+from array import array
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, NoReturn, Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
-from .bedio import (
-    _SKIP_PREFIXES,
-    ParseReport,
-    as_records,
-    numpy_coords,
-    scan_numbered,
-    scan_text,
-)
+from .bedio import _SKIP_PREFIXES, ParseReport, as_records, parse_bed_file, scan_numbered, scan_text
 from .intervals import GenomicRegion, RawRegion, _by_code, _chrom_reason, _sorted_entry, _windows
 from .joins import JoinFilter, OverlapPair
-
-if TYPE_CHECKING:
-    from .store import DatasetColumns
 
 __all__ = [
     "COORD_LIMIT",
@@ -102,12 +94,6 @@ class RegionColumns:
     def __len__(self) -> int:
         return len(self.ids)
 
-    @cached_property
-    def _by_chrom(self) -> list[np.ndarray]:
-        """Code k's row numbers sorted by start, as item k, grouped once per
-        region set: a query side in start order keeps its searches local."""
-        return _by_code(self.chrom, len(self.names), self.start)
-
     @classmethod
     def from_id_regions(cls, regions: Sequence[IdRegion]) -> "RegionColumns":
         """Columns of (id, region) pairs, in the given order."""
@@ -128,12 +114,6 @@ class RegionColumns:
         keep = np.flatnonzero((start >= 0) & (end >= start))
         return _checked(rows.names, chrom[keep], start[keep], end[keep], keep + first_id)
 
-    @classmethod
-    def from_dataset(cls, dataset: DatasetColumns) -> "RegionColumns":
-        """Columns of a store dataset's valid rows; the dataset's row i
-        keeps id ``dataset.first_id + i``."""
-        return cls.from_records(dataset.rows, dataset.first_id)
-
     def to_id_regions(self) -> list[IdRegion]:
         """(id, GenomicRegion) pairs in row order."""
         names = self.names
@@ -150,18 +130,18 @@ def read_bed_columns(path: str | Path, first_id: int = 1) -> RegionColumns:
 
     Rows get ids ``first_id, first_id + 1, ...`` in file order. A
     malformed line raises BedParseError; the first invalid row raises
-    the ValueError that GenomicRegion raises for it. The file is read
-    by ``_read_bed``, the reader ``bedio.scan_bed`` also uses.
+    the ValueError that GenomicRegion raises for it. The file is parsed
+    by ``bedio.parse_bed_file``, which reads a path with ``_read_bed``.
     """
-    names, codes, starts, ends, _ = _read_bed(path, strict=True)
-    ids = np.arange(first_id, first_id + len(codes), dtype=np.int64)
-    return _checked(tuple(names), codes, starts, ends, ids)
+    rows, _ = parse_bed_file(path)
+    ids = np.arange(first_id, first_id + len(rows), dtype=np.int64)
+    return _checked(rows.names, *rows.arrays(), ids)
 
 
 def _read_bed(path: str | Path, strict: bool):
-    """``bedio.scan_bed``'s result for a path, with numpy columns:
-    ``(names, codes, starts, ends, report)``, ``int32`` codes and
-    coordinates through ``numpy_coords``.
+    """``bedio.scan_bed``'s result for a path: ``(names, codes, starts,
+    ends, report)``, an ``array('i')`` of codes and coordinates following
+    ``bedio.coord_column``.
 
     The file is read once, as bytes, and parsed with numpy
     (``_scan_fast``). That fast path only accepts; bedio stays the
@@ -179,9 +159,7 @@ def _read_bed(path: str | Path, strict: bool):
         if parsed is not None:
             return parsed
     # Decoded as open(path, encoding="utf-8").read() decodes it.
-    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
-    names, codes, starts, ends, report = scan_text(text, strict)
-    return names, np.frombuffer(codes, np.int32), numpy_coords(starts), numpy_coords(ends), report
+    return scan_text(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read(), strict)
 
 
 def _scan_fast(data: bytes, strict: bool):
@@ -190,9 +168,10 @@ def _scan_fast(data: bytes, strict: bool):
     path declined (a coordinate of over MAX_DIGITS digits, a name
     longer than NAME_WIDTH) or enter its name into the table (such a
     name on a line with bad coordinates). The declined lines' rejects
-    are bedio's, in line order; in strict mode the first raises."""
+    are bedio's, in line order; in strict mode the first raises. Each
+    block's rows are appended to the columns as it is parsed."""
     table: dict[str, int] = {}  # chromosome name -> code
-    blocks = [(np.zeros(0, np.int32), np.zeros(0, np.int64), np.zeros(0, np.int64))]
+    columns = array("i"), array("q"), array("q")
     report = ParseReport()
     lineno = pos = 0
     while pos < len(data):
@@ -203,14 +182,14 @@ def _scan_fast(data: bytes, strict: bool):
             if part.accepted or not all(map(table.__contains__, names)):
                 return None
             report.rejects += part.rejects
-        blocks.append(rows)
+        for column, values in zip(columns, rows):
+            column.frombytes(memoryview(values).cast("B"))
         lineno += count
         pos = stop
-    codes, starts, ends = (np.concatenate(col) for col in zip(*blocks))
-    report.accepted, report.rejected = len(codes), len(report.rejects)
+    report.accepted, report.rejected = len(columns[0]), len(report.rejects)
     # Like bedio, the fast path enters each name of at most NAME_WIDTH
     # bytes at its first line of three fields, so the tables are equal.
-    return list(table), codes, starts, ends, report
+    return list(table), *columns, report
 
 
 def _scan_block(data: bytes, pos: int, stop: int, lineno: int, table: dict[str, int]):
@@ -255,7 +234,8 @@ def _scan_block(data: bytes, pos: int, stop: int, lineno: int, table: dict[str, 
 
 def _chrom_codes(b: np.ndarray, begin: np.ndarray, width: np.ndarray, table: dict[str, int]):
     """Code of each name ``b[begin:begin + width]``, or -1 for a name
-    bedio does not accept. Each distinct name is checked once."""
+    bedio does not accept. Each distinct name is checked once, and the
+    new ones are ordered by first appearance in one pass."""
     # NUL-padded to a multiple of 8 bytes, distinct names stay distinct
     # keys because the file holds no NUL; an 8-byte key is one word.
     longest = int(width.max())
@@ -267,17 +247,19 @@ def _chrom_codes(b: np.ndarray, begin: np.ndarray, width: np.ndarray, table: dic
     distinct, inverse = np.unique(keys, return_inverse=True)
     raw = distinct.tobytes()
     mapped = np.empty(len(distinct), dtype=np.int32)
-    new = []
+    new: dict[int, str] = {}  # distinct index -> a name bedio accepts
     for i in range(len(distinct)):
         name = raw[i * padded : (i + 1) * padded].rstrip(b"\0").decode("ascii")
         code = table.get(name)
         if code is None:
             code = -1
             if _chrom_reason(name) is None and not name.startswith(_SKIP_PREFIXES):
-                new.append((int(np.argmax(inverse == i)), i, name))
+                new[i] = name
         mapped[i] = code
-    for _, i, name in sorted(new):  # in order of first appearance
-        mapped[i] = table[name] = len(table)
+    if new:
+        seen = inverse[np.isin(inverse, list(new))].tolist()
+        for i in dict.fromkeys(seen):  # in order of first appearance
+            mapped[i] = table[new[i]] = len(table)
     return mapped[inverse]
 
 
@@ -332,10 +314,9 @@ def window_join(a: RegionColumns, b: RegionColumns, flt: JoinFilter) -> list[Ove
     """
     min_bp, reach, twice_bound = _window_bounds(flt)
     found = []
-    for (_, ar), (_, br) in _aligned([a, b]):
+    for (_, (a_start, a_end, ar, _)), (_, b_entry) in _aligned([a, b]):
         for a_rows, b_rows, bp, twice in _join_chromosome(
-            a.start[ar], a.end[ar], _sorted_entry(b.start[br], b.end[br], br),
-            min_bp, reach, twice_bound,
+            a_start, a_end, b_entry, min_bp, reach, twice_bound
         ):
             found.append((ar[a_rows], b_rows, bp, twice))
     if not found:
@@ -361,41 +342,42 @@ def hit_counts(sets: Sequence[RegionColumns], flt: JoinFilter) -> np.ndarray:
     rows of ``sets[q]`` in at least one pair passing ``flt`` with a row
     of ``sets[r]``. The diagonal is 0: no set is counted against itself.
 
-    Per chromosome name two or more sets hold, every set's rows there,
-    each in its start order, form one query side. Each set in turn is
-    the reference, and one ``np.bincount`` of the hit rows' set codes
-    fills its column. Without a centre-distance bound a row hits when
-    some reference row passes, which needs no candidate list: both
-    lengths must be at least ``min_bp`` and, over the reference rows of
-    such a length sorted by start, the running maximum of the ends up to
-    the last start ``<= q.end - min_bp`` must reach ``q.start + min_bp``,
-    and no candidate is expanded. With a bound, ``_join_chromosome``
-    runs with the query side as A.
+    Per chromosome name two or more sets hold, every set's index entry
+    there is one reference, and the entries' rows, each set's in its
+    start order, form one query side. Each reference in turn fills its
+    column with one ``np.bincount`` of the hit rows' set codes. Without
+    a centre-distance bound a row hits when some reference row passes,
+    which needs no candidate list: both lengths must be at least
+    ``min_bp`` and, over the reference rows of such a length, the
+    running maximum of the ends up to the last start ``<= q.end -
+    min_bp`` must reach ``q.start + min_bp``, and no candidate is
+    expanded. With a bound, ``_join_chromosome`` runs with the query
+    side as A.
     """
     k = len(sets)
     counts = np.zeros((k, k), dtype=np.int64)
     min_bp, reach, twice_bound = _window_bounds(flt)
     for parts in _aligned(sets):
-        starts = [sets[i].start[rows] for i, rows in parts]
-        ends = [sets[i].end[rows] for i, rows in parts]
-        q_start, q_end = np.concatenate(starts), np.concatenate(ends)
-        q_set = np.repeat([i for i, _ in parts], [len(rows) for _, rows in parts])
+        q_start = np.concatenate([entry[0] for _, entry in parts])
+        q_end = np.concatenate([entry[1] for _, entry in parts])
+        q_set = np.repeat([i for i, _ in parts], [len(entry[2]) for _, entry in parts])
         if twice_bound is None:
             long_enough = (q_end - q_start) >= min_bp
             last_start, first_end = q_end - min_bp, q_start + min_bp
-        for (r, rows), r_start, r_end in zip(parts, starts, ends):
+        for r, entry in parts:
             if twice_bound is None:
-                keep = np.flatnonzero((r_end - r_start) >= min_bp)
-                if not len(keep):
-                    continue
-                start, _, _, furthest = _sorted_entry(r_start[keep], r_end[keep], keep)
+                start, end, _, furthest = entry
+                if min_bp > 0:  # a row shorter than min_bp has no pair
+                    long = (end - start) >= min_bp
+                    start, furthest = start[long], np.maximum.accumulate(end[long])
+                    if not len(start):
+                        continue
                 before = start.searchsorted(last_start, "right")  # rows that start early enough
                 hit = long_enough & (before > 0) & (furthest[before - 1] >= first_end)
             else:
                 hit = np.zeros(len(q_set), dtype=bool)
                 for a_rows, _, _, _ in _join_chromosome(
-                    q_start, q_end, _sorted_entry(r_start, r_end, rows),
-                    min_bp, reach, twice_bound,
+                    q_start, q_end, entry, min_bp, reach, twice_bound
                 ):
                     hit[a_rows] = True
             counts[:, r] += np.bincount(q_set[hit], minlength=k)
@@ -418,17 +400,19 @@ def _window_bounds(flt: JoinFilter):
     return min_bp, max(min_bp, -math.ceil(max_cd)), 2 * max_cd
 
 
-def _aligned(sets: Sequence[RegionColumns]) -> list[list[tuple[int, np.ndarray]]]:
-    """One list per chromosome name two or more of ``sets`` hold, in
-    order of first appearance: ``(i, rows)`` for each set ``i`` that
-    holds the name, in set order, with ``rows`` its rows there sorted by
-    start (the set's cached ``_by_chrom``)."""
+def _aligned(sets: Sequence[RegionColumns]):
+    """Yield one list per chromosome name two or more of ``sets`` hold,
+    in order of first appearance: ``(i, entry)`` for each set ``i`` that
+    holds the name, in set order, with ``entry`` the ``_sorted_entry`` of
+    its rows there. A name's entries are built when it is reached."""
     per_name: dict[str, list[tuple[int, np.ndarray]]] = {}
     for i, cols in enumerate(sets):
-        for name, rows in zip(cols.names, cols._by_chrom):
+        for name, rows in zip(cols.names, _by_code(cols.chrom, len(cols.names))):
             if len(rows):
                 per_name.setdefault(name, []).append((i, rows))
-    return [parts for parts in per_name.values() if len(parts) > 1]
+    for parts in per_name.values():
+        if len(parts) > 1:
+            yield [(i, _sorted_entry(sets[i].start[at], sets[i].end[at], at)) for i, at in parts]
 
 
 def _join_chromosome(a_start, a_end, entry, min_bp, reach, twice_bound):

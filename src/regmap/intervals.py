@@ -19,9 +19,10 @@ for callers that work on raw integers, e.g. array pipelines and tests
 that sweep millions of coordinate pairs.
 
 The interval index that joins, mining counts and store probes share
-is three steps here: ``_by_code`` groups rows by chromosome,
-``_sorted_entry`` builds a chromosome's entry and ``_windows`` finds a
-query's candidates in it. Only the builders import numpy, in the call.
+is three steps here: ``_by_code`` groups rows by chromosome in row
+order, ``_sorted_entry`` builds a chromosome's entry (the one place
+rows are put in start order) and ``_windows`` finds a query's
+candidates in it. The first two import numpy, in the call.
 
 All functions here are pure and operate on immutable values; they are
 safe to call concurrently from any number of threads.
@@ -288,12 +289,12 @@ def region_length(r: GenomicRegion) -> int:
     return r.end - r.start
 
 
-def _by_code(codes, count: int, start=None) -> list:
-    """Item k: the rows whose numpy code is k, int32 when they fit; in
-    row order, or stably sorted by ``start`` when it is given."""
+def _by_code(codes, count: int) -> list:
+    """Item k: the rows whose numpy code is k, in row order, int32 when
+    they fit."""
     import numpy as np
 
-    order = np.argsort(codes, kind="stable") if start is None else np.lexsort((start, codes))
+    order = np.argsort(codes, kind="stable")
     order = order.astype(np.int32) if len(order) < 2**31 else order
     ends = np.bincount(codes, minlength=count).cumsum().tolist()
     return [order[i:j] for i, j in zip([0] + ends, ends)]

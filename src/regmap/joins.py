@@ -304,9 +304,8 @@ def pairwise_mining(
     for entry in catalog:
         if entry.name not in names:
             raise ValueError(f"catalog dataset {entry.name!r} not imported")
-    columns = {
-        name: RegionColumns.from_dataset(store.columns(name)) for name in paired_datasets(catalog)
-    }
+    stored = {name: store.columns(name) for name in paired_datasets(catalog)}
+    columns = {name: RegionColumns.from_records(d.rows, d.first_id) for name, d in stored.items()}
     return mining_report(catalog, columns, flt)
 
 

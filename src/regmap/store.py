@@ -11,9 +11,9 @@ staging is always empty once an import returns.
 Representation: no Python object is kept per row. A dataset
 (``DatasetColumns``) is its first id, its rows as one
 ``bedio.BedRecords`` and the offsets of its invalid rows (``start < 0``
-or ``end < start``), found once at import. A parsed file's columns are
-kept as they are; other records, on either write path, go through
-``bedio.as_records``.
+or ``end < start``), found once at import. A parsed file's columns, by
+either reader, are kept as they are; other records, on either write
+path, go through ``bedio.as_records``.
 ``StoredRegion``/``RawRegion`` objects are built only at the API edge
 (``rows()``, ``regions()``, search hits and ``find_invalid``), fresh and
 equal to what was imported; a ``BedRecords`` holds only checked names,

@@ -1,5 +1,7 @@
 import io
 import json
+import re
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -23,6 +25,8 @@ from regmap.bench import (
 )
 from regmap.data import toy_catalog_path
 from regmap.dbadapter import BackendConfig
+from regmap.intervals import GenomicRegion, centre_distance_sql_compat
+from regmap.joins import JoinFilter, nested_loop_join
 from regmap.sqlgen import SqlDialect
 
 
@@ -214,23 +218,43 @@ MYSQL_OFF = BackendConfig(SqlDialect.MYSQL_INNODB, None, False)
 SKIPPED_NOTE = "skipped: mysql_innodb (no connection URL configured)"
 
 
+# One row of a batch insert: (id, dataset, chromosome, start, end).
+INSERTED_ROW = re.compile(r"^    \((\d+), (\d+), '([^']*)', (-?\d+), (-?\d+)\)", re.MULTILINE)
+
+
 class StubServer:
     """``dbadapter.connect`` stand-in: each call opens a new stub
-    connection whose regmap and geo selects return the given numbers of
-    rows."""
+    connection. Its regmap and geo selects answer with the rows a
+    database holding the regions batch-inserted since the last schema
+    reset returns, computed by the reference join; ``edit[kind]``, for
+    kind "regmap" or "geo", then changes them."""
 
-    def __init__(self, regmap_rows=0, geo_rows=0):
-        self.regmap_rows, self.geo_rows = regmap_rows, geo_rows
+    def __init__(self):
+        self.edit = {}
         self.connections = []
 
     def connect(self, backend):
-        conn = StubConnection(select_result=self.answer)
+        conn = StubConnection(select_result=lambda statement: self.answer(conn, statement))
         self.connections.append(conn)
         return conn
 
-    def answer(self, statement):
-        count = self.regmap_rows if "from vwregions" in statement else self.geo_rows
-        return [(i, i) for i in range(count)]
+    def answer(self, conn, statement):
+        reset = max(i for i, s in enumerate(conn.statements) if s == "drop table if exists regions;")
+        datasets = {1: [], 2: []}
+        for text in conn.statements[reset:]:
+            for rid, ds, chrom, start, end in INSERTED_ROW.findall(text):
+                datasets[int(ds)].append((int(rid), GenomicRegion(chrom, int(start), int(end))))
+        a, b = datasets[1], datasets[2]
+        if "from vwregions" in statement:
+            region = dict(a + b)
+            kind, rows = "regmap", [
+                (p.a_id, p.b_id, p.chrom, p.bp_overlap,
+                 centre_distance_sql_compat(region[p.a_id], region[p.b_id]))
+                for p in nested_loop_join(a, b)
+            ]
+        else:
+            kind, rows = "geo", [(p.a_id, p.b_id) for p in nested_loop_join(a, b, JoinFilter(min_bp=0))]
+        return self.edit.get(kind, list)(rows)
 
 
 class TestDatabaseCells:
@@ -244,6 +268,16 @@ class TestDatabaseCells:
         server = StubServer()
         monkeypatch.setattr(dbadapter, "connect", server.connect)
         return server
+
+    @pytest.fixture
+    def dense(self, monkeypatch):
+        """Generated regions on one 20 kb chromosome, so that 300 x 300
+        rows make pairs."""
+
+        def generate(config):
+            return generate_regions(replace(config, chromosomes=("chr1",), coord_upper=20_000))
+
+        monkeypatch.setattr(bench, "generate_regions", generate)
 
     @staticmethod
     def rows(report):
@@ -284,9 +318,9 @@ class TestDatabaseCells:
         copies = [s for s in server.connections[0].statements if s.startswith("copy ")]
         assert len(copies) == 2 * len(files)  # warm-up plus one measured repetition
 
-    def test_overlap(self, server):
+    def test_overlap(self, server, dense):
         pairs, geo = self.native_pairs(300, seed=9)
-        server.regmap_rows, server.geo_rows = pairs, geo
+        assert pairs
         report = run_overlap_bench([300], reps=1, backends=self.BACKENDS, seed=9)
         assert self.rows(report) == [
             ("overlap_sweep", "native", 300, 1),
@@ -300,9 +334,9 @@ class TestDatabaseCells:
         ]
         assert len(server.connections) == 1 and server.connections[0].closed
 
-    def test_overlap_count_mismatch_becomes_a_note(self, server):
+    def test_overlap_count_mismatch_becomes_a_note(self, server, dense):
         pairs, geo = self.native_pairs(300, seed=9)
-        server.regmap_rows, server.geo_rows = pairs + 1, geo
+        server.edit["regmap"] = lambda rows: rows + rows[-1:]
         report = run_overlap_bench([300], reps=1, backends=self.BACKENDS, seed=9)
         assert [r.backend for r in report.rows] == ["native", "native"]
         assert report.context[1:] == [
@@ -311,6 +345,32 @@ class TestDatabaseCells:
             f"error: postgres overlap size=300: regmap rows {pairs + 1} != native pairs {pairs}",
         ]
         assert len(server.connections) == 1 and server.connections[0].closed
+
+    @pytest.mark.parametrize(
+        "kind, edit",
+        [
+            ("regmap", lambda row: (row[1], row[0], *row[2:])),  # ids swapped
+            ("regmap", lambda row: (*row[:4], row[4] + 1)),  # centre distance off by one
+            ("geo", lambda row: (row[1], row[0])),  # ids swapped
+        ],
+    )
+    def test_overlap_row_mismatch_with_the_right_count_becomes_a_note(
+        self, server, dense, kind, edit
+    ):
+        first = []
+
+        def edit_first_row(rows):
+            first.append(rows[0])
+            return [edit(rows[0]), *rows[1:]]
+
+        server.edit[kind] = edit_first_row
+        report = run_overlap_bench([300], reps=1, backends=self.BACKENDS, seed=9)
+        assert [r.backend for r in report.rows] == ["native", "native"]
+        got, want = (tuple(map(str, row)) for row in (edit(first[0]), first[0]))
+        native = {"regmap": "native pairs", "geo": "native geo pairs"}[kind]
+        assert report.context[-1] == (
+            f"error: postgres overlap size=300: {kind} row 0 {got} != {native} row {want}"
+        )
 
     def test_failed_connect_becomes_a_note(self, monkeypatch):
         def refuse(backend):

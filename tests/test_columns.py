@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from array import array
 from pathlib import Path
@@ -208,10 +209,12 @@ class TestReadBedColumnsDifferential:
 
 
 def read_as_bedio(path, strict):
-    """``columns._read_bed`` as ``bedio.scan_bed`` returns it, with lists."""
+    """``columns._read_bed``, whose columns are ``bedio.scan_bed``'s own
+    types, with lists."""
     names, codes, starts, ends, report = columns._read_bed(path, strict)
-    assert codes.dtype == np.int32 and starts.dtype in (np.int64, object)
-    return names, codes.tolist(), starts.tolist(), ends.tolist(), report
+    assert type(codes) is array and codes.typecode == "i"
+    assert coordinate_column_type_ok(starts) and coordinate_column_type_ok(ends)
+    return names, codes.tolist(), list(starts), list(ends), report
 
 
 def scan_outcome(read, path, strict):
@@ -317,6 +320,35 @@ class TestReadBedDifferential:
         monkeypatch.setattr(columns, "scan_text", refuse)
         assert read_as_bedio(path, strict=False) == want
         assert want[-1].rejected == 310
+
+    def test_a_new_name_on_every_line(self, tmp_path, monkeypatch):
+        # Every line names a scaffold no earlier line names, in shuffled order.
+        names = [f"scaffold_{i}" for i in np.random.default_rng(17).permutation(5_000).tolist()]
+        path = tmp_path / "x.bed"
+        path.write_text("".join(f"{name}\t{i}\t{i + 10}\n" for i, name in enumerate(names)))
+        want = text_scan(path, strict=True)
+        assert want[0] == names
+        for block in (1, 4096, columns.INGEST_BLOCK):
+            monkeypatch.setattr(columns, "INGEST_BLOCK", block)
+            assert read_as_bedio(path, strict=True) == want, block
+
+    def test_distinct_names_cost_about_what_the_text_scan_costs(self, tmp_path):
+        # Ordering a block's new names must not pass over the block once per name.
+        names = [f"scaffold_{i}" for i in np.random.default_rng(18).permutation(40_000).tolist()]
+        text = "".join(f"{name}\t{i}\t{i + 10}\n" for i, name in enumerate(names))
+        path = tmp_path / "x.bed"
+        path.write_text(text)
+
+        def best_of_3(read):
+            times = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                read()
+                times.append(time.perf_counter() - t0)
+            return min(times)
+
+        reader = best_of_3(lambda: columns._read_bed(path, True))
+        assert reader <= 2 * best_of_3(lambda: scan_text(text, True))
 
 
 class TestParseDispatch:
@@ -612,7 +644,8 @@ class TestFromRecords:
         assert cols.to_id_regions() == store.valid_regions("ds")
         assert cols.chrom.dtype == np.int32 and cols.ids.dtype == np.int64
         if records:  # an empty import is not kept
-            stored = RegionColumns.from_dataset(store.columns("ds"))
+            ds = store.columns("ds")
+            stored = RegionColumns.from_records(ds.rows, ds.first_id)
             assert stored.to_id_regions() == cols.to_id_regions()
             assert stored.chrom.dtype == np.int32 and stored.ids.dtype == np.int64
 
@@ -625,7 +658,8 @@ class TestFromRecords:
         store = RegionStore()
         store.import_dataset("pad", [RawRegion("chr3", 0, 1)] * 6)
         store.import_dataset("ds", records)
-        stored = RegionColumns.from_dataset(store.columns("ds"))
+        ds = store.columns("ds")
+        stored = RegionColumns.from_records(ds.rows, ds.first_id)
         assert stored.to_id_regions() == [(8, GenomicRegion("chr2", 5, 9))]
 
     def test_valid_row_out_of_range_raises(self):

@@ -296,7 +296,7 @@ class TestRunsInSqlite:
     """The emitted PostgreSQL text, run by stdlib sqlite3, agrees with
     the native engine."""
 
-    @pytest.mark.parametrize("bound", [None, 1, 30.5, 1e308, math.inf])
+    @pytest.mark.parametrize("bound", [None, 1, 30.5, 30.25, 0.1, 1e308, math.inf])
     @pytest.mark.parametrize("min_bp", [1, 0, -20])
     def test_overlap_view_matches_native_join(self, tmp_path, min_bp, bound):
         config = dict(count=300, chromosomes=("chr1", "chr2"), coord_upper=1500, max_size=40)
