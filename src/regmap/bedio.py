@@ -162,17 +162,32 @@ class BedRecords(Sequence):
 
 def as_records(regions) -> BedRecords:
     """``regions`` as columns: a ``BedRecords`` as it is, any other
-    region-shaped records one column at a time. A coordinate that is
-    not an integer or a rejected name (each distinct one checked once)
-    raises ValueError."""
+    iterable of region-shaped records in one pass that keeps no record.
+    A coordinate that is not an integer or a rejected name (each
+    distinct one checked once) raises ValueError."""
     if isinstance(regions, BedRecords):
         return regions
-    regions = regions if isinstance(regions, Sequence) else list(regions)
-    chroms = [r.chrom for r in regions]
-    names = {name: code for code, name in enumerate(dict.fromkeys(chroms))}
-    codes = array("i", [names[chrom] for chrom in chroms])
-    starts = coord_column([r.start for r in regions])
-    return BedRecords(names, codes, starts, coord_column([r.end for r in regions]))
+    names: dict[str, int] = {}
+    codes, starts, ends = array("i"), array("q"), array("q")
+    code_of, add_code, add_start, add_end = names.get, codes.append, starts.append, ends.append
+    for r in regions:
+        chrom = r.chrom
+        code = code_of(chrom)
+        if code is None:
+            code = names[chrom] = len(names)
+        add_code(code)
+        try:
+            add_start(r.start)
+            add_end(r.end)
+        except (OverflowError, TypeError):
+            # A value int64 does not hold, or not an integer: from here on
+            # the coordinates are kept as given, for coord_column to decide.
+            n = len(codes) - 1
+            starts, ends = [*starts[:n], r.start], [*ends[:n], r.end]
+            add_start, add_end = starts.append, ends.append
+    if isinstance(starts, list):
+        starts, ends = coord_column(starts), coord_column(ends)
+    return BedRecords(names, codes, starts, ends)
 
 
 def _iter_lines(source: str | Path | IO | Iterable[str]) -> Iterator[str]:

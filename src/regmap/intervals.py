@@ -19,9 +19,9 @@ for callers that work on raw integers, e.g. array pipelines and tests
 that sweep millions of coordinate pairs.
 
 The interval index that joins, mining counts and store probes share
-is three steps here: ``_by_code`` groups rows by chromosome in row
-order, ``_sorted_entry`` builds a chromosome's entry (the one place
-rows are put in start order) and ``_windows`` finds a query's
+is three steps here: ``_by_code`` groups rows by chromosome,
+``_sorted_entry`` builds a chromosome's entry (the one place rows are
+sorted by start; ties in any order) and ``_windows`` finds a query's
 candidates in it. The first two import numpy, in the call.
 
 All functions here are pure and operate on immutable values; they are
@@ -290,11 +290,13 @@ def region_length(r: GenomicRegion) -> int:
 
 
 def _by_code(codes, count: int) -> list:
-    """Item k: the rows whose numpy code is k, in row order, int32 when
-    they fit."""
+    """Item k: the rows whose numpy code is k, in any order, int32 when
+    they fit. numpy's default sort (SIMD where the CPU has it) is not
+    stable; no caller needs row order, since ``_sorted_entry`` orders
+    each group."""
     import numpy as np
 
-    order = np.argsort(codes, kind="stable")
+    order = np.argsort(codes)
     order = order.astype(np.int32) if len(order) < 2**31 else order
     ends = np.bincount(codes, minlength=count).cumsum().tolist()
     return [order[i:j] for i, j in zip([0] + ends, ends)]
@@ -302,11 +304,14 @@ def _by_code(codes, count: int) -> list:
 
 def _sorted_entry(start, end, rows) -> tuple:
     """An index entry ``(start, end, rows, furthest)``: the numpy arrays
-    stably sorted by start, and the running maximum of the ends (the "max
-    end" of the Augmented Interval List); int64 or exact ``object`` ints."""
+    sorted by start, ties in any order, and the running maximum of the
+    ends (the "max end" of the Augmented Interval List); int64 or exact
+    ``object`` ints. No result depends on the order of tied starts:
+    joins order their pairs by id, counts count rows, and probes sort
+    their hits by id."""
     import numpy as np
 
-    order = np.argsort(start, kind="stable")
+    order = np.argsort(start)
     end = end[order]
     return start[order], end, rows[order], np.maximum.accumulate(end)
 

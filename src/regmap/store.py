@@ -104,8 +104,9 @@ def _dataset(first_id: int, rows: BedRecords) -> DatasetColumns:
 
 
 # An index entry, one per chromosome: ``intervals._sorted_entry`` of
-# its indexed rows' numpy (start, end, id) arrays. Coordinates are int64,
-# or object (exact ints) when some end exceeds int64.
+# its indexed rows' numpy (start, end, id) arrays, sorted by start with
+# ties in any order. Coordinates are int64, or object (exact ints) when
+# some end exceeds int64.
 _IndexEntry = tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]
 # The index, published as one tuple: its entries by chromosome, then the
 # first ids and names of the datasets it covers, in id order.
@@ -132,16 +133,38 @@ def _index_dataset(dataset: DatasetColumns) -> dict[str, tuple]:
 
 def _merge(index: _Index, datasets: dict[str, DatasetColumns]) -> _Index:
     """A new index: ``index`` with ``datasets`` (in id order, after its
-    own) merged in. Each chromosome that gains rows is one concatenate
-    and one ``_sorted_entry``; ``index`` is not changed."""
+    own) merged in; ``index`` is not changed. Each chromosome that gains
+    rows sorts only its new rows (``_sorted_entry``). Where ``index``
+    already has an entry there, the two sorted runs are merged in one
+    pass, not sorted again: a write costs its own sort and one copy of
+    the chromosome's entry."""
     import numpy as np
 
     entries, first_ids, names = index
     grouped: dict[str, list[tuple]] = {}
     for ds in datasets.values():
         for chrom, cols in _index_dataset(ds).items():
-            grouped.setdefault(chrom, [entries[chrom][:3]] if chrom in entries else []).append(cols)
-    merged = {c: _sorted_entry(*map(np.concatenate, zip(*cols))) for c, cols in grouped.items()}
+            grouped.setdefault(chrom, []).append(cols)
+    merged = {}
+    for chrom, cols in grouped.items():
+        entry = _sorted_entry(*map(np.concatenate, zip(*cols)))
+        old = entries.get(chrom)
+        if old is not None:
+            # Each new row goes after the old rows with its start, and the
+            # old rows fill the other places in order, so the two sorted
+            # runs stay one. Coordinates are compared in one dtype: int64,
+            # or exact ints when either run holds them.
+            old = [a.astype(np.result_type(a, b), copy=False) for a, b in zip(old, entry[:3])]
+            at = old[0].searchsorted(entry[0], "right") + np.arange(len(entry[0]))
+            kept = np.ones(len(old[0]) + len(at), dtype=bool)
+            kept[at] = False
+            run = []
+            for a, b in zip(old, entry[:3]):
+                column = np.empty(len(kept), a.dtype)
+                column[kept], column[at] = a, b
+                run.append(column)
+            entry = (*run, np.maximum.accumulate(run[1]))
+        merged[chrom] = entry
     first_ids = first_ids + [ds.first_id for ds in datasets.values()]
     return {**entries, **merged}, first_ids, names + list(datasets)
 
@@ -248,25 +271,35 @@ class RegionStore:
 
         Each record is refused as ``import_dataset`` would refuse it, by
         ``bedio.as_records``. On failure at record k the first k-1
-        records stay committed; they are published together, as one
-        ``as_records`` of them, when the call ends.
+        records stay committed; they are published together when the
+        call ends. The records stream through one ``as_records``, so the
+        call keeps their columns, not the records.
         """
         with self._write_lock:
             self._check_new(name)
-            taken, chroms = [], set()
-            try:
-                for r in regions:
-                    self._check_capacity(len(taken) + 1)
-                    # Only a new name or a coordinate not of class int can
-                    # be refused, so each name is checked once.
-                    if (r.chrom not in chroms or r.start.__class__ is not int
-                            or r.end.__class__ is not int):
-                        as_records((r,))
-                        chroms.add(r.chrom)
-                    taken.append(r)
-            finally:
-                self._commit(name, _dataset(self._next_id, as_records(taken)))
-            return len(taken)
+            stopped: list[BaseException] = []
+
+            def taken():
+                """The records up to the first one refused; the error that
+                ends the stream goes to ``stopped``."""
+                chroms = set()
+                try:
+                    for n, r in enumerate(regions, 1):
+                        self._check_capacity(n)
+                        # Only a new name or a coordinate not of class int
+                        # can be refused, so each name is checked once.
+                        if (r.chrom not in chroms or r.start.__class__ is not int
+                                or r.end.__class__ is not int):
+                            as_records((r,))
+                            chroms.add(r.chrom)
+                        yield r
+                except BaseException as exc:  # committed first, then raised
+                    stopped.append(exc)
+
+            count = self._commit(name, _dataset(self._next_id, as_records(taken())))
+            if stopped:
+                raise stopped[0]
+            return count
 
     def find_invalid(self) -> list[StoredRegion]:
         """All rows with start < 0 or end < start, in id order: the

@@ -351,6 +351,57 @@ class TestReadBedDifferential:
         assert reader <= 2 * best_of_3(lambda: scan_text(text, True))
 
 
+# Coordinates and names that end just before, at and just after the
+# reader's 8-byte word boundaries.
+WORD_DIGITS = [1, 7, 8, 9, 15, 16, 17, 18, 19, 20]
+WORD_NAMES = [("c" + "hrUn_scaffold" * 5)[:n] for n in (1, 7, 8, 9, 16, 17, 64)]
+
+
+def word_boundary_text(max_digits, rejects):
+    """Every WORD_NAMES name with start and end of each WORD_DIGITS width
+    up to ``max_digits``, signed and unsigned; with ``rejects``, also each
+    such number with ``/`` or ``:`` (the bytes around the digits) in
+    every position, or next to it."""
+    lines = []
+    for n in (d for d in WORD_DIGITS if d <= max_digits):
+        number = ("9081726354" * 2)[:n]
+        for name in WORD_NAMES:
+            for sign in ("", "-"):
+                lines.append(f"{name}\t{sign}{number}\t{number[::-1]}")
+        if rejects:
+            for c in "/:":
+                bad = [number[:i] + c + number[i + 1 :] for i in range(n)] + [c + number, number + c]
+                lines += [f"chr{n}\t{b}\t5" for b in bad] + [f"chr{n}\t5\t-{b}" for b in bad]
+    return "\n".join(lines) + "\n"
+
+
+class TestWordBoundaries:
+    """The word-at-a-time reader against ``bedio.scan_text`` where fields
+    start and end around its 8-byte words, in blocks of any size."""
+
+    @pytest.mark.parametrize("block", [1, 5, 40, columns.INGEST_BLOCK])
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("rejects", [False, True])
+    def test_fast_path_alone_matches_scan_text(self, tmp_path, monkeypatch, block, strict, rejects):
+        path = tmp_path / "x.bed"
+        path.write_text(word_boundary_text(columns.MAX_DIGITS, rejects))
+        want = scan_outcome(text_scan, path, strict)
+        monkeypatch.setattr(columns, "INGEST_BLOCK", block)
+        monkeypatch.setattr(columns, "scan_text", refuse)  # the fast path decides every line
+        assert scan_outcome(read_as_bedio, path, strict) == want
+        if not strict:
+            assert (want[-1].accepted, want[-1].rejected) == (112, 428 if rejects else 0)
+
+    @pytest.mark.parametrize("block", [1, 5, 40, columns.INGEST_BLOCK])
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_longer_coordinates_match_scan_text(self, tmp_path, monkeypatch, block, strict):
+        path = tmp_path / "x.bed"
+        path.write_text(word_boundary_text(20, rejects=True))
+        want = scan_outcome(text_scan, path, strict)
+        monkeypatch.setattr(columns, "INGEST_BLOCK", block)
+        assert scan_outcome(read_as_bedio, path, strict) == want
+
+
 class TestParseDispatch:
     """``bedio.scan_bed`` reads a path with the columnar reader when
     numpy is already loaded (it is, in this module) and a stream with
@@ -573,6 +624,64 @@ class TestHitCounts:
         a = RegionColumns.from_id_regions(ids(gen(7, 60)))
         got = hit_counts([a, a], JoinFilter(min_bp=0))
         assert got.tolist() == [[0, 60], [60, 0]]
+
+
+def tied_rows(rng, n, region=GenomicRegion):
+    """n rows on chr1 and chr2 whose starts take six values, so most rows
+    share their start with dozens of others; a few are long."""
+    starts = rng.choice([0, 10, 20, 500, 505, 1_000], n).tolist()
+    lengths = rng.choice([0, 1, 5, 10, 30, 490, 2_000], n).tolist()
+    return [
+        region(f"chr{i % 2 + 1}", s, s + length) for i, (s, length) in enumerate(zip(starts, lengths))
+    ]
+
+
+def shuffled(rng, rows):
+    return [rows[i] for i in rng.permutation(len(rows)).tolist()]
+
+
+class TestTiedStarts:
+    """The index sorts by start with ties in any order; no result may
+    depend on the order of rows that share a start."""
+
+    FILTERS = [
+        JoinFilter(),
+        JoinFilter(min_bp=0),
+        JoinFilter(min_bp=-30, max_centre_distance=40),
+        JoinFilter(min_bp=1, max_centre_distance=25.5),
+    ]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_joins_and_counts_ignore_row_order(self, seed):
+        rng = np.random.default_rng(seed)
+        sets = [ids(tied_rows(rng, 120), start=1 + 1_000 * k) for k in range(3)]
+        for flt in self.FILTERS:
+            want_pairs = nested_loop_join(sets[0], sets[1], flt)
+            want_counts = reference_hits(sets, flt)
+            for _ in range(3):
+                cols = [RegionColumns.from_id_regions(shuffled(rng, s)) for s in sets]
+                assert window_join(cols[0], cols[1], flt) == want_pairs, flt
+                assert hit_counts(cols, flt).tolist() == want_counts, flt
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_indexed_probes_after_merged_writes_ignore_row_order(self, seed):
+        rng = np.random.default_rng(seed)
+        datasets = [tied_rows(rng, 150, RawRegion) + [RawRegion("chr1", 20, 5)] for _ in range(4)]
+        probes = [
+            (chrom, position, window)
+            for chrom in ("chr1", "chr2") for position in (0, 5, 10, 21, 505, 1_000, 1_031)
+            for window in (1, 3, 600)
+        ]
+        for _ in range(3):
+            store = RegionStore()
+            store.import_dataset("d0", shuffled(rng, datasets[0]))
+            store.build_index()
+            for k, rows in enumerate(datasets[1:], 1):
+                write = store.insert_regions_rowwise if k == 2 else store.import_dataset
+                write(f"d{k}", shuffled(rng, rows))
+                for chrom, position, window in probes:
+                    want = store_module._scan(store._datasets, chrom, position - window, position + window)
+                    assert store.proximity_search(chrom, position, window) == want
 
 
 def narrow_and_long(n, long_start, seed=1):

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from array import array
 from dataclasses import FrozenInstanceError
 from pathlib import Path
@@ -158,6 +159,26 @@ class TestBatchVsRowwise:
         with pytest.raises(ValueError, match="capacity"):
             store.insert_regions_batch("ds", VALID)
         assert len(store) == 0
+
+    def test_rowwise_insert_keeps_columns_not_records(self):
+        # 200K records from a generator: three columns take 20 bytes a row
+        # (about 4 MB); keeping the records until the call ends took over
+        # 30 MB.
+        names = [f"chr{k}" for k in range(1, 24)]
+
+        def regions():
+            for i in range(200_000):
+                yield raw(names[i % 23], 1_000 * i, 1_000 * i + 100)
+
+        store = RegionStore()
+        tracemalloc.start()
+        try:
+            assert store.insert_regions_rowwise("ds", regions()) == 200_000
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
+        assert store.regions("ds")[-1].region == raw("chr15", 199_999_000, 199_999_100)
 
     def test_rowwise_failure_keeps_prefix(self):
         store = RegionStore(capacity=2)
