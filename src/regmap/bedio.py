@@ -14,9 +14,9 @@ builds rows without checking them again. The coordinate rule,
 ``coord_column``: an ``array('q')`` when every value fits int64, else a
 list of the exact ints; a value that is not an integer raises
 ValueError. A parse returns the scanner's columns as they are; other
-region-shaped records are converted column by column, by
-``as_records`` alone. The store keeps each dataset as one, and
-``columns.RegionColumns`` views one as numpy.
+region-shaped records are converted column by column, a chunk of
+records at a time, by ``as_records`` alone. The store keeps each
+dataset as one, and ``columns.RegionColumns`` views one as numpy.
 
 ``scan_numbered`` is the one line scanner and the rulebook: it alone
 decides that a line is malformed, and why. It accepts at once a line
@@ -37,6 +37,7 @@ import sys
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, Literal
 
@@ -62,6 +63,10 @@ __all__ = [
 ]
 
 _SKIP_PREFIXES = ("#", "track", "browser")
+# ``as_records`` reads this many records at a time: list comprehensions
+# and ``array.fromlist`` build a chunk's columns faster than appending
+# record by record, and a chunk of records is all it holds at once.
+_RECORD_CHUNK = 4096
 
 CATALOG_HEADER = ("name", "factor", "cell_line", "treatment", "assembly", "path")
 
@@ -162,29 +167,32 @@ class BedRecords(Sequence):
 
 def as_records(regions) -> BedRecords:
     """``regions`` as columns: a ``BedRecords`` as it is, any other
-    iterable of region-shaped records in one pass that keeps no record.
-    A coordinate that is not an integer or a rejected name (each
-    distinct one checked once) raises ValueError."""
+    iterable of region-shaped records in one pass that keeps no record
+    past its chunk. A coordinate that is not an integer or a rejected
+    name (each distinct one checked once) raises ValueError."""
     if isinstance(regions, BedRecords):
         return regions
     names: dict[str, int] = {}
     codes, starts, ends = array("i"), array("q"), array("q")
-    code_of, add_code, add_start, add_end = names.get, codes.append, starts.append, ends.append
-    for r in regions:
-        chrom = r.chrom
-        code = code_of(chrom)
-        if code is None:
-            code = names[chrom] = len(names)
-        add_code(code)
-        try:
-            add_start(r.start)
-            add_end(r.end)
-        except (OverflowError, TypeError):
-            # A value int64 does not hold, or not an integer: from here on
-            # the coordinates are kept as given, for coord_column to decide.
-            n = len(codes) - 1
-            starts, ends = [*starts[:n], r.start], [*ends[:n], r.end]
-            add_start, add_end = starts.append, ends.append
+    rows = iter(regions)
+    while chunk := list(islice(rows, _RECORD_CHUNK)):
+        chroms = [r.chrom for r in chunk]
+        for chrom in dict.fromkeys(chroms):
+            names.setdefault(chrom, len(names))
+        codes.fromlist([names[chrom] for chrom in chroms])
+        start, end = [r.start for r in chunk], [r.end for r in chunk]
+        if isinstance(starts, array):
+            try:
+                starts.fromlist(start)
+                ends.fromlist(end)
+                continue
+            except (OverflowError, TypeError):
+                # A value int64 does not hold, or not an integer: from here
+                # on the coordinates are kept as given, for coord_column.
+                n = len(codes) - len(chunk)
+                starts, ends = starts[:n].tolist(), ends[:n].tolist()
+        starts += start
+        ends += end
     if isinstance(starts, list):
         starts, ends = coord_column(starts), coord_column(ends)
     return BedRecords(names, codes, starts, ends)

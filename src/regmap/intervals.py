@@ -22,7 +22,8 @@ The interval index that joins, mining counts and store probes share
 is three steps here: ``_by_code`` groups rows by chromosome,
 ``_sorted_entry`` builds a chromosome's entry (the one place rows are
 sorted by start; ties in any order) and ``_windows`` finds a query's
-candidates in it. The first two import numpy, in the call.
+candidates in it. The first two import numpy, in the call, and sort
+with ``_argsort``.
 
 All functions here are pure and operate on immutable values; they are
 safe to call concurrently from any number of threads.
@@ -289,14 +290,26 @@ def region_length(r: GenomicRegion) -> int:
     return r.end - r.start
 
 
+def _argsort(keys):
+    """The order that sorts ``keys``, ties in any order. Keys in one or
+    two ascending runs (a file sorted by chromosome and start, or a
+    store entry followed by a write's sorted rows) take numpy's stable
+    sort, timsort, which merges runs in one pass; any others take the
+    default sort, SIMD where the CPU has it, which is faster on shuffled
+    keys but O(n log n) on every input."""
+    import numpy as np
+
+    descents = np.count_nonzero(keys[1:] < keys[:-1])
+    return np.argsort(keys, kind="stable" if descents < 2 else None)
+
+
 def _by_code(codes, count: int) -> list:
     """Item k: the rows whose numpy code is k, in any order, int32 when
-    they fit. numpy's default sort (SIMD where the CPU has it) is not
-    stable; no caller needs row order, since ``_sorted_entry`` orders
+    they fit. No caller needs row order, since ``_sorted_entry`` orders
     each group."""
     import numpy as np
 
-    order = np.argsort(codes)
+    order = _argsort(codes)
     order = order.astype(np.int32) if len(order) < 2**31 else order
     ends = np.bincount(codes, minlength=count).cumsum().tolist()
     return [order[i:j] for i, j in zip([0] + ends, ends)]
@@ -311,7 +324,7 @@ def _sorted_entry(start, end, rows) -> tuple:
     their hits by id."""
     import numpy as np
 
-    order = np.argsort(start)
+    order = _argsort(start)
     end = end[order]
     return start[order], end, rows[order], np.maximum.accumulate(end)
 

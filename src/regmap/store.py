@@ -134,10 +134,9 @@ def _index_dataset(dataset: DatasetColumns) -> dict[str, tuple]:
 def _merge(index: _Index, datasets: dict[str, DatasetColumns]) -> _Index:
     """A new index: ``index`` with ``datasets`` (in id order, after its
     own) merged in; ``index`` is not changed. Each chromosome that gains
-    rows sorts only its new rows (``_sorted_entry``). Where ``index``
-    already has an entry there, the two sorted runs are merged in one
-    pass, not sorted again: a write costs its own sort and one copy of
-    the chromosome's entry."""
+    rows sorts only its new rows (``_sorted_entry``); where ``index``
+    already has an entry there, the entry and those rows are two sorted
+    runs, which a second ``_sorted_entry`` merges in one pass."""
     import numpy as np
 
     entries, first_ids, names = index
@@ -148,22 +147,8 @@ def _merge(index: _Index, datasets: dict[str, DatasetColumns]) -> _Index:
     merged = {}
     for chrom, cols in grouped.items():
         entry = _sorted_entry(*map(np.concatenate, zip(*cols)))
-        old = entries.get(chrom)
-        if old is not None:
-            # Each new row goes after the old rows with its start, and the
-            # old rows fill the other places in order, so the two sorted
-            # runs stay one. Coordinates are compared in one dtype: int64,
-            # or exact ints when either run holds them.
-            old = [a.astype(np.result_type(a, b), copy=False) for a, b in zip(old, entry[:3])]
-            at = old[0].searchsorted(entry[0], "right") + np.arange(len(entry[0]))
-            kept = np.ones(len(old[0]) + len(at), dtype=bool)
-            kept[at] = False
-            run = []
-            for a, b in zip(old, entry[:3]):
-                column = np.empty(len(kept), a.dtype)
-                column[kept], column[at] = a, b
-                run.append(column)
-            entry = (*run, np.maximum.accumulate(run[1]))
+        if chrom in entries:
+            entry = _sorted_entry(*map(np.concatenate, zip(entries[chrom][:3], entry[:3])))
         merged[chrom] = entry
     first_ids = first_ids + [ds.first_id for ds in datasets.values()]
     return {**entries, **merged}, first_ids, names + list(datasets)
@@ -270,18 +255,22 @@ class RegionStore:
         """Insert regions one at a time (autocommit semantics).
 
         Each record is refused as ``import_dataset`` would refuse it, by
-        ``bedio.as_records``. On failure at record k the first k-1
-        records stay committed; they are published together when the
-        call ends. The records stream through one ``as_records``, so the
-        call keeps their columns, not the records.
+        ``bedio.as_records``. On failure at record k (a refused record,
+        an attribute or the iterator raising, the capacity reached) the
+        first k-1 records stay committed; they are published together
+        when the call ends. The records stream through one
+        ``as_records``, so the call keeps their columns, not the records.
+        An interrupt (a ``BaseException`` that is not an ``Exception``,
+        such as ``KeyboardInterrupt``) commits nothing.
         """
         with self._write_lock:
             self._check_new(name)
-            stopped: list[BaseException] = []
+            stopped: list[Exception] = []
 
             def taken():
-                """The records up to the first one refused; the error that
-                ends the stream goes to ``stopped``."""
+                """The records up to the first one refused, each with its
+                attributes read; the error that ends the stream goes to
+                ``stopped``."""
                 chroms = set()
                 try:
                     for n, r in enumerate(regions, 1):
@@ -293,7 +282,7 @@ class RegionStore:
                             as_records((r,))
                             chroms.add(r.chrom)
                         yield r
-                except BaseException as exc:  # committed first, then raised
+                except Exception as exc:  # committed first, then raised
                     stopped.append(exc)
 
             count = self._commit(name, _dataset(self._next_id, as_records(taken())))

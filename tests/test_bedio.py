@@ -3,11 +3,13 @@ import re
 import sys
 from array import array
 from collections.abc import Sequence
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from regmap import bedio
 from regmap.bedio import (
     BedParseError,
     BedRecords,
@@ -181,6 +183,34 @@ class TestBedRecords:
             records[0] = RawRegion("chr1", 1, 2)
         with pytest.raises(AttributeError):
             records.extra = 1
+
+class TestAsRecords:
+    ROWS = [
+        RawRegion("chr1", 0, 5),
+        RawRegion("chr2", 3, 9),
+        RawRegion("chr1", 2**62, 2**63 + 4),
+        RawRegion("chr3", -(2**64), 7),
+        RawRegion("chr2", 1, 2),
+    ]
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
+    def test_columns_do_not_depend_on_the_chunk_size(self, monkeypatch, chunk):
+        # A record past int64 in a later chunk turns the coordinates
+        # already taken into exact ints; a non-integer anywhere is refused.
+        monkeypatch.setattr(bedio, "_RECORD_CHUNK", chunk)
+        fits = bedio.as_records(iter(self.ROWS[:2] + self.ROWS[4:]))
+        assert (fits.starts, fits.ends) == (array("q", [0, 3, 1]), array("q", [5, 9, 2]))
+        exact = bedio.as_records(iter(self.ROWS))
+        assert list(exact) == self.ROWS and exact.names == ("chr1", "chr2", "chr3")
+        assert exact.codes == array("i", [0, 1, 0, 2, 1])
+        assert exact.starts == [0, 3, 2**62, -(2**64), 1] and exact.ends == [5, 9, 2**63 + 4, 7, 2]
+        ends_only = bedio.as_records(iter(self.ROWS[:3]))
+        assert ends_only.starts == array("q", [0, 3, 2**62]) and ends_only.ends == [5, 9, 2**63 + 4]
+        mixed = bedio.as_records(iter(self.ROWS[:2] + self.ROWS[3:]))
+        assert mixed.starts == [0, 3, -(2**64), 1] and mixed.ends == array("q", [5, 9, 7, 2])
+        bad = [*self.ROWS, SimpleNamespace(chrom="chr1", start=4, end=1.5)]
+        with pytest.raises(ValueError, match=r"^coordinate 1.5 is not an integer$"):
+            bedio.as_records(iter(bad))
 
 
 # The rules of the bedio docstring, one line at a time, with no fast path.

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from regmap import bedio, columns
+from regmap import bedio, columns, intervals
 from regmap import store as store_module
 from regmap.bedio import (
     BedParseError,
@@ -640,9 +640,46 @@ def shuffled(rng, rows):
     return [rows[i] for i in rng.permutation(len(rows)).tolist()]
 
 
+def reordered(rng, rows, order):
+    """``rows`` shuffled, or sorted by chromosome and start as a sorted
+    BED file is, or in two such sorted runs one after the other; rows
+    are regions or ``(id, region)`` pairs."""
+    rows = shuffled(rng, rows)
+    if order == "shuffled":
+        return rows
+
+    def key(row):
+        region = row[1] if isinstance(row, tuple) else row
+        return region.chrom, region.start
+
+    runs = [rows] if order == "sorted" else [rows[: len(rows) // 2], rows[len(rows) // 2 :]]
+    return [row for run in runs for row in sorted(run, key=key)]
+
+
+ORDERS = ["shuffled", "shuffled", "sorted", "two sorted runs"]
+
+
 class TestTiedStarts:
     """The index sorts by start with ties in any order; no result may
     depend on the order of rows that share a start."""
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            [],
+            [7],
+            [0, 0, 3, 3, 3, 9],
+            [0, 4, 4, 9, 1, 4, 4, 12],
+            [5, 1, 4, 1, 5, 9, 2, 6, 5, 3],
+            [2**63, 5, 2**64, 5, 0],
+        ],
+        ids=["empty", "one", "one run", "two runs", "shuffled", "exact ints"],
+    )
+    def test_argsort_sorts_keys_in_any_number_of_runs(self, keys):
+        keys = np.array(keys, dtype=np.int64 if all(k < 2**63 for k in keys) else object)
+        order = intervals._argsort(keys)
+        assert sorted(order.tolist()) == list(range(len(keys)))
+        assert keys[order].tolist() == sorted(keys.tolist())
 
     FILTERS = [
         JoinFilter(),
@@ -658,8 +695,8 @@ class TestTiedStarts:
         for flt in self.FILTERS:
             want_pairs = nested_loop_join(sets[0], sets[1], flt)
             want_counts = reference_hits(sets, flt)
-            for _ in range(3):
-                cols = [RegionColumns.from_id_regions(shuffled(rng, s)) for s in sets]
+            for order in ORDERS:
+                cols = [RegionColumns.from_id_regions(reordered(rng, s, order)) for s in sets]
                 assert window_join(cols[0], cols[1], flt) == want_pairs, flt
                 assert hit_counts(cols, flt).tolist() == want_counts, flt
 
@@ -672,13 +709,13 @@ class TestTiedStarts:
             for chrom in ("chr1", "chr2") for position in (0, 5, 10, 21, 505, 1_000, 1_031)
             for window in (1, 3, 600)
         ]
-        for _ in range(3):
+        for order in ORDERS:
             store = RegionStore()
-            store.import_dataset("d0", shuffled(rng, datasets[0]))
+            store.import_dataset("d0", reordered(rng, datasets[0], order))
             store.build_index()
             for k, rows in enumerate(datasets[1:], 1):
                 write = store.insert_regions_rowwise if k == 2 else store.import_dataset
-                write(f"d{k}", shuffled(rng, rows))
+                write(f"d{k}", reordered(rng, rows, order))
                 for chrom, position, window in probes:
                     want = store_module._scan(store._datasets, chrom, position - window, position + window)
                     assert store.proximity_search(chrom, position, window) == want

@@ -117,6 +117,25 @@ class TestImport:
         assert [(row.id, row.region) for row in store.regions("d1")] == [(2, VALID[0]), (3, VALID[1])]
         assert len(store) == 3 and store.staging_size == 0
 
+    @pytest.mark.parametrize("error, kept", [(RuntimeError, 2), (KeyboardInterrupt, 0)])
+    def test_rowwise_record_whose_attribute_raises(self, error, kept):
+        # An error commits the records before it; an interrupt commits
+        # nothing. Either way the store stays writable.
+        class Broken:
+            chrom, end = "chr1", 9
+
+            @property
+            def start(self):
+                raise error("attribute failed")
+
+        store = RegionStore()
+        with pytest.raises(error, match="attribute failed"):
+            store.insert_regions_rowwise("d1", iter([*VALID[:2], Broken(), VALID[2]]))
+        assert [row.region for row in store.rows()] == VALID[:kept]
+        assert store.dataset_names() == ["d1"][:kept > 0] and store.staging_size == 0
+        store.insert_regions_rowwise("d2", VALID[2:])
+        assert [row.region for row in store.regions("d2")] == VALID[2:]
+
 
 class TestRejectedNameInRecords:
     @pytest.mark.parametrize(
