@@ -10,9 +10,13 @@ becomes ``columns.RegionColumns`` as soon as its file is parsed, and
 the file's records are released before the next one is read. numpy is
 imported only inside the commands that use it (overlap, mine, gen,
 bench), so importing this module, ``search`` and ``sqlgen`` never load
-it; ``search`` builds no index, because one probe is a scan. Likewise
-the store, ``sqlgen`` and ``dbadapter`` load only in the commands that
-use them, so ``overlap`` and ``mine`` start without them.
+it; ``search`` builds no index, because one probe is a scan. Those four
+commands import it through ``_import_numpy``, with one OpenBLAS thread
+unless the caller sets ``OPENBLAS_NUM_THREADS``: regmap calls no BLAS
+routine, and OpenBLAS's worker pool costs about half of numpy's import
+time. Library use keeps numpy's defaults. Likewise the store,
+``sqlgen`` and ``dbadapter`` load only in the commands that use them,
+so ``overlap`` and ``mine`` start without them.
 """
 
 from __future__ import annotations
@@ -48,7 +52,30 @@ def _write_text(path: str | None, text: str) -> None:
         Path(sink).write_text(text, encoding="utf-8")
 
 
+def _import_numpy() -> None:
+    """Import numpy for a command, starting OpenBLAS with one thread.
+
+    Only while numpy first loads, ``OPENBLAS_NUM_THREADS`` defaults to
+    1; a value the caller set is kept, and ``os.environ`` is left as it
+    was. regmap calls no BLAS routine, so the pool OpenBLAS would start
+    at load time would only idle. A process that already loaded numpy
+    keeps its pool."""
+    if "numpy" in sys.modules:
+        return
+    import os
+
+    default = "OPENBLAS_NUM_THREADS" not in os.environ
+    if default:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        if default:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+
+
 def cmd_gen(args) -> int:
+    _import_numpy()
     from . import bench
 
     config = bench.GenConfig(
@@ -65,6 +92,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_overlap(args) -> int:
+    _import_numpy()
     from .columns import read_bed_columns, window_join
 
     a = read_bed_columns(args.a, first_id=1)
@@ -79,6 +107,7 @@ def cmd_overlap(args) -> int:
 
 
 def cmd_mine(args) -> int:
+    _import_numpy()
     from .columns import RegionColumns
 
     catalog_path = Path(args.catalog)
@@ -167,6 +196,7 @@ def cmd_sqlgen(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _import_numpy()
     from . import bench, dbadapter
 
     sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else [5000]

@@ -131,6 +131,14 @@ class TestOverlapBench:
         geo = int(note.split("geo_pairs=")[1])
         assert geo >= pairs
 
+    def test_default_size_makes_touching_pairs(self):
+        report = run_overlap_bench([5000], reps=1, seed=31)
+        note = report.context[-1]
+        pairs = int(note.split("pairs=")[1].split()[0])
+        geo = int(note.split("geo_pairs=")[1])
+        assert pairs >= 1000
+        assert geo > pairs  # some rows only touch
+
 
 class TestSearchBench:
     def test_seeded_invalid_rows_and_index_consistency(self):

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import os
@@ -674,3 +675,63 @@ def test_cli_import_and_mine_leave_sqlgen_dbadapter_and_store_unloaded(tmp_path)
     # mine and overlap read columns, which convert bedio's records and
     # import the store only for its type annotations
     assert result.stderr == "[[], []]"
+
+
+BLAS_THREADS = "OPENBLAS_NUM_THREADS"
+
+
+def numpy_command_child(argv, **env):
+    """Run ``main(argv)`` in a fresh interpreter whose environment lacks
+    OPENBLAS_NUM_THREADS unless ``env`` sets it. Returns the exit code,
+    whether numpy is loaded, the OS thread count (None without
+    ``/proc/self/task``) and the variable's value afterwards."""
+    code = (
+        "import os, sys; from regmap.cli import main; "
+        f"rc = main({argv!r}); "
+        "task = '/proc/self/task'; "
+        "threads = len(os.listdir(task)) if os.path.isdir(task) else None; "
+        f"sys.stderr.write(repr((rc, 'numpy' in sys.modules, threads, os.environ.get({BLAS_THREADS!r}))))"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    child_env = {k: v for k, v in os.environ.items() if k != BLAS_THREADS}
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**child_env, "PYTHONPATH": str(src), **env},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return ast.literal_eval(result.stderr)
+
+
+def numpy_commands(tmp_path):
+    bed = str(toy_data_dir() / "hnf4g_hepg2.bed")
+    return {
+        "overlap": ["overlap", "--a", bed, "--b", bed, "--out", str(tmp_path / "o.tsv")],
+        "mine": ["mine", "--catalog", str(toy_catalog_path()), "--out", str(tmp_path / "m.tsv")],
+    }
+
+
+@pytest.mark.parametrize("command", ["overlap", "mine"])
+def test_numpy_commands_start_without_a_blas_thread_pool(tmp_path, command):
+    # OpenBLAS starts with one thread, and the variable is gone again.
+    rc, loaded, threads, value = numpy_command_child(numpy_commands(tmp_path)[command])
+    assert (rc, loaded, value) == (0, True, None)
+    if threads is not None:
+        assert threads == 1
+
+
+def test_numpy_commands_keep_the_callers_blas_threads(tmp_path):
+    argv = numpy_commands(tmp_path)["overlap"]
+    rc, loaded, _, value = numpy_command_child(argv, **{BLAS_THREADS: "2"})
+    assert (rc, loaded, value) == (0, True, "2")
+
+
+@pytest.mark.parametrize("command", ["overlap", "mine"])
+def test_numpy_commands_leave_a_loaded_numpy_and_the_environment_alone(tmp_path, monkeypatch, command):
+    import numpy  # noqa: F401 - loaded before the command runs
+    monkeypatch.delenv(BLAS_THREADS, raising=False)
+    before = dict(os.environ)
+    assert main(numpy_commands(tmp_path)[command]) == 0
+    assert dict(os.environ) == before

@@ -351,6 +351,49 @@ class TestReadBedDifferential:
         assert reader <= 2 * best_of_3(lambda: scan_text(text, True))
 
 
+def slot_collision():
+    """Two scaffold names of one word that share a ``_chrom_codes`` slot."""
+    seen = {}
+    for i in range((1 << columns._SLOT_BITS) + 1):
+        name = f"ctg{i}"
+        key = int.from_bytes(name.encode().ljust(8, b"\0"), "little")
+        slot = key * int(columns._MIX) % (1 << 64) >> (64 - columns._SLOT_BITS)
+        if slot in seen:
+            return seen[slot], name
+        seen[slot] = name
+    raise AssertionError("no two names share a slot")
+
+
+class TestChromCodes:
+    """``_chrom_codes`` looks a block's names up among those it resolved
+    in earlier blocks and resolves only the rest; the name table and the
+    codes stay ``bedio.scan_text``'s."""
+
+    @pytest.mark.parametrize("block", [40, columns.INGEST_BLOCK])
+    def test_names_recurring_across_blocks(self, tmp_path, monkeypatch, block):
+        early = ["chr1", "chr2", "chrX", "chrUn_KI270742v1", *slot_collision(), "chr 1"]
+        late = ["chr19_KI270938v1_alt", "chrY"]  # first named after two default blocks
+        rng = np.random.default_rng(29)
+        lines = []
+        for i in range(15_000):
+            names = early + late if i >= 13_000 else early
+            start = int(rng.integers(0, 10**8))
+            name = names[int(rng.integers(len(names)))]
+            lines.append(f"{name}\t{start}\t{start + 99}\tpeak_{i:06d}\t0\t+\n")
+            if i % 997 == 0:
+                lines.append("chr1\t500x\t600\n")
+        path = tmp_path / "x.bed"
+        path.write_text("".join(lines))
+        assert len("".join(lines[:13_000])) > 2 * columns.INGEST_BLOCK
+        want = text_scan(path, strict=False)
+        table = want[0]
+        assert sorted(table[:-2]) == sorted(name for name in early if " " not in name)
+        assert sorted(table[-2:]) == sorted(late)
+        monkeypatch.setattr(columns, "INGEST_BLOCK", block)
+        monkeypatch.setattr(columns, "scan_text", refuse)
+        assert read_as_bedio(path, strict=False) == want
+
+
 # Coordinates and names that end just before, at and just after the
 # reader's 8-byte word boundaries.
 WORD_DIGITS = [1, 7, 8, 9, 15, 16, 17, 18, 19, 20]
