@@ -36,9 +36,7 @@ coordinate is the two or three words that end at its last byte, with
 the bytes before it set to ``'0'``, checked and folded eight digits at
 once as Langdale and Lemire parse numbers ("Parsing gigabytes of JSON
 per second", VLDB J. 2019); a chromosome name is the words from its
-first byte, masked to its width, as the key of its code, looked up in
-a hashed slot table of the names earlier blocks resolved before any
-key is sorted.
+first byte, masked to its width, as the key of its code.
 
 Coordinates must lie below ``COORD_LIMIT`` (2**62), so the sum of two
 coordinates and every window bound fit in ``int64``; a larger one is
@@ -180,13 +178,12 @@ def _scan_fast(data: bytes, strict: bool):
     are bedio's, in line order; in strict mode the first raises. Each
     block's rows are appended to the columns as it is parsed."""
     table: dict[str, int] = {}  # chromosome name -> code
-    known: dict = {}  # _chrom_codes' slots of the names it resolved
     columns = array("i"), array("q"), array("q")
     report = ParseReport()
     lineno = pos = 0
     while pos < len(data):
         stop = data.find(b"\n", pos + INGEST_BLOCK - 1) + 1 or len(data)
-        *rows, count, declined = _scan_block(data, pos, stop, lineno, table, known)
+        *rows, count, declined = _scan_block(data, pos, stop, lineno, table)
         if declined:
             names, _, _, _, part = scan_numbered(declined, strict)
             if part.accepted or not all(map(table.__contains__, names)):
@@ -202,7 +199,7 @@ def _scan_fast(data: bytes, strict: bool):
     return list(table), *columns, report
 
 
-def _scan_block(data: bytes, pos: int, stop: int, lineno: int, table: dict[str, int], known: dict):
+def _scan_block(data: bytes, pos: int, stop: int, lineno: int, table: dict[str, int]):
     """Parse the whole lines ``data[pos:stop]`` with numpy.
 
     A line is accepted when it has at least three tab-separated fields,
@@ -210,8 +207,7 @@ def _scan_block(data: bytes, pos: int, stop: int, lineno: int, table: dict[str, 
     ``intervals._chrom_reason`` and the skip prefixes, and its start and
     end match ``-?[0-9]{1,MAX_DIGITS}``. ``lineno`` is the number of
     lines before ``pos``; ``table`` maps accepted names to codes and
-    gains the block's new names in order of first appearance, and
-    ``known`` holds ``_chrom_codes``' slots across blocks. Returns
+    gains the block's new names in order of first appearance. Returns
     the accepted rows' codes, starts and ends, the number of lines, and
     the (line number, text) pairs of every other line.
 
@@ -239,7 +235,7 @@ def _scan_block(data: bytes, pos: int, stop: int, lineno: int, table: dict[str, 
     ok = tab[first] & tab[first + 1] & (width >= 1) & (width <= NAME_WIDTH)
     codes = np.full(len(line_end), -1, dtype=np.int32)
     if ok.any():
-        codes[ok] = _chrom_codes(b, line_begin[ok], width[ok], table, known)
+        codes[ok] = _chrom_codes(b, line_begin[ok], width[ok], table)
         ok &= codes >= 0
     start = _parse_ints(b, tab1 + 1, tab2, ok)
     end = _parse_ints(b, tab2 + 1, tab3, ok)
@@ -260,11 +256,6 @@ _FRONT = -(-MAX_DIGITS // 8) * 8
 _LOW = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 _ONES = 0x0101010101010101
 _WORD = 8 * np.arange(max(_FRONT, NAME_WIDTH) // 8)[:, None]
-# _chrom_codes remembers the names it resolved in 2**_SLOT_BITS slots
-# per key width, a name's slot the top bits of its words multiplied
-# (Fibonacci hashing) by _MIX.
-_SLOT_BITS = 12
-_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _words(b: np.ndarray, at: np.ndarray, count: int) -> np.ndarray:
@@ -275,35 +266,18 @@ def _words(b: np.ndarray, at: np.ndarray, count: int) -> np.ndarray:
     return spans[at].view("<u8").reshape(len(at), count).T.copy()
 
 
-def _chrom_codes(b: np.ndarray, begin: np.ndarray, width: np.ndarray, table: dict[str, int], known: dict):
+def _chrom_codes(b: np.ndarray, begin: np.ndarray, width: np.ndarray, table: dict[str, int]):
     """Code of each name of ``width`` bytes at ``b[begin]``, or -1
     for a name bedio does not accept. A name's key is its words masked
-    to its width. A key is first looked up in its slot in ``known``,
-    which holds keys and codes of the names earlier blocks resolved,
-    one of the keys that map to each slot. Each distinct other key is
-    resolved once, through ``table``, and the new names are ordered by
-    first appearance in one pass."""
+    to its width; each distinct name is checked once, and the new ones
+    are ordered by first appearance in one pass."""
     # Zero-filled to a multiple of 8 bytes, distinct names stay distinct
     # keys because the file holds no NUL; an 8-byte key is one word.
     count = -(-int(width.max()) // 8)
-    words = _words(b, begin, count)
-    words &= _LOW[np.clip(width - _WORD[:count], 0, 8)]
-    keys = words[0] if count == 1 else words.T.copy().view(f"S{8 * count}").ravel()
-    if count in known:
-        slot_keys, slot_codes = known[count]
-        slot = _slots(words)
-        codes = slot_codes[slot]
-        miss = np.flatnonzero(slot_keys[slot] != keys)
-        if not len(miss):
-            return codes
-    else:  # an empty slot's zero key is no name's key
-        slot_keys, slot_codes = known[count] = (
-            np.zeros(1 << _SLOT_BITS, keys.dtype),
-            np.full(1 << _SLOT_BITS, -1, np.int32),
-        )
-        codes = np.empty(len(keys), dtype=np.int32)
-        miss = slice(None)
-    distinct, inverse = np.unique(keys[miss], return_inverse=True)
+    keys = _words(b, begin, count)
+    keys &= _LOW[np.clip(width - _WORD[:count], 0, 8)]
+    keys = keys[0] if count == 1 else keys.T.copy().view(f"S{8 * count}").ravel()
+    distinct, inverse = np.unique(keys, return_inverse=True)
     raw = distinct.tobytes()
     size = 8 * count
     mapped = np.empty(len(distinct), dtype=np.int32)
@@ -320,20 +294,7 @@ def _chrom_codes(b: np.ndarray, begin: np.ndarray, width: np.ndarray, table: dic
         seen = inverse[np.isin(inverse, list(new))].tolist()
         for i in dict.fromkeys(seen):  # in order of first appearance
             mapped[i] = table[new[i]] = len(table)
-    codes[miss] = mapped[inverse]
-    resolved = np.flatnonzero(mapped >= 0)
-    distinct_words = np.frombuffer(raw, "<u8").reshape(len(distinct), count).T
-    at, pick = np.unique(_slots(distinct_words)[resolved], return_index=True)
-    slot_keys[at], slot_codes[at] = distinct[resolved[pick]], mapped[resolved[pick]]
-    return codes
-
-
-def _slots(words: np.ndarray) -> np.ndarray:
-    """The slot of each key given as words, one row per word."""
-    mixed = words[0] * _MIX
-    for word in words[1:]:
-        mixed = (mixed ^ word) * _MIX
-    return (mixed >> np.uint64(64 - _SLOT_BITS)).astype(np.intp)
+    return mapped[inverse]
 
 
 def _parse_ints(b: np.ndarray, begin: np.ndarray, end: np.ndarray, ok: np.ndarray) -> np.ndarray:
