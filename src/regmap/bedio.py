@@ -21,13 +21,13 @@ dataset as one, and ``columns.RegionColumns`` views one as numpy.
 ``scan_numbered`` is the one line scanner and the rulebook: it alone
 decides that a line is malformed, and why. It accepts at once a line
 whose name it accepted before and whose coordinates are ASCII digits.
-``scan_bed`` runs it over a stream, or over a path read whole as text
+``parse_bed`` runs it over a stream, or over a path read whole as text
 with universal newlines (``scan_text``). When numpy is already loaded,
-it returns the numpy reader ``columns._read_bed`` of a path instead,
-whose columns are this module's own; that reader's fast path only
-accepts, and sends every other line to ``scan_numbered``. This module
-never imports numpy itself, so a parse in a numpy-free process stays
-numpy-free.
+it reads a path with the numpy reader ``columns._read_bed`` instead,
+whose fast path only accepts and sends every other line to
+``scan_numbered``. Each of these readers returns ``(BedRecords,
+ParseReport)``. This module never imports numpy itself, so a parse in a
+numpy-free process stays numpy-free.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ __all__ = [
     "numpy_coords",
     "parse_bed",
     "parse_bed_file",
-    "scan_bed",
     "write_bed",
     "load_catalog",
     "load_catalog_file",
@@ -214,19 +213,21 @@ def _is_int(text: str) -> bool:
     )
 
 
-def scan_bed(
+def parse_bed(
     source: str | Path | IO | Iterable[str],
     mode: Literal["strict", "permissive"] = "strict",
-) -> tuple[list[str], array, array | list[int], array | list[int], ParseReport]:
-    """Accepted rows of a BED source as ``(names, codes, starts, ends,
-    report)``, the columns of ``BedRecords``. The name table lists each
-    chromosome once, in order of first appearance: a name that passes
-    the chromosome rule enters it at its first line of three or more
-    fields, even when that line's coordinates are rejected. Each distinct
-    chromosome name is checked once. In strict mode the first malformed
-    line raises BedParseError; in permissive mode malformed lines are
-    recorded in the report and skipped. A path goes through the numpy
-    reader when numpy is already loaded, else through ``scan_text``.
+) -> tuple[BedRecords, ParseReport]:
+    """Parse a BED-like source into RawRegion records, held as columns.
+
+    The name table lists each chromosome once, in order of first
+    appearance: a name that passes the chromosome rule enters it at its
+    first line of three or more fields, even when that line's
+    coordinates are rejected. Each distinct chromosome name is checked
+    once. In strict mode the first malformed line raises BedParseError;
+    in permissive mode malformed lines are recorded in the report and
+    skipped, and the parse itself never fails on tab-separated text. A
+    path goes through the numpy reader when numpy is already loaded,
+    else through ``scan_text``; a stream goes through ``scan_numbered``.
     """
     if mode not in ("strict", "permissive"):
         raise ValueError(f"unknown parse mode: {mode!r}")
@@ -245,16 +246,14 @@ def scan_bed(
     return scan_numbered(enumerate(lines, start=1), strict)
 
 
-def scan_text(text: str, strict: bool):
-    """``scan_bed``'s result for a whole text split at ``\\n``; the empty
+def scan_text(text: str, strict: bool) -> tuple[BedRecords, ParseReport]:
+    """``parse_bed``'s result for a whole text split at ``\\n``; the empty
     piece after a final newline is a blank line, so it is skipped."""
     return scan_numbered(enumerate(text.split("\n"), start=1), strict)
 
 
-def scan_numbered(
-    numbered: Iterable[tuple[int, str]], strict: bool
-) -> tuple[list[str], array, array | list[int], array | list[int], ParseReport]:
-    """``scan_bed``'s rules over (line number, line) pairs.
+def scan_numbered(numbered: Iterable[tuple[int, str]], strict: bool) -> tuple[BedRecords, ParseReport]:
+    """``parse_bed``'s rules over (line number, line) pairs.
 
     The columnar reader sends here each line its fast path does not
     accept, under its line number in the file.
@@ -309,21 +308,7 @@ def scan_numbered(
         report.rejects.append((lineno, reason))
     report.accepted = len(codes)
     report.rejected = len(report.rejects)
-    return names, array("i", codes), coord_column(starts), coord_column(ends), report
-
-
-def parse_bed(
-    source: str | Path | IO | Iterable[str],
-    mode: Literal["strict", "permissive"] = "strict",
-) -> tuple[BedRecords, ParseReport]:
-    """Parse a BED-like stream into RawRegion records, held as columns.
-
-    In strict mode the first malformed line raises BedParseError. In
-    permissive mode malformed lines are recorded in the report and
-    skipped, and the parse itself never fails on tab-separated text.
-    """
-    names, codes, starts, ends, report = scan_bed(source, mode)
-    return BedRecords(names, codes, starts, ends), report
+    return BedRecords(names, array("i", codes), coord_column(starts), coord_column(ends)), report
 
 
 def parse_bed_file(

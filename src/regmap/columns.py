@@ -25,11 +25,12 @@ with a bound the window join's kernel marks the rows.
 ``RegionColumns.to_id_regions`` gives the (id, GenomicRegion) lists the
 reference join takes.
 
-``_read_bed`` parses a BED file with numpy for ``bedio.scan_bed``, on
-a path once numpy is loaded, and returns ``scan_bed``'s own columns.
-Its fast path only accepts: it has no reject reasons of its own, and
-every line it does not accept goes through ``bedio.scan_numbered``, so
-bedio's Python scanner stays the one rulebook and the reference reader.
+``_read_bed`` parses a BED file with numpy for ``bedio.parse_bed``, on
+a path once numpy is loaded, and returns ``(BedRecords, ParseReport)``
+as bedio's readers do. Its fast path only accepts: it has no reject
+reasons of its own, and every line it does not accept goes through
+``bedio.scan_numbered``, so bedio's Python scanner stays the one
+rulebook and the reference reader.
 The fast path reads fields a word at a time (SWAR), over an unaligned
 little-endian ``uint64`` view of each block padded with zero bytes: a
 coordinate is the two or three words that end at its last byte, with
@@ -44,7 +45,7 @@ refused with a ValueError rather than wrapped.
 
 This module imports numpy. ``import regmap`` must not load it, so the
 package imports this module only inside the calls that join, and in
-``bedio.scan_bed`` once numpy is loaded.
+``bedio.parse_bed`` once numpy is loaded.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ from typing import NoReturn, Sequence
 
 import numpy as np
 
-from .bedio import _SKIP_PREFIXES, ParseReport, as_records, parse_bed_file, scan_numbered, scan_text
+from .bedio import _SKIP_PREFIXES, BedRecords, ParseReport, as_records, parse_bed_file
+from .bedio import scan_numbered, scan_text
 from .intervals import GenomicRegion, RawRegion, _by_code, _chrom_reason, _sorted_entry, _windows
 from .joins import JoinFilter, OverlapPair
 
@@ -145,10 +147,8 @@ def read_bed_columns(path: str | Path, first_id: int = 1) -> RegionColumns:
     return _checked(rows.names, *rows.arrays(), ids)
 
 
-def _read_bed(path: str | Path, strict: bool):
-    """``bedio.scan_bed``'s result for a path: ``(names, codes, starts,
-    ends, report)``, an ``array('i')`` of codes and coordinates following
-    ``bedio.coord_column``.
+def _read_bed(path: str | Path, strict: bool) -> tuple[BedRecords, ParseReport]:
+    """``bedio.parse_bed``'s result for a path.
 
     The file is read once, as bytes, and parsed with numpy
     (``_scan_fast``). That fast path only accepts; bedio stays the
@@ -156,20 +156,19 @@ def _read_bed(path: str | Path, strict: bool):
     bedio's rules under its own line number. A file holding a non-ASCII
     byte, a ``\\r``, a NUL, a line that only bedio accepts or a name
     that only bedio enters into the name table is decoded whole and
-    scanned by ``bedio.scan_text``, as ``scan_bed`` reads a path without
+    scanned by ``bedio.scan_text``, as ``parse_bed`` reads a path without
     numpy, so newline handling and decode errors are bedio's.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     if data.isascii() and b"\r" not in data and b"\0" not in data:
-        parsed = _scan_fast(data, strict)
-        if parsed is not None:
+        if parsed := _scan_fast(data, strict):
             return parsed
     # Decoded as open(path, encoding="utf-8").read() decodes it.
     return scan_text(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read(), strict)
 
 
-def _scan_fast(data: bytes, strict: bool):
+def _scan_fast(data: bytes, strict: bool) -> tuple[BedRecords, ParseReport] | None:
     """``_read_bed``'s result for an ASCII file with no ``\\r`` and no
     NUL, block by block; None if bedio would accept a line the fast
     path declined (a coordinate of over MAX_DIGITS digits, a name
@@ -185,8 +184,8 @@ def _scan_fast(data: bytes, strict: bool):
         stop = data.find(b"\n", pos + INGEST_BLOCK - 1) + 1 or len(data)
         *rows, count, declined = _scan_block(data, pos, stop, lineno, table)
         if declined:
-            names, _, _, _, part = scan_numbered(declined, strict)
-            if part.accepted or not all(map(table.__contains__, names)):
+            others, part = scan_numbered(declined, strict)
+            if part.accepted or not all(map(table.__contains__, others.names)):
                 return None
             report.rejects += part.rejects
         for column, values in zip(columns, rows):
@@ -196,7 +195,7 @@ def _scan_fast(data: bytes, strict: bool):
     report.accepted, report.rejected = len(columns[0]), len(report.rejects)
     # Like bedio, the fast path enters each name of at most NAME_WIDTH
     # bytes at its first line of three fields, so the tables are equal.
-    return list(table), *columns, report
+    return BedRecords(table, *columns), report
 
 
 def _scan_block(data: bytes, pos: int, stop: int, lineno: int, table: dict[str, int]):

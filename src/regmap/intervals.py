@@ -202,7 +202,8 @@ def case_overlap_coords(a_start: int, a_end: int, b_start: int, b_end: int) -> i
 
 
 def centre_distance_coords(a_start: int, a_end: int, b_start: int, b_end: int) -> float:
-    """Exact distance between interval midpoints, a multiple of 0.5."""
+    """Distance between interval midpoints, a multiple of 0.5, as a float: exact
+    while the doubled distance ``|(a_start + a_end) - (b_start + b_end)|`` is <= 2**53."""
     return abs((a_start + a_end) - (b_start + b_end)) / 2
 
 
@@ -246,9 +247,10 @@ def classify(a: GenomicRegion, b: GenomicRegion) -> RelativePosition:
 
 
 def centre_distance(a: GenomicRegion, b: GenomicRegion) -> float:
-    """Exact distance between region centres (multiples of 0.5 bp).
+    """Distance between region centres (multiples of 0.5 bp), a float.
 
-    Computed on doubled coordinates so half-unit midpoints never round.
+    Computed on doubled coordinates, so it is exact while the doubled
+    distance is at most 2**53 (``centre_distance_coords``).
     """
     _require_same_chrom(a, b)
     return centre_distance_coords(a.start, a.end, b.start, b.end)

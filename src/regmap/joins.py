@@ -87,7 +87,8 @@ MINING_TSV_HEADER = (
 
 @dataclass(frozen=True, slots=True)
 class OverlapPair:
-    """One joined row: region ids plus both derived metrics."""
+    """One joined row: region ids plus both derived metrics. The centre
+    distance is a float, exact while the doubled distance is <= 2**53."""
 
     a_id: int
     b_id: int
@@ -100,13 +101,16 @@ class OverlapPair:
 class JoinFilter:
     """Emission conditions: bp_overlap >= min_bp, centre distance < bound.
 
-    An infinite bound is no bound; NaN is refused.
+    ``min_bp`` must be an ``int`` (a ``bool`` is not one). An infinite
+    bound is no bound; NaN is refused.
     """
 
     min_bp: int = 1
     max_centre_distance: float | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.min_bp, int) or isinstance(self.min_bp, bool):
+            raise ValueError(f"min_bp must be an integer, got {self.min_bp!r}")
         bound = self.max_centre_distance
         if bound is None:
             return

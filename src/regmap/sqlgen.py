@@ -200,7 +200,7 @@ def emit_regmap_query(
     q = _check_int(query_dataset, "query_dataset")
     r = _check_int(ref_dataset, "ref_dataset")
     div = "div" if dialect.is_mysql else "/"
-    where = [f"where bpooverlap >= {_check_int(flt.min_bp, 'min_bp')}"]
+    where = [f"where bpooverlap >= {flt.min_bp}"]  # JoinFilter checks min_bp
     bound = flt.max_centre_distance
     if bound is not None and math.isfinite(2 * bound):
         where.append(f"  and twicecentredistance < {_format_bound(2 * bound)}")

@@ -15,7 +15,6 @@ from regmap.bedio import (
     BedRecords,
     load_catalog,
     parse_bed,
-    scan_bed,
     write_bed,
 )
 from regmap.bedio import _chrom_reason
@@ -301,13 +300,13 @@ class TestScanAgainstReference:
             expected = reference_scan(text, universal, mode == "strict")
             if expected[0] == "error":
                 with pytest.raises(BedParseError) as exc:
-                    scan_bed(source, mode)
+                    parse_bed(source, mode)
                 assert exc.value.lineno == expected[1]
                 continue
             rows, names, rejects = expected
-            got_names, codes, starts, ends, report = scan_bed(source, mode)
-            assert got_names == names
-            assert [(got_names[c], s, e) for c, s, e in zip(codes, starts, ends)] == rows
+            records, report = parse_bed(source, mode)
+            assert list(records.names) == names
+            assert [(r.chrom, r.start, r.end) for r in records] == rows
             assert report.rejects == rejects
             assert (report.accepted, report.rejected) == (len(rows), len(rejects))
 

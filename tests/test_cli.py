@@ -114,6 +114,16 @@ class TestOverlap:
         assert rc == 0
         assert len(out.splitlines()) == 1
 
+    @pytest.mark.parametrize("algorithm", ["sweep", "nested"])
+    def test_centre_distance_exact_up_to_doubled_2_to_the_53(self, capsys, tmp_path, algorithm):
+        # The doubled distance 2**53 - 1 is the largest odd one whose half a float holds.
+        a = self.write(tmp_path / "a.bed", "chr1\t0\t1\n")
+        b = self.write(tmp_path / "b.bed", f"chr1\t{2**52 - 1}\t{2**52 + 1}\n")
+        argv = ["--a", a, "--b", b, "--min-bp", str(-(2**52)), "--algorithm", algorithm]
+        rc, out, _ = run_cli(capsys, "overlap", *argv)
+        assert rc == 0
+        assert out.splitlines()[1:] == [f"1\t2\tchr1\t{2 - 2**52}\t4503599627370495.5"]
+
 
 class TestOverlapColumnar:
     """The default (columnar) path against ``--algorithm nested``."""

@@ -106,12 +106,17 @@ class TestReadBedColumns:
         assert (pair.bp_overlap, pair.centre_distance) == (10, 0.0)
 
 
+def as_lists(records, report):
+    """A reader's result as ``(names, codes, starts, ends, report)`` lists."""
+    columns = records.names, records.codes, records.starts, records.ends
+    return (*map(list, columns), report)
+
+
 def text_scan(path, strict):
     """The reference reader: bedio's Python scanner over the file's text,
-    as ``scan_bed`` reads a path when numpy is not loaded, with lists."""
+    as ``parse_bed`` reads a path when numpy is not loaded, with lists."""
     with open(path, encoding="utf-8") as fh:
-        names, codes, starts, ends, report = scan_text(fh.read(), strict)
-    return names, list(codes), list(starts), list(ends), report
+        return as_lists(*scan_text(fh.read(), strict))
 
 
 def scanned(path, first_id=1):
@@ -175,7 +180,7 @@ class TestReadBedColumnsDifferential:
         st.booleans(),
         st.sampled_from([1, 5, 40, columns.INGEST_BLOCK]),
     )
-    def test_matches_scan_bed(self, tmp_path_factory, lines, final_newline, block):
+    def test_matches_the_text_scan(self, tmp_path_factory, lines, final_newline, block):
         data = b"".join(line + end for line, end in lines)
         if lines and not final_newline:
             data = data[: -len(lines[-1][1])]
@@ -209,12 +214,13 @@ class TestReadBedColumnsDifferential:
 
 
 def read_as_bedio(path, strict):
-    """``columns._read_bed``, whose columns are ``bedio.scan_bed``'s own
-    types, with lists."""
-    names, codes, starts, ends, report = columns._read_bed(path, strict)
-    assert type(codes) is array and codes.typecode == "i"
-    assert coordinate_column_type_ok(starts) and coordinate_column_type_ok(ends)
-    return names, codes.tolist(), list(starts), list(ends), report
+    """``columns._read_bed``, whose columns have the types of bedio's
+    readers, with lists."""
+    records, report = columns._read_bed(path, strict)
+    assert type(records) is BedRecords
+    assert type(records.codes) is array and records.codes.typecode == "i"
+    assert coordinate_column_type_ok(records.starts) and coordinate_column_type_ok(records.ends)
+    return as_lists(records, report)
 
 
 def scan_outcome(read, path, strict):
@@ -263,7 +269,7 @@ READER_FILE = st.one_of(
 
 
 class TestReadBedDifferential:
-    """``columns._read_bed``, which ``scan_bed`` runs on a path once numpy
+    """``columns._read_bed``, which ``parse_bed`` runs on a path once numpy
     is loaded, against the Python scanner over the file's text: names,
     codes, coordinates and the whole report, or the same error."""
 
@@ -433,7 +439,7 @@ class TestWordBoundaries:
 
 
 class TestParseDispatch:
-    """``bedio.scan_bed`` reads a path with the columnar reader when
+    """``bedio.parse_bed`` reads a path with the columnar reader when
     numpy is already loaded (it is, in this module) and a stream with
     the Python scanner."""
 
@@ -504,14 +510,15 @@ def test_numpy_path_parse_equals_scan_text_with_the_same_column_types(tmp_path, 
     path = tmp_path / "x.bed"
     path.write_text(text)
     records, report = parse_bed_file(path, mode="permissive")  # numpy is loaded here
-    names, codes, starts, ends, want = scan_text(text, strict=False)
-    expected = BedRecords(names, codes, starts, ends)
+    expected, want = scan_text(text, strict=False)
     assert records == expected and records.names == expected.names
     assert (report.accepted, report.rejects) == (want.accepted, want.rejects)
     for got in (records, expected):
         assert got.codes.typecode == "i"
         assert coordinate_column_type_ok(got.starts) and coordinate_column_type_ok(got.ends)
-    assert (records.codes, records.starts, records.ends) == (codes, starts, ends)
+    assert (records.codes, records.starts, records.ends) == (
+        expected.codes, expected.starts, expected.ends
+    )
 
 
 REFUSED_RECORDS = [

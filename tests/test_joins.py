@@ -191,6 +191,22 @@ class TestFilterProperties:
         with pytest.raises(ValueError, match="must not be NaN"):
             JoinFilter(max_centre_distance=float("nan"))
 
+    @pytest.mark.parametrize("min_bp", [float("nan"), 1.5, True, "3"])
+    def test_non_integer_min_bp_refused(self, min_bp):
+        # NaN used to reach the joins, which then disagreed on the same rows.
+        with pytest.raises(ValueError, match="^min_bp must be an integer, got "):
+            JoinFilter(min_bp=min_bp)
+
+    @pytest.mark.parametrize("min_bp", [-(10**30), 10**30])
+    def test_huge_integer_min_bp_accepted(self, min_bp):
+        a = ids([GenomicRegion("chr1", 0, 10)])
+        b = ids([GenomicRegion("chr1", 100, 110)], start=2)
+        flt = JoinFilter(min_bp=min_bp)
+        expected = nested_loop_join(a, b, flt)
+        assert len(expected) == (min_bp < 0)
+        assert sweep_join(a, b, flt) == expected
+        assert count_overlapping(a, b, flt) == (len(expected), 1)
+
 
 class TestCountOverlapping:
     def test_distinct_query_regions(self):
