@@ -261,14 +261,20 @@ def run_import_bench(
     reps: int = 3,
     backends: Sequence[dbadapter.BackendConfig] | None = None,
 ) -> BenchmarkReport:
-    """Three-step staged import of BED files; row counts are verified."""
+    """Three-step staged import of BED files; row counts are verified.
+
+    Malformed lines are skipped; when the files hold any, the note
+    ``import files=K: rows=N rejected=M`` counts them."""
     report = _new_report(CONTEXT_IMPORT, backends)
     parsed = []
-    total = 0
+    total = rejected = 0
     for i, path in enumerate(files):
-        regions, _ = parse_bed_file(path, mode="permissive")
+        regions, parse = parse_bed_file(path, mode="permissive")
         parsed.append((f"ds{i + 1}", regions))
         total += len(regions)
+        rejected += parse.rejected
+    if rejected:
+        report.note(f"import files={len(files)}: rows={total} rejected={rejected}")
 
     def run_native() -> None:
         store = RegionStore()
@@ -364,18 +370,11 @@ def run_overlap_bench(
 def _db_overlap_cell(report, regions_a, regions_b, size, reps,
                      pairs, geo_pairs, backend, conn) -> None:
     dbadapter.reset_schema(backend, conn=conn)
-    dbadapter.execute_script(
-        backend,
-        sqlgen.emit_batch_insert(backend.dialect, regions_a, dataset=1, start_id=1),
-        conn=conn,
-    )
-    dbadapter.execute_script(
-        backend,
-        sqlgen.emit_batch_insert(
-            backend.dialect, regions_b, dataset=2, start_id=len(regions_a) + 1
-        ),
-        conn=conn,
-    )
+    start_id = 1
+    for dataset, regions in enumerate((regions_a, regions_b), start=1):
+        script = sqlgen.emit_batch_insert(backend.dialect, regions, dataset, start_id)
+        dbadapter.execute_script(backend, script, conn=conn)
+        start_id += len(regions)
     regmap_script = sqlgen.emit_regmap_query(backend.dialect)
     geo_script = sqlgen.emit_geo_query(backend.dialect)
 
@@ -389,18 +388,9 @@ def _db_overlap_cell(report, regions_a, regions_b, size, reps,
     geo_rows = dbadapter.fetch_rows(backend, geo_script, conn=conn)
     _check_rows("geo", geo_rows, "native geo pairs", [(p.a_id, p.b_id) for p in geo_pairs])
 
-    report.add(
-        "overlap_regmap_sql",
-        backend.name,
-        size,
-        _time_reps(lambda: dbadapter.fetch_rows(backend, regmap_script, conn=conn), reps),
-    )
-    report.add(
-        "overlap_geo_sql",
-        backend.name,
-        size,
-        _time_reps(lambda: dbadapter.fetch_rows(backend, geo_script, conn=conn), reps),
-    )
+    for scenario, script in (("overlap_regmap_sql", regmap_script), ("overlap_geo_sql", geo_script)):
+        run = partial(dbadapter.fetch_rows, backend, script, conn=conn)
+        report.add(scenario, backend.name, size, _time_reps(run, reps))
 
 
 def _check_rows(what: str, rows, native: str, expected) -> None:

@@ -44,7 +44,10 @@ class BackendConfig:
 
     dialect: SqlDialect
     url: str | None
-    enabled: bool
+
+    @property
+    def enabled(self) -> bool:
+        return bool(self.url)
 
     @property
     def name(self) -> str:
@@ -61,14 +64,14 @@ def backends_from_env(env=None) -> list[BackendConfig]:
     pg = env.get(PG_ENV) or None
     my = env.get(MYSQL_ENV) or None
     return [
-        BackendConfig(SqlDialect.POSTGRES, pg, pg is not None),
-        BackendConfig(SqlDialect.MYSQL_INNODB, my, my is not None),
-        BackendConfig(SqlDialect.MYSQL_MYISAM, my, my is not None),
+        BackendConfig(SqlDialect.POSTGRES, pg),
+        BackendConfig(SqlDialect.MYSQL_INNODB, my),
+        BackendConfig(SqlDialect.MYSQL_MYISAM, my),
     ]
 
 
 def _require_enabled(config: BackendConfig) -> None:
-    if not config.enabled or not config.url:
+    if not config.enabled:
         raise ValueError(f"backend {config.name} is disabled (no connection URL)")
 
 

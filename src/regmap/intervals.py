@@ -32,6 +32,7 @@ safe to call concurrently from any number of threads.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, fields
 
 __all__ = [
@@ -64,6 +65,21 @@ def _chrom_reason(chrom: str) -> str | None:
     if chrom.split() != [chrom]:
         return "chromosome contains whitespace"
     return None
+
+
+# The range of a 64-bit signed integer, which BIGINT columns share.
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _integer(value, name: str) -> int:
+    """The integer rule: ``operator.index(value)``, a ``bool`` refused.
+    A refused value raises ValueError."""
+    if value.__class__ is not bool:
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_chrom(chrom: str) -> None:

@@ -41,6 +41,7 @@ from typing import IO, TYPE_CHECKING, Iterable, Mapping, Sequence
 from .bedio import CatalogEntry
 from .intervals import (
     GenomicRegion,
+    _integer,
     case_overlap_coords,
     centre_distance_coords,
 )
@@ -101,16 +102,16 @@ class OverlapPair:
 class JoinFilter:
     """Emission conditions: bp_overlap >= min_bp, centre distance < bound.
 
-    ``min_bp`` must be an ``int`` (a ``bool`` is not one). An infinite
-    bound is no bound; NaN is refused.
+    ``min_bp`` must be an integer (``operator.index``; a ``bool`` is
+    refused), and is kept as an ``int``. An infinite bound is no bound;
+    NaN is refused.
     """
 
     min_bp: int = 1
     max_centre_distance: float | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.min_bp, int) or isinstance(self.min_bp, bool):
-            raise ValueError(f"min_bp must be an integer, got {self.min_bp!r}")
+        object.__setattr__(self, "min_bp", _integer(self.min_bp, "min_bp"))
         bound = self.max_centre_distance
         if bound is None:
             return

@@ -7,7 +7,13 @@ are deterministic bytes given (kind, dialect, parameters): lower-case
 identifiers, explicit column lists, LF line endings, trailing newline.
 
 Only validated integers and token-checked identifiers are substituted
-into script text; arbitrary strings are never interpolated.
+into script text; arbitrary strings are never interpolated. An integer
+parameter is anything ``operator.index`` takes except a ``bool``. Every
+id, dataset number, coordinate and proximity-window bound written must
+lie in the bigint range [-2**63, 2**63 - 1], else ValueError: a wider
+value is refused by PostgreSQL's and MySQL's BIGINT and read back as a
+REAL by SQLite. Filter literals (``min_bp``, the centre-distance bound)
+are compared, not stored, and are written as given.
 
 Column naming: ``start``/``end`` are reserved words in at least one
 target dialect, so the physical columns are ``start_pos``/``end_pos``.
@@ -23,7 +29,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .intervals import GenomicRegion
+from .intervals import _INT64_MAX, _INT64_MIN, GenomicRegion, _integer
 from .joins import JoinFilter
 
 __all__ = [
@@ -100,10 +106,15 @@ DEMO_REGIONS: tuple[GenomicRegion, ...] = (
 _TOKEN_RE = re.compile(r"^[A-Za-z0-9_.]+$")
 _PATH_RE = re.compile(r"^[A-Za-z0-9_./\\:~-]+$")
 
+_INSERT_REGIONS = "insert into regions (id, regiondesc_id, chromosome, start_pos, end_pos)"
+_MAX_ID_JOIN = "cross join (select coalesce(max(id), 0) as max_id from regions) mx;"
+
 
 def _check_int(value: int, name: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    """``value`` under the integer rule, refused unless a BIGINT holds it."""
+    value = _integer(value, name)
+    if not _INT64_MIN <= value <= _INT64_MAX:
+        raise ValueError(f"{name} must lie in the bigint range, got {value}")
     return value
 
 
@@ -157,26 +168,32 @@ create table staging_regions (
     return SqlScript(ScriptKind.DDL, dialect, text)
 
 
-def _bp_case(indent: str) -> str:
-    i = indent
-    return (
-        f"{i}case\n"
-        f"{i}    when a.end_pos <= b.end_pos and a.start_pos >= b.start_pos"
-        " then a.end_pos - a.start_pos\n"
-        f"{i}    when b.end_pos <= a.end_pos and b.start_pos >= a.start_pos"
-        " then b.end_pos - b.start_pos\n"
-        f"{i}    when a.end_pos <= b.end_pos and a.start_pos <= b.start_pos"
-        " then a.end_pos - b.start_pos\n"
-        f"{i}    when a.end_pos >= b.end_pos and a.start_pos >= b.start_pos"
-        " then b.end_pos - a.start_pos\n"
-        f"{i}end as bpooverlap"
-    )
+_BP_CASE = """\
+    case
+        when a.end_pos <= b.end_pos and a.start_pos >= b.start_pos then a.end_pos - a.start_pos
+        when b.end_pos <= a.end_pos and b.start_pos >= a.start_pos then b.end_pos - b.start_pos
+        when a.end_pos <= b.end_pos and a.start_pos <= b.start_pos then a.end_pos - b.start_pos
+        when a.end_pos >= b.end_pos and a.start_pos >= b.start_pos then b.end_pos - a.start_pos
+    end as bpooverlap"""
 
 
 def _format_bound(value: float | int) -> str:
     if isinstance(value, int) or float(value).is_integer():
         return str(int(value))
     return repr(float(value))
+
+
+def _region_pairs(query_dataset: int, ref_dataset: int) -> str:
+    """The from and where lines that pair the rows of two datasets on
+    one chromosome, as the overlap view and the geometry query do."""
+    q = _check_int(query_dataset, "query_dataset")
+    r = _check_int(ref_dataset, "ref_dataset")
+    return f"""\
+from regions a
+join regions b
+    on a.chromosome = b.chromosome
+where a.regiondesc_id = {q}
+  and b.regiondesc_id = {r}"""
 
 
 def emit_regmap_query(
@@ -197,8 +214,7 @@ def emit_regmap_query(
     ``end_pos < start_pos`` take part on neither side, as in the native
     joins.
     """
-    q = _check_int(query_dataset, "query_dataset")
-    r = _check_int(ref_dataset, "ref_dataset")
+    pairs = _region_pairs(query_dataset, ref_dataset)
     div = "div" if dialect.is_mysql else "/"
     where = [f"where bpooverlap >= {flt.min_bp}"]  # JoinFilter checks min_bp
     bound = flt.max_centre_distance
@@ -211,14 +227,10 @@ select
     a.id as a_id,
     b.id as b_id,
     a.chromosome as chromosome,
-{_bp_case("    ")},
+{_BP_CASE},
     abs((a.end_pos + a.start_pos) {div} 2 - (b.end_pos + b.start_pos) {div} 2) as centredistance,
     abs((a.end_pos + a.start_pos) - (b.end_pos + b.start_pos)) as twicecentredistance
-from regions a
-join regions b
-    on a.chromosome = b.chromosome
-where a.regiondesc_id = {q}
-  and b.regiondesc_id = {r}
+{pairs}
   and a.start_pos >= 0
   and a.end_pos >= a.start_pos
   and b.start_pos >= 0
@@ -237,8 +249,7 @@ def emit_geo_query(
 ) -> SqlScript:
     """Boolean intersection of 1-D segments via the dialect's geometry
     machinery; returns matched id pairs only."""
-    q = _check_int(query_dataset, "query_dataset")
-    r = _check_int(ref_dataset, "ref_dataset")
+    pairs = _region_pairs(query_dataset, ref_dataset)
     if dialect.is_mysql:
         predicate = (
             "st_intersects(\n"
@@ -255,27 +266,11 @@ def emit_geo_query(
 select
     a.id as a_id,
     b.id as b_id
-from regions a
-join regions b
-    on a.chromosome = b.chromosome
-where a.regiondesc_id = {q}
-  and b.regiondesc_id = {r}
+{pairs}
   and {predicate}
 order by a_id, b_id;
 """
     return SqlScript(ScriptKind.GEO_QUERY, dialect, text)
-
-
-_ID_ASSIGN_INSERT = """\
-insert into regions (id, regiondesc_id, chromosome, start_pos, end_pos)
-select mx.max_id + row_number() over (order by s.chromosome, s.start_pos, s.end_pos),
-    {dataset},
-    s.chromosome,
-    s.start_pos,
-    s.end_pos
-from staging_regions s
-cross join (select coalesce(max(id), 0) as max_id from regions) mx;
-"""
 
 
 def emit_bulk_import(
@@ -296,12 +291,20 @@ def emit_bulk_import(
             f"copy staging_regions (chromosome, start_pos, end_pos)"
             f" from '{path}' with (format text);"
         )
-    text = (
-        load
-        + "\n\n"
-        + _ID_ASSIGN_INSERT.format(dataset=ds)
-        + "\ntruncate table staging_regions;\n"
-    )
+    text = f"""\
+{load}
+
+{_INSERT_REGIONS}
+select mx.max_id + row_number() over (order by s.chromosome, s.start_pos, s.end_pos),
+    {ds},
+    s.chromosome,
+    s.start_pos,
+    s.end_pos
+from staging_regions s
+{_MAX_ID_JOIN}
+
+truncate table staging_regions;
+"""
     return SqlScript(ScriptKind.BULK_IMPORT, dialect, text)
 
 
@@ -334,72 +337,50 @@ def emit_random_gen(
         raise ValueError("coordinate range must exceed max_size")
     span = hi - lo - size
     if dialect.is_mysql:
-        text = f"""\
-set session cte_max_recursion_depth = {n + 1};
-
-start transaction;
-
-insert into regions (id, regiondesc_id, chromosome, start_pos, end_pos)
-with recursive seq (n) as (
-    select 1
-    union all
-    select n + 1 from seq where n < {n}
-)
-select mx.max_id + r.n,
-    {ds},
-    r.chromosome,
-    r.start_pos,
-    r.start_pos + r.size
-from (
-    select seq.n as n,
-        concat('chr', 1 + floor(rand() * {nchrom})) as chromosome,
-        cast({lo} + floor(rand() * {span}) as signed) as start_pos,
-        cast(1 + floor(rand() * {size}) as signed) as size
-    from seq
-) r
-cross join (select coalesce(max(id), 0) as max_id from regions) mx;
-
-commit;
-"""
+        depth = f"set session cte_max_recursion_depth = {n + 1};\n\n"
+        seq = ("with recursive seq (n) as (\n    select 1\n    union all\n"
+               f"    select n + 1 from seq where n < {n}\n)\n")
+        alias, rows = "seq", "seq"
+        chrom = f"concat('chr', 1 + floor(rand() * {nchrom}))"
+        rand, integer = "rand", "signed"
     else:
-        text = f"""\
-start transaction;
+        depth = seq = ""
+        alias, rows = "gs", f"generate_series(1, {n}) as gs(n)"
+        chrom = f"'chr' || cast(1 + floor(random() * {nchrom}) as varchar)"
+        rand, integer = "random", "bigint"
+    text = f"""\
+{depth}start transaction;
 
-insert into regions (id, regiondesc_id, chromosome, start_pos, end_pos)
-select mx.max_id + r.n,
+{_INSERT_REGIONS}
+{seq}select mx.max_id + r.n,
     {ds},
     r.chromosome,
     r.start_pos,
     r.start_pos + r.size
 from (
-    select gs.n as n,
-        'chr' || cast(1 + floor(random() * {nchrom}) as varchar) as chromosome,
-        cast({lo} + floor(random() * {span}) as bigint) as start_pos,
-        cast(1 + floor(random() * {size}) as bigint) as size
-    from generate_series(1, {n}) as gs(n)
+    select {alias}.n as n,
+        {chrom} as chromosome,
+        cast({lo} + floor({rand}() * {span}) as {integer}) as start_pos,
+        cast(1 + floor({rand}() * {size}) as {integer}) as size
+    from {rows}
 ) r
-cross join (select coalesce(max(id), 0) as max_id from regions) mx;
+{_MAX_ID_JOIN}
 
 commit;
 """
     return SqlScript(ScriptKind.RANDOM_GEN, dialect, text)
 
 
-def _region_values(
-    regions: Sequence[GenomicRegion], dataset: int, start_id: int
-) -> list[tuple[int, int, str, int, int]]:
-    rows = []
-    for offset, region in enumerate(regions):
-        rows.append(
-            (
-                start_id + offset,
-                dataset,
-                _check_token(region.chrom, "chromosome"),
-                _check_int(region.start, "start"),
-                _check_int(region.end, "end"),
-            )
-        )
-    return rows
+def _region_values(regions: Sequence[GenomicRegion], dataset: int, start_id: int) -> list[str]:
+    """The ``(id, dataset, 'chrom', start, end)`` literal of each region,
+    with ids counting up from ``start_id``."""
+    ds = _check_int(dataset, "dataset")
+    sid = _check_int(start_id, "start_id")
+    return [
+        f"({_check_int(sid + offset, 'id')}, {ds}, '{_check_token(region.chrom, 'chromosome')}',"
+        f" {_check_int(region.start, 'start')}, {_check_int(region.end, 'end')})"
+        for offset, region in enumerate(regions)
+    ]
 
 
 def emit_batch_insert(
@@ -409,20 +390,11 @@ def emit_batch_insert(
     start_id: int = 1,
 ) -> SqlScript:
     """All rows in one multi-row insert inside one transaction."""
-    ds = _check_int(dataset, "dataset")
-    sid = _check_int(start_id, "start_id")
-    if not regions:
+    values = _region_values(regions, dataset, start_id)
+    if not values:
         raise ValueError("batch insert needs at least one region")
-    values = ",\n".join(
-        f"    ({rid}, {d}, '{chrom}', {start}, {end})"
-        for rid, d, chrom, start, end in _region_values(regions, ds, sid)
-    )
-    text = (
-        "start transaction;\n\n"
-        "insert into regions (id, regiondesc_id, chromosome, start_pos, end_pos) values\n"
-        + values
-        + ";\n\ncommit;\n"
-    )
+    rows = ",\n".join(f"    {v}" for v in values)
+    text = f"start transaction;\n\n{_INSERT_REGIONS} values\n{rows};\n\ncommit;\n"
     return SqlScript(ScriptKind.BATCH_INSERT, dialect, text)
 
 
@@ -433,13 +405,7 @@ def emit_rowwise_insert(
     start_id: int = 1,
 ) -> SqlScript:
     """One autocommit insert statement per row (no transaction wrapper)."""
-    ds = _check_int(dataset, "dataset")
-    sid = _check_int(start_id, "start_id")
-    stmts = [
-        "insert into regions (id, regiondesc_id, chromosome, start_pos, end_pos)"
-        f" values ({rid}, {d}, '{chrom}', {start}, {end});"
-        for rid, d, chrom, start, end in _region_values(regions, ds, sid)
-    ]
+    stmts = [f"{_INSERT_REGIONS} values {v};" for v in _region_values(regions, dataset, start_id)]
     return SqlScript(ScriptKind.ROWWISE_INSERT, dialect, "\n".join(stmts) + "\n")
 
 
@@ -460,20 +426,19 @@ def emit_search_queries(
     win = _check_int(window, "window")
     if win < 1:
         raise ValueError(f"window must be >= 1, got {win}")
-    invalid = """\
-select id, regiondesc_id, chromosome, start_pos, end_pos
-from regions
-where start_pos < 0
+    lo = _check_int(pos - win, "window start")
+    hi = _check_int(pos + win, "window end")
+    select = "select id, regiondesc_id, chromosome, start_pos, end_pos\nfrom regions\n"
+    invalid = f"""\
+{select}where start_pos < 0
    or end_pos < start_pos
 order by id;
 """
     proximity = f"""\
-select id, regiondesc_id, chromosome, start_pos, end_pos
-from regions
-where chromosome = '{c}'
+{select}where chromosome = '{c}'
   and start_pos >= 0
   and end_pos >= start_pos
-  and least(end_pos, {pos + win}) - greatest(start_pos, {pos - win}) >= 1
+  and least(end_pos, {hi}) - greatest(start_pos, {lo}) >= 1
 order by id;
 """
     return [

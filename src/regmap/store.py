@@ -48,7 +48,6 @@ committed. Query results are fresh lists of fresh objects.
 
 from __future__ import annotations
 
-import operator
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -56,16 +55,13 @@ from itertools import count
 from typing import TYPE_CHECKING
 
 from .bedio import BedRecords, as_records
-from .intervals import GenomicRegion, RawRegion, _raw_region, _unchecked
-from .intervals import _by_code, _sorted_entry, _windows
+from .intervals import _INT64_MAX, _INT64_MIN, GenomicRegion, RawRegion, _integer, _raw_region
+from .intervals import _by_code, _sorted_entry, _unchecked, _windows
 
 if TYPE_CHECKING:
     import numpy as np
 
 __all__ = ["StoredRegion", "DatasetColumns", "RegionStore"]
-
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
-
 
 @dataclass(frozen=True, slots=True)
 class StoredRegion:
@@ -324,10 +320,10 @@ class RegionStore:
 
         Uses the index when built, a linear scan otherwise; unknown
         chromosomes yield an empty list. ``position`` and ``window`` must
-        be integers (``operator.index``).
+        be integers (``operator.index``; a ``bool`` is refused).
         """
         if position.__class__ is not int or window.__class__ is not int:
-            position, window = _integer("position", position), _integer("window", window)
+            position, window = _integer(position, "position"), _integer(window, "window")
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         lo, hi = position - window, position + window
@@ -352,14 +348,6 @@ class RegionStore:
             _stored_region(rid, names[bisect_right(first_ids, rid) - 1], _raw_region(chrom, s, e))
             for rid, s, e in sorted(zip(ids[hit].tolist(), start[hit].tolist(), end[hit].tolist()))
         ]
-
-
-def _integer(name: str, value) -> int:
-    """``operator.index(value)``; a value it rejects raises ValueError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _scan(datasets: dict[str, DatasetColumns], chrom: str, lo: int, hi: int) -> list[StoredRegion]:

@@ -109,6 +109,16 @@ class TestImportBench:
         row = report.rows[0]
         assert row.scenario == "import_staged"
         assert row.size == expected
+        assert not any(line.startswith("import files=") for line in report.context)
+
+    def test_rejected_lines_are_noted(self, tmp_path):
+        files = sorted(toy_catalog_path().parent.glob("*.bed"))
+        rows = sum(len(p.read_text().strip().splitlines()) for p in files)
+        malformed = tmp_path / "malformed.bed"
+        malformed.write_text(files[0].read_text() + "chr1\t300\n")
+        report = run_import_bench([malformed, *files[1:]], reps=1)
+        assert report.rows[0].size == rows
+        assert report.context[-1] == f"import files={len(files)}: rows={rows} rejected=1"
 
 
 class TestOverlapBench:
@@ -221,8 +231,8 @@ class TestReports:
             assert row.reps >= 1
 
 
-POSTGRES = BackendConfig(SqlDialect.POSTGRES, "postgresql://stub/bench", True)
-MYSQL_OFF = BackendConfig(SqlDialect.MYSQL_INNODB, None, False)
+POSTGRES = BackendConfig(SqlDialect.POSTGRES, "postgresql://stub/bench")
+MYSQL_OFF = BackendConfig(SqlDialect.MYSQL_INNODB, None)
 SKIPPED_NOTE = "skipped: mysql_innodb (no connection URL configured)"
 
 

@@ -57,7 +57,7 @@ class StubConnection:
 
 
 def pg_config(url="postgresql://localhost/bench"):
-    return BackendConfig(SqlDialect.POSTGRES, url, True)
+    return BackendConfig(SqlDialect.POSTGRES, url)
 
 
 class TestBackendsFromEnv:
@@ -87,7 +87,7 @@ class TestBackendsFromEnv:
 
 class TestExecution:
     def test_disabled_backend_is_an_error_when_called_directly(self):
-        disabled = BackendConfig(SqlDialect.POSTGRES, None, False)
+        disabled = BackendConfig(SqlDialect.POSTGRES, None)
         with pytest.raises(ValueError, match="disabled"):
             execute_script(disabled, emit_ddl(SqlDialect.POSTGRES))
 

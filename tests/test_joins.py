@@ -2,6 +2,7 @@ import io
 import re
 from decimal import ROUND_HALF_UP, Decimal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -196,6 +197,10 @@ class TestFilterProperties:
         # NaN used to reach the joins, which then disagreed on the same rows.
         with pytest.raises(ValueError, match="^min_bp must be an integer, got "):
             JoinFilter(min_bp=min_bp)
+
+    def test_numpy_integer_min_bp_is_kept_as_int(self):
+        flt = JoinFilter(min_bp=np.int64(-3))
+        assert flt.min_bp == -3 and type(flt.min_bp) is int
 
     @pytest.mark.parametrize("min_bp", [-(10**30), 10**30])
     def test_huge_integer_min_bp_accepted(self, min_bp):

@@ -1,9 +1,13 @@
 import math
 import re
 import sqlite3
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regmap.bench import GenConfig, generate_regions
 from regmap.intervals import RawRegion, centre_distance_sql_compat
@@ -210,6 +214,64 @@ class TestSearchQueries:
             emit_search_queries(SqlDialect.POSTGRES, chrom="chr8; drop")
 
 
+class TestIntegerParameters:
+    """Integers follow one rule (``operator.index``, no bool) and must
+    fit a BIGINT column."""
+
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1])
+    def test_value_outside_bigint_is_refused(self, value):
+        pg = SqlDialect.POSTGRES
+        for emit in (emit_batch_insert, emit_rowwise_insert):
+            for row in (RawRegion("chr1", value, 0), RawRegion("chr1", 0, value)):
+                with pytest.raises(ValueError, match="bigint range"):
+                    emit(pg, [row])
+            with pytest.raises(ValueError, match="^dataset must lie in the bigint range"):
+                emit(pg, DEMO_REGIONS, dataset=value)
+            with pytest.raises(ValueError, match="^start_id must lie in the bigint range"):
+                emit(pg, DEMO_REGIONS, start_id=value)
+        with pytest.raises(ValueError, match="^position must lie in the bigint range"):
+            emit_search_queries(pg, "chr1", value, 5)
+        with pytest.raises(ValueError, match="^query_dataset must lie in the bigint range"):
+            emit_regmap_query(pg, query_dataset=value)
+        with pytest.raises(ValueError, match="^ref_dataset must lie in the bigint range"):
+            emit_geo_query(pg, ref_dataset=value)
+        with pytest.raises(ValueError, match="^dataset must lie in the bigint range"):
+            emit_bulk_import(pg, dataset=value)
+
+    def test_bigint_limits_are_written(self):
+        lo, hi = -(2**63), 2**63 - 1
+        row = RawRegion("chr1", lo, hi)
+        batch = emit_batch_insert(SqlDialect.POSTGRES, [row], dataset=hi, start_id=hi)
+        assert f"    ({hi}, {hi}, 'chr1', {lo}, {hi});" in batch.text
+        rowwise = emit_rowwise_insert(SqlDialect.POSTGRES, [row], dataset=lo, start_id=lo)
+        assert rowwise.text.endswith(f" values ({lo}, {lo}, 'chr1', {lo}, {hi});\n")
+        for position in (hi - 5, lo + 5):
+            _, proximity = emit_search_queries(SqlDialect.POSTGRES, "chr1", position, 5)
+            assert f"least(end_pos, {position + 5}) - greatest(start_pos, {position - 5})" in proximity.text
+
+    def test_ids_past_bigint_are_refused(self):
+        with pytest.raises(ValueError, match="^id must lie in the bigint range, got 9223372036854775808$"):
+            emit_batch_insert(SqlDialect.POSTGRES, DEMO_REGIONS[:2], start_id=2**63 - 1)
+
+    @pytest.mark.parametrize("position, window", [(2**63 - 5, 5), (-(2**63) + 4, 5)])
+    def test_window_bound_past_bigint_is_refused(self, position, window):
+        with pytest.raises(ValueError, match="^window (start|end) must lie in the bigint range"):
+            emit_search_queries(SqlDialect.POSTGRES, "chr1", position, window)
+
+    @pytest.mark.parametrize("position, window, name", [(True, 5, "position"), (150, False, "window")])
+    def test_bool_is_refused(self, position, window, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got (True|False)$"):
+            emit_search_queries(SqlDialect.POSTGRES, "chr1", position, window)
+
+    def test_numpy_integers_are_accepted(self):
+        got = emit_search_queries(SqlDialect.POSTGRES, "chr1", np.int64(150), np.int32(20))
+        assert got == emit_search_queries(SqlDialect.POSTGRES, "chr1", 150, 20)
+        flt = JoinFilter(min_bp=np.int64(-3))
+        assert emit_regmap_query(SqlDialect.POSTGRES, flt) == emit_regmap_query(
+            SqlDialect.POSTGRES, JoinFilter(min_bp=-3)
+        )
+
+
 class TestDeterminismAndGoldens:
     def test_identical_inputs_identical_bytes(self):
         for dialect in ALL_DIALECTS:
@@ -292,6 +354,12 @@ def run_sqlite(path: Path, *scripts: SqlScript) -> list[tuple]:
 INVALID = (RawRegion("chr1", -5, 100), RawRegion("chr1", 300, 200), RawRegion("chr2", -50, -10))
 
 
+# Probes on the chromosomes the searched rows use and on one they lack.
+SEARCH_PROBES = st.tuples(
+    st.sampled_from(["chr1", "chr2", "chrUn"]), st.integers(0, 3_500), st.integers(1, 400)
+)
+
+
 class TestRunsInSqlite:
     """The emitted PostgreSQL text, run by stdlib sqlite3, agrees with
     the native engine."""
@@ -326,17 +394,39 @@ class TestRunsInSqlite:
             for p in native
         )
 
-    def test_searches_match_store(self, tmp_path):
-        regions = [*INVALID, *generate_regions(GenConfig(seed=63, count=200, coord_upper=3000))]
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_searches_match_store(self, data):
+        probes = data.draw(st.lists(SEARCH_PROBES, min_size=1, max_size=4), label="probes")
+        # Coordinates on, just inside and just outside every window edge,
+        # or anywhere around the probed span; any two make a row, so
+        # some rows start below 0 or end before they start.
+        edges = [e + d for _, pos, win in probes for e in (pos - win, pos + win) for d in (-1, 0, 1)]
+        coord = st.one_of(st.sampled_from(edges), st.integers(-50, 4_000))
+        regions = data.draw(
+            st.lists(st.builds(RawRegion, st.sampled_from(["chr1", "chr2"]), coord, coord),
+                     min_size=1, max_size=40),
+            label="regions",
+        )
         store = RegionStore()
         store.import_dataset("ds", regions)
-        store.build_index()
         dialect = SqlDialect.POSTGRES
-        db = tmp_path / "regmap.db"
-        run_sqlite(db, emit_ddl(dialect), emit_batch_insert(dialect, regions))
-        for chrom, position, window in (("chr1", 50, 100), ("chr1", 1500, 300), ("chr2", 0, 60)):
-            invalid, proximity = emit_search_queries(dialect, chrom, position, window)
-            hits = store.proximity_search(chrom, position, window)
-            assert [row[0] for row in run_sqlite(db, proximity)] == [row.id for row in hits]
-        assert [row[0] for row in run_sqlite(db, invalid)] == [1, 2, 3]
-        assert [row.id for row in store.find_invalid()] == [1, 2, 3]
+        with tempfile.TemporaryDirectory() as tmp:
+            db = Path(tmp) / "regmap.db"
+            run_sqlite(db, emit_ddl(dialect), emit_batch_insert(dialect, regions))
+            for indexed in (False, True):
+                if indexed:
+                    store.build_index()
+                for chrom, position, window in probes:
+                    invalid, proximity = emit_search_queries(dialect, chrom, position, window)
+                    hits = store.proximity_search(chrom, position, window)
+                    assert [row[0] for row in run_sqlite(db, proximity)] == [row.id for row in hits]
+            assert [row[0] for row in run_sqlite(db, invalid)] == [row.id for row in store.find_invalid()]
+
+    def test_bigint_limits_read_back_exactly(self, tmp_path):
+        lo, hi = -(2**63), 2**63 - 1
+        dialect = SqlDialect.POSTGRES
+        batch = emit_batch_insert(dialect, [RawRegion("chr1", lo, hi)], dataset=hi, start_id=hi)
+        invalid, _ = emit_search_queries(dialect)
+        rows = run_sqlite(tmp_path / "regmap.db", emit_ddl(dialect), batch, invalid)
+        assert rows == [(hi, hi, "chr1", lo, hi)]

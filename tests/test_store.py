@@ -296,6 +296,16 @@ class TestProximitySearch:
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 store.proximity_search("chr1", position, window)
 
+    @pytest.mark.parametrize("position, window, name", [(True, 10, "position"), (20, True, "window")])
+    def test_bool_probe_is_refused_with_and_without_index(self, position, window, name):
+        store = RegionStore()
+        store.import_dataset("d1", [raw("chr1", 0, 100), raw("chr1", 5, 10)])
+        for build in (False, True):
+            if build:
+                store.build_index()
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got True$"):
+                store.proximity_search("chr1", position, window)
+
     def test_index_like_probe_matches_int_probe(self):
         class Index:
             def __init__(self, value):
