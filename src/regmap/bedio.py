@@ -1,5 +1,6 @@
-"""BED-like region file parsing/writing, the dataset catalog, and
-``BedRecords``, the one numpy-free column type for a region set.
+"""BED-like region file parsing/writing, the dataset catalog,
+``BedRecords``, the one numpy-free column type for a region set, and
+``write_lines``, the one output rule.
 
 Input files are tab-separated with at least three columns (chromosome,
 start, end); extra columns are ignored. Blank lines and lines starting
@@ -28,6 +29,10 @@ whose fast path only accepts and sends every other line to
 ``scan_numbered``. Each of these readers returns ``(BedRecords,
 ParseReport)``. This module never imports numpy itself, so a parse in a
 numpy-free process stays numpy-free.
+
+Every table regmap writes goes through ``write_lines``: to an open
+stream as given, or to a path as UTF-8 with ``\n`` line ends. ``write_bed``
+refuses a name ``parse_bed`` would skip, so its lines all read back.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ __all__ = [
     "parse_bed",
     "parse_bed_file",
     "write_bed",
+    "write_lines",
     "load_catalog",
     "load_catalog_file",
 ]
@@ -318,17 +324,32 @@ def parse_bed_file(
     return parse_bed(Path(path), mode=mode)
 
 
+def write_lines(lines: Iterable[str], sink: str | Path | IO) -> None:
+    """Write each string of ``lines`` in order, as given: a line carries
+    its own ``\n``. A path is opened as UTF-8 with ``newline=""``, so no
+    line end is translated; an open stream is written as it is."""
+    if isinstance(sink, (str, Path)):
+        with open(sink, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(lines)
+    else:
+        sink.writelines(lines)
+
+
+def _bed_lines(regions: Iterable[GenomicRegion | RawRegion]) -> Iterator[str]:
+    for r in regions:
+        if r.chrom.startswith(_SKIP_PREFIXES):
+            raise ValueError(f"parse_bed would skip a line of chromosome {r.chrom!r}")
+        yield f"{r.chrom}\t{r.start}\t{r.end}\n"
+
+
 def write_bed(regions: Iterable[GenomicRegion | RawRegion], sink: str | Path | IO) -> None:
     """Write one chrom/start/end line per region, in input order.
 
-    Output round-trips losslessly through parse_bed.
+    Output round-trips losslessly through parse_bed: a chromosome name
+    starting with ``#``, ``track`` or ``browser`` raises ValueError
+    before its line is written.
     """
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8", newline="") as fh:
-            write_bed(regions, fh)
-        return
-    for r in regions:
-        sink.write(f"{r.chrom}\t{r.start}\t{r.end}\n")
+    write_lines(_bed_lines(regions), sink)
 
 
 def load_catalog(source: str | Path | IO | Iterable[str]) -> list[CatalogEntry]:

@@ -31,7 +31,7 @@ from typing import IO, Callable, Iterable, Sequence
 import numpy as np
 
 from . import dbadapter, sqlgen
-from .bedio import parse_bed_file
+from .bedio import parse_bed_file, write_lines
 from .columns import RegionColumns, window_join
 from .intervals import GenomicRegion, RawRegion, centre_distance_sql_compat
 from .joins import JoinFilter, nested_loop_join
@@ -463,10 +463,7 @@ def write_report(
     else:
         raise ValueError(f"unknown report format: {fmt!r}")
     if sink is not None:
-        if isinstance(sink, (str, Path)):
-            Path(sink).write_text(text, encoding="utf-8")
-        else:
-            sink.write(text)
+        write_lines((text,), sink)
     return text
 
 

@@ -26,7 +26,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bedio import load_catalog_file, parse_bed_file, write_bed
+from .bedio import load_catalog_file, parse_bed_file, write_bed, write_lines
 from .joins import (
     JoinFilter,
     mining_report,
@@ -42,14 +42,6 @@ SEARCH_TSV_HEADER = ("id", "dataset", "chrom", "start", "end")
 def _sink(path: str | None):
     """Where a writer sends its output: the path, or stdout for none or ``-``."""
     return sys.stdout if path is None or path == "-" else path
-
-
-def _write_text(path: str | None, text: str) -> None:
-    sink = _sink(path)
-    if sink is sys.stdout:
-        sink.write(text)
-    else:
-        Path(sink).write_text(text, encoding="utf-8")
 
 
 def _import_numpy() -> None:
@@ -116,10 +108,8 @@ def cmd_mine(args) -> int:
     paired = set(paired_datasets(catalog))
     columns = {}
     for entry in catalog:
-        path = Path(entry.path)
-        if not path.is_absolute():
-            path = catalog_path.parent / path
-        regions, _ = parse_bed_file(path, mode="permissive")
+        # "/" keeps an absolute entry path as it is
+        regions, _ = parse_bed_file(catalog_path.parent / entry.path, mode="permissive")
         if entry.name in paired:
             columns[entry.name] = RegionColumns.from_records(regions)
         del regions  # each file's records are released before the next is read
@@ -164,11 +154,11 @@ def cmd_search(args) -> int:
         # One probe: a scan costs less than building the index, and
         # needs no numpy.
         hits = store.proximity_search(chrom, position, args.window)
-    lines = ["\t".join(SEARCH_TSV_HEADER)]
+    lines = ["\t".join(SEARCH_TSV_HEADER) + "\n"]
     for row in hits:
         r = row.region
-        lines.append(f"{row.id}\t{row.dataset}\t{r.chrom}\t{r.start}\t{r.end}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+        lines.append(f"{row.id}\t{row.dataset}\t{r.chrom}\t{r.start}\t{r.end}\n")
+    write_lines(lines, _sink(args.out))
     return 0
 
 
@@ -188,7 +178,7 @@ def cmd_sqlgen(args) -> int:
             if args.kind != "all" and script.kind.value != args.kind:
                 continue
             target = out_dir / script.filename
-            target.write_text(script.text, encoding="utf-8", newline="")
+            write_lines((script.text,), target)
             written.append(target)
     for path in written:
         print(path)
@@ -212,8 +202,7 @@ def cmd_bench(args) -> int:
         report = bench.run_overlap_bench(sizes, reps=args.reps, backends=backends, seed=args.seed)
     else:
         report = bench.run_search_bench(sizes, reps=args.reps, backends=backends, seed=args.seed)
-    text = bench.write_report(report, fmt=args.format)
-    _write_text(args.report, text)
+    bench.write_report(report, fmt=args.format, sink=_sink(args.report))
     return 0
 
 

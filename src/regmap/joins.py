@@ -27,6 +27,11 @@ converting each once. ``count_overlapping`` gives the same count for
 two (id, GenomicRegion) lists. Percentages are rounded half up in
 exact integer arithmetic.
 
+The two result tables are written by ``write_pairs_tsv`` and
+``write_mining_tsv`` through ``bedio.write_lines``. Each TSV's columns
+(``PAIRS_TSV_HEADER``, ``MINING_TSV_HEADER``) are the fields of its row
+type, ``OverlapPair`` or ``MiningRow``, in order.
+
 Joins are pure functions over immutable inputs and thread-safe.
 """
 
@@ -34,11 +39,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from .bedio import CatalogEntry
+from .bedio import CatalogEntry, write_lines
 from .intervals import (
     GenomicRegion,
     _integer,
@@ -68,23 +73,6 @@ __all__ = [
 ]
 
 IdRegion = tuple[int, GenomicRegion]
-
-PAIRS_TSV_HEADER = ("a_id", "b_id", "chrom", "bp_overlap", "centre_distance")
-MINING_TSV_HEADER = (
-    "assembly",
-    "query_name",
-    "query_factor",
-    "query_cell_line",
-    "query_treatment",
-    "ref_name",
-    "ref_factor",
-    "ref_cell_line",
-    "ref_treatment",
-    "query_total",
-    "overlapping",
-    "percentage",
-)
-
 
 @dataclass(frozen=True, slots=True)
 class OverlapPair:
@@ -137,6 +125,10 @@ class MiningRow:
     query_total: int
     overlapping: int
     percentage: float
+
+
+PAIRS_TSV_HEADER = tuple(f.name for f in fields(OverlapPair))
+MINING_TSV_HEADER = tuple(f.name for f in fields(MiningRow))
 
 
 def _check_unique_ids(regions: Sequence[IdRegion], label: str) -> None:
@@ -268,28 +260,18 @@ def mining_report(
         if len(entries) < 2:
             continue
         sets = [columns[entry.name] for entry in entries]
+        # A CatalogEntry's first four fields are a MiningRow's query_ or
+        # ref_ columns, in field order.
+        described = [astuple(entry)[:4] for entry in entries]
         counts = hit_counts(sets, flt).tolist()
-        for query, a, hits in zip(entries, sets, counts):
+        for query, q, a, hits in zip(entries, described, sets, counts):
             total = len(a)
-            for ref, overlapping in zip(entries, hits):
+            for ref, r, overlapping in zip(entries, described, hits):
                 if query.name == ref.name:
                     continue
-                rows.append(
-                    MiningRow(
-                        assembly=query.assembly,
-                        query_name=query.name,
-                        query_factor=query.factor,
-                        query_cell_line=query.cell_line,
-                        query_treatment=query.treatment,
-                        ref_name=ref.name,
-                        ref_factor=ref.factor,
-                        ref_cell_line=ref.cell_line,
-                        ref_treatment=ref.treatment,
-                        query_total=total,
-                        overlapping=overlapping,
-                        percentage=overlap_percentage(overlapping, total),
-                    )
-                )
+                rows.append(MiningRow(
+                    query.assembly, *q, *r, total, overlapping, overlap_percentage(overlapping, total)
+                ))
     rows.sort(key=lambda r: (r.assembly, r.query_name, r.ref_name))
     return rows
 
@@ -320,38 +302,25 @@ def _format_distance(cd: float) -> str:
 
 def write_pairs_tsv(pairs: Iterable[OverlapPair], sink: str | Path | IO) -> None:
     """Overlap pairs as TSV, header included."""
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8", newline="") as fh:
-            write_pairs_tsv(pairs, fh)
-        return
-    sink.write("\t".join(PAIRS_TSV_HEADER) + "\n")
+    write_lines(_pairs_lines(pairs), sink)
+
+
+def _pairs_lines(pairs: Iterable[OverlapPair]) -> Iterator[str]:
+    yield "\t".join(PAIRS_TSV_HEADER) + "\n"
     for p in pairs:
-        sink.write(
-            f"{p.a_id}\t{p.b_id}\t{p.chrom}\t{p.bp_overlap}\t"
-            f"{_format_distance(p.centre_distance)}\n"
-        )
+        yield f"{p.a_id}\t{p.b_id}\t{p.chrom}\t{p.bp_overlap}\t{_format_distance(p.centre_distance)}\n"
 
 
 def write_mining_tsv(rows: Iterable[MiningRow], sink: str | Path | IO) -> None:
     """Mining report as TSV; percentage printed with exactly 2 decimals."""
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8", newline="") as fh:
-            write_mining_tsv(rows, fh)
-        return
-    sink.write("\t".join(MINING_TSV_HEADER) + "\n")
+    write_lines(_mining_lines(rows), sink)
+
+
+def _mining_lines(rows: Iterable[MiningRow]) -> Iterator[str]:
+    yield "\t".join(MINING_TSV_HEADER) + "\n"
     for r in rows:
-        fields = (
-            r.assembly,
-            r.query_name,
-            r.query_factor,
-            r.query_cell_line,
-            r.query_treatment or "",
-            r.ref_name,
-            r.ref_factor,
-            r.ref_cell_line,
-            r.ref_treatment or "",
-            str(r.query_total),
-            str(r.overlapping),
-            f"{r.percentage:.2f}",
+        yield (
+            f"{r.assembly}\t{r.query_name}\t{r.query_factor}\t{r.query_cell_line}\t"
+            f"{r.query_treatment or ''}\t{r.ref_name}\t{r.ref_factor}\t{r.ref_cell_line}\t"
+            f"{r.ref_treatment or ''}\t{r.query_total}\t{r.overlapping}\t{r.percentage:.2f}\n"
         )
-        sink.write("\t".join(fields) + "\n")

@@ -12,8 +12,11 @@ parameter is anything ``operator.index`` takes except a ``bool``. Every
 id, dataset number, coordinate and proximity-window bound written must
 lie in the bigint range [-2**63, 2**63 - 1], else ValueError: a wider
 value is refused by PostgreSQL's and MySQL's BIGINT and read back as a
-REAL by SQLite. Filter literals (``min_bp``, the centre-distance bound)
-are compared, not stored, and are written as given.
+REAL by SQLite. A dataset number written into a row must also fit
+``regiondesc_id integer``, [-2**31, 2**31 - 1], and a chromosome name
+``varchar(64)``. Filter literals (``min_bp``, the centre-distance bound)
+are compared, not stored, and are written as given; the dataset numbers
+a query compares need only the bigint range.
 
 Column naming: ``start``/``end`` are reserved words in at least one
 target dialect, so the physical columns are ``start_pos``/``end_pos``.
@@ -116,6 +119,15 @@ def _check_int(value: int, name: str) -> int:
     if not _INT64_MIN <= value <= _INT64_MAX:
         raise ValueError(f"{name} must lie in the bigint range, got {value}")
     return value
+
+
+def _check_dataset(value: int) -> int:
+    """A dataset number written into a row: ``regions.regiondesc_id`` is
+    an ``integer`` column, so it must also lie in [-2**31, 2**31 - 1]."""
+    ds = _check_int(value, "dataset")
+    if not -(2**31) <= ds < 2**31:
+        raise ValueError(f"dataset must lie in the integer range of regiondesc_id, got {ds}")
+    return ds
 
 
 def _check_token(value: str, name: str) -> str:
@@ -279,7 +291,7 @@ def emit_bulk_import(
     """Three-step staged import: load staging, copy with id assignment,
     empty staging."""
     path = _check_path(file_path)
-    ds = _check_int(dataset, "dataset")
+    ds = _check_dataset(dataset)
     if dialect.is_mysql:
         load = (
             f"load data infile '{path}' into table staging_regions"
@@ -327,7 +339,7 @@ def emit_random_gen(
     lo = _check_int(coord_lower, "coord_lower")
     hi = _check_int(coord_upper, "coord_upper")
     size = _check_int(max_size, "max_size")
-    ds = _check_int(dataset, "dataset")
+    ds = _check_dataset(dataset)
     nchrom = _check_int(chromosome_count, "chromosome_count")
     if n < 1:
         raise ValueError(f"count must be >= 1, got {n}")
@@ -374,13 +386,21 @@ commit;
 def _region_values(regions: Sequence[GenomicRegion], dataset: int, start_id: int) -> list[str]:
     """The ``(id, dataset, 'chrom', start, end)`` literal of each region,
     with ids counting up from ``start_id``."""
-    ds = _check_int(dataset, "dataset")
+    ds = _check_dataset(dataset)
     sid = _check_int(start_id, "start_id")
     return [
-        f"({_check_int(sid + offset, 'id')}, {ds}, '{_check_token(region.chrom, 'chromosome')}',"
+        f"({_check_int(sid + offset, 'id')}, {ds}, '{_check_chromosome(region.chrom)}',"
         f" {_check_int(region.start, 'start')}, {_check_int(region.end, 'end')})"
         for offset, region in enumerate(regions)
     ]
+
+
+def _check_chromosome(name: str) -> str:
+    """A chromosome name written into a row: a plain token that
+    ``chromosome varchar(64)`` holds."""
+    if len(name) > 64:
+        raise ValueError(f"chromosome must be at most 64 characters, got {len(name)}: {name!r}")
+    return _check_token(name, "chromosome")
 
 
 def emit_batch_insert(

@@ -364,6 +364,28 @@ class TestWriteBed:
             (r.chrom, r.start, r.end) for r in regions
         ]
 
+    @pytest.mark.parametrize("name", ["#chr1", "track1", "browser", "trackchr2"])
+    def test_name_parse_bed_skips_is_refused_before_its_line(self, name):
+        buf = io.StringIO()
+        regions = [GenomicRegion("chr1", 0, 5), RawRegion(name, 10, 20), GenomicRegion("chr1", 30, 40)]
+        with pytest.raises(ValueError, match=re.escape(repr(name))):
+            write_bed(regions, buf)
+        assert buf.getvalue() == "chr1\t0\t5\n"
+
+    @given(st.text(min_size=1, max_size=8) | st.sampled_from(["#", "#c", "track", "tracks", "browser1"]))
+    def test_every_name_written_is_read_back(self, name):
+        if _chrom_reason(name) is not None:
+            return
+        buf = io.StringIO()
+        try:
+            write_bed([RawRegion(name, 1, 2)], buf)
+        except ValueError:
+            assert name.startswith(bedio._SKIP_PREFIXES)
+            return
+        parsed, report = parse_text(buf.getvalue())
+        assert (report.accepted, report.rejected) == (1, 0)
+        assert list(parsed) == [RawRegion(name, 1, 2)]
+
 
 CATALOG_HEADER = "name\tfactor\tcell_line\ttreatment\tassembly\tpath\n"
 

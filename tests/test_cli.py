@@ -62,6 +62,13 @@ class TestGen:
             chrom, start, end = line.split("\t")
             assert int(end) - int(start) == 500
 
+    @pytest.mark.parametrize("chromosomes", ["track1", "chr1,#chr2"])
+    def test_chromosome_parse_bed_skips_exits_1(self, capsys, chromosomes):
+        rc, _, err = run_cli(capsys, "gen", "--count", "3", "--chromosomes", chromosomes)
+        assert rc == 1
+        assert err.startswith("regmap: error: parse_bed would skip a line of chromosome ")
+        assert repr(chromosomes.split(",")[-1]) in err
+
 
 class TestOverlap:
     def write(self, path, text):

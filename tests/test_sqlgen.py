@@ -188,6 +188,17 @@ class TestInsertScripts:
         with pytest.raises(ValueError, match="token"):
             emit_batch_insert(SqlDialect.POSTGRES, [bad])
 
+    def test_chromosome_of_64_characters_is_written(self):
+        name = "chr" + "1" * 61
+        for emit in (emit_batch_insert, emit_rowwise_insert):
+            assert f"(1, 1, '{name}', 0, 10)" in emit(SqlDialect.POSTGRES, [RawRegion(name, 0, 10)]).text
+
+    def test_chromosome_past_64_characters_is_refused(self):
+        name = "chr" + "1" * 62
+        for emit in (emit_batch_insert, emit_rowwise_insert):
+            with pytest.raises(ValueError, match="^chromosome must be at most 64 characters, got 65"):
+                emit(SqlDialect.POSTGRES, [RawRegion("chr1", 0, 5), RawRegion(name, 0, 10)])
+
     def test_batch_requires_rows(self):
         with pytest.raises(ValueError):
             emit_batch_insert(SqlDialect.POSTGRES, [])
@@ -241,13 +252,34 @@ class TestIntegerParameters:
     def test_bigint_limits_are_written(self):
         lo, hi = -(2**63), 2**63 - 1
         row = RawRegion("chr1", lo, hi)
-        batch = emit_batch_insert(SqlDialect.POSTGRES, [row], dataset=hi, start_id=hi)
-        assert f"    ({hi}, {hi}, 'chr1', {lo}, {hi});" in batch.text
-        rowwise = emit_rowwise_insert(SqlDialect.POSTGRES, [row], dataset=lo, start_id=lo)
-        assert rowwise.text.endswith(f" values ({lo}, {lo}, 'chr1', {lo}, {hi});\n")
+        batch = emit_batch_insert(SqlDialect.POSTGRES, [row], dataset=2**31 - 1, start_id=hi)
+        assert f"    ({hi}, {2**31 - 1}, 'chr1', {lo}, {hi});" in batch.text
+        rowwise = emit_rowwise_insert(SqlDialect.POSTGRES, [row], dataset=-(2**31), start_id=lo)
+        assert rowwise.text.endswith(f" values ({lo}, {-(2**31)}, 'chr1', {lo}, {hi});\n")
         for position in (hi - 5, lo + 5):
             _, proximity = emit_search_queries(SqlDialect.POSTGRES, "chr1", position, 5)
             assert f"least(end_pos, {position + 5}) - greatest(start_pos, {position - 5})" in proximity.text
+
+    @pytest.mark.parametrize("dataset", [2**31 - 1, -(2**31)])
+    def test_integer_limits_of_a_dataset_number_are_written(self, dataset):
+        pg = SqlDialect.POSTGRES
+        for emit in (emit_batch_insert, emit_rowwise_insert):
+            assert f"(1, {dataset}, 'chr1', 100, 250)" in emit(pg, DEMO_REGIONS[:1], dataset=dataset).text
+        assert f"\n    {dataset},\n" in emit_bulk_import(pg, dataset=dataset).text
+        assert f"\n    {dataset},\n" in emit_random_gen(pg, dataset=dataset).text
+
+    @pytest.mark.parametrize("dataset", [2**31, -(2**31) - 1])
+    def test_dataset_number_outside_integer_is_refused(self, dataset):
+        pg = SqlDialect.POSTGRES
+        message = f"^dataset must lie in the integer range of regiondesc_id, got {dataset}$"
+        for emit in (emit_batch_insert, emit_rowwise_insert, emit_bulk_import, emit_random_gen):
+            with pytest.raises(ValueError, match=message):
+                emit(pg, dataset=dataset)
+
+    def test_compared_dataset_numbers_need_only_bigint(self):
+        pg = SqlDialect.POSTGRES
+        assert "a.regiondesc_id = 2147483648" in emit_regmap_query(pg, query_dataset=2**31).text
+        assert "b.regiondesc_id = -2147483649" in emit_geo_query(pg, ref_dataset=-(2**31) - 1).text
 
     def test_ids_past_bigint_are_refused(self):
         with pytest.raises(ValueError, match="^id must lie in the bigint range, got 9223372036854775808$"):
@@ -426,7 +458,7 @@ class TestRunsInSqlite:
     def test_bigint_limits_read_back_exactly(self, tmp_path):
         lo, hi = -(2**63), 2**63 - 1
         dialect = SqlDialect.POSTGRES
-        batch = emit_batch_insert(dialect, [RawRegion("chr1", lo, hi)], dataset=hi, start_id=hi)
+        batch = emit_batch_insert(dialect, [RawRegion("chr1", lo, hi)], dataset=2**31 - 1, start_id=hi)
         invalid, _ = emit_search_queries(dialect)
         rows = run_sqlite(tmp_path / "regmap.db", emit_ddl(dialect), batch, invalid)
-        assert rows == [(hi, hi, "chr1", lo, hi)]
+        assert rows == [(hi, 2**31 - 1, "chr1", lo, hi)]
