@@ -31,16 +31,21 @@ ParseReport)``. This module never imports numpy itself, so a parse in a
 numpy-free process stays numpy-free.
 
 Every table regmap writes goes through ``write_lines``: to an open
-stream as given, or to a path as UTF-8 with ``\n`` line ends. ``write_bed``
-refuses a name ``parse_bed`` would skip, so its lines all read back.
+stream as given, or to a path as UTF-8 with ``\n`` line ends, through a
+file that replaces a regular one only once every line is written.
+``write_bed`` refuses a name ``parse_bed`` would skip, so its lines all
+read back.
 """
 
 from __future__ import annotations
 
 import operator
+import os
+import stat
 import sys
 from array import array
 from collections.abc import Sequence
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -326,13 +331,38 @@ def parse_bed_file(
 
 def write_lines(lines: Iterable[str], sink: str | Path | IO) -> None:
     """Write each string of ``lines`` in order, as given: a line carries
-    its own ``\n``. A path is opened as UTF-8 with ``newline=""``, so no
-    line end is translated; an open stream is written as it is."""
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(lines)
-    else:
+    its own ``\n``. A path is written as UTF-8 with ``newline=""``, so no
+    line end is translated; an open stream is written as it is.
+
+    A path naming a regular file, or nothing yet, is written to a new
+    file in the same directory that then replaces it (``os.replace``;
+    an old file's permission bits are kept), so a write that fails
+    leaves the old file, or no file. Any other path, such as
+    ``/dev/null`` or a FIFO, is written in place."""
+    if not isinstance(sink, (str, Path)):
         sink.writelines(lines)
+        return
+    target = os.path.realpath(sink)  # a symlink keeps pointing at the file
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(target, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(lines)
+        return
+    head, name = os.path.split(target)
+    temporary = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(temporary, "x", encoding="utf-8", newline="") as fh:
+            if mode is not None:
+                os.chmod(fh.fileno(), stat.S_IMODE(mode))
+            fh.writelines(lines)
+        os.replace(temporary, target)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(temporary)
+        raise
 
 
 def _bed_lines(regions: Iterable[GenomicRegion | RawRegion]) -> Iterator[str]:

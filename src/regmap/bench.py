@@ -25,13 +25,14 @@ import time
 from contextlib import closing
 from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import partial
+from itertools import product
 from pathlib import Path
 from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import dbadapter, sqlgen
-from .bedio import parse_bed_file, write_lines
+from .bedio import as_records, parse_bed_file, write_lines
 from .columns import RegionColumns, window_join
 from .intervals import GenomicRegion, RawRegion, centre_distance_sql_compat
 from .joins import JoinFilter, nested_loop_join
@@ -48,6 +49,7 @@ __all__ = [
     "run_import_bench",
     "run_overlap_bench",
     "run_search_bench",
+    "add_search_writes",
     "write_report",
     "report_to_json",
     "report_from_json",
@@ -440,6 +442,39 @@ def run_search_bench(
         report.add("search_proximity_indexed", "native", size, _time_reps(probe, reps))
         report.note(f"search size={size}: proximity hits={len(indexed)}")
     return report
+
+
+SEARCH_WRITES = 10  # writes of size // 20 rows each in ``add_search_writes``
+
+
+def add_search_writes(report: BenchmarkReport, store_sizes: Iterable[int], seed: int = 0) -> None:
+    """Add a ``search_write_indexed`` row per store size to ``report``:
+    ``SEARCH_WRITES`` timed writes of ``size // 20`` rows each into an
+    indexed store of ``size`` rows, one timing per write. After each
+    write, probes at three loci with a 100 kb and a 10 Mb half-window
+    must equal those of an unindexed store holding the same rows, or
+    AssertionError is raised."""
+    loci = [("chr8", 128_748_314), ("chr1", 1_000_000), ("chrX", 100_000_000)]
+    for size in store_sizes:
+        base = as_records(generate_regions(GenConfig(seed=seed, count=size)))
+        indexed, plain = RegionStore(), RegionStore()
+        indexed.import_dataset("synthetic", base)
+        plain.import_dataset("synthetic", base)
+        indexed.build_index()
+        timings = []
+        for k in range(SEARCH_WRITES):
+            rows = as_records(generate_regions(GenConfig(seed=seed + 2 + k, count=max(1, size // 20))))
+            t0 = time.perf_counter()
+            indexed.import_dataset(f"write{k}", rows)
+            timings.append(time.perf_counter() - t0)
+            plain.import_dataset(f"write{k}", rows)
+            for (chrom, position), window in product(loci, (100_000, 10_000_000)):
+                got = indexed.proximity_search(chrom, position, window)
+                if got != plain.proximity_search(chrom, position, window):
+                    raise AssertionError(
+                        f"after write {k}: indexed and unindexed proximity results differ at {chrom}:{position}"
+                    )
+        report.add("search_write_indexed", "native", size, timings)
 
 
 def write_report(

@@ -202,6 +202,7 @@ def cmd_bench(args) -> int:
         report = bench.run_overlap_bench(sizes, reps=args.reps, backends=backends, seed=args.seed)
     else:
         report = bench.run_search_bench(sizes, reps=args.reps, backends=backends, seed=args.seed)
+        bench.add_search_writes(report, sizes, seed=args.seed)
     bench.write_report(report, fmt=args.format, sink=_sink(args.report))
     return 0
 

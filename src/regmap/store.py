@@ -23,40 +23,52 @@ An optional index serves proximity queries. It is the interval index
 the joins use (``intervals._by_code``, ``_sorted_entry`` and
 ``_windows``): one entry per chromosome, covering every dataset, over
 the valid rows of non-zero length (the only rows a probe can hit), with
-their ids as the entry's rows. A probe is one ``_windows`` lookup, one
-vectorised filter and one Python sort of the hits by id; a bisect over
-the datasets' first ids, kept in the index, names each hit's dataset.
-Once built, each write merges its dataset in, so results are identical
-with and without the index. Without an index a probe is a linear scan
-of the columns, the reference the tests compare the index against.
+their ids as the entry's rows. Each entry is a run set
+(``intervals._with_run``): a few immutable runs, each sorted by start
+and under half the size of the one before it unless it is small.
+``build_index`` makes one run per chromosome. A write adds its rows
+as a new run, sorting only them, and merges that run into the runs
+before it only while they are at most twice its size or small, so a
+row is copied O(log n) times and a write costs about its own rows, not
+the size of the index. A probe looks in every run: one ``_windows``
+lookup each, a filter of the candidates (in Python when they are few,
+else vectorised), then one sort of the hits by id; a bisect over the
+datasets' first ids, kept in the index, names each hit's dataset.
+Results are identical with and without the index. Without an index a
+probe is a linear scan of the columns, the reference the tests compare
+the index against.
 
 numpy loads at the first ``build_index``, never for writes,
 ``find_invalid`` or an unindexed probe, so ``import regmap`` and
 ``regmap search`` stay numpy-free. A write's parse
-(``bedio.parse_bed_file``) uses numpy only when it is already loaded.
+(``bedio.parse_bed_file``) and its search for invalid rows use numpy
+only when it is already loaded.
 
 Concurrency: any number of reader threads may run beside writers.
 Writes and index builds and drops are serialized on an internal lock
 and publish new structures instead of mutating published ones; no
-published column or array is written after it is published. A query
-reads each published structure once (an indexed probe reads only the
-index, which names the dataset of every id it holds), so its result is
-correct for the store before or after a concurrent write; a rowwise
-insert's dataset is seen either absent or with every record it
-committed. Query results are fresh lists of fresh objects.
+published column, array or run is written after it is published (a
+write publishes a new index, whose entries share the runs it did not
+merge). A query reads each published structure once (an indexed probe
+reads only the index, which names the dataset of every id it holds),
+so its result is correct for the store before or after a concurrent
+write; a rowwise insert's dataset is seen either absent or with every
+record it committed. Query results are fresh lists of fresh objects.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import count
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .bedio import BedRecords, as_records
 from .intervals import _INT64_MAX, _INT64_MIN, GenomicRegion, RawRegion, _integer, _raw_region
-from .intervals import _by_code, _sorted_entry, _unchecked, _windows
+from .intervals import _by_code, _unchecked, _windows, _with_run
 
 if TYPE_CHECKING:
     import numpy as np
@@ -94,16 +106,24 @@ class DatasetColumns:
 
 
 def _dataset(first_id: int, rows: BedRecords) -> DatasetColumns:
-    """One dataset of ``rows``, with its invalid rows recorded."""
-    invalid = tuple(i for i, s, e in zip(count(), rows.starts, rows.ends) if s < 0 or e < s)
+    """One dataset of ``rows``, with its invalid rows recorded: found in
+    numpy when it is already loaded (as ``bedio.parse_bed`` decides),
+    else by a loop, which keeps a numpy-free process numpy-free."""
+    if sys.modules.get("numpy") is not None:
+        import numpy as np
+
+        _, start, end = rows.arrays()
+        invalid = tuple(np.flatnonzero((start < 0) | (end < start)).tolist())
+    else:
+        invalid = tuple(i for i, s, e in zip(count(), rows.starts, rows.ends) if s < 0 or e < s)
     return DatasetColumns(first_id, rows, invalid)
 
 
-# An index entry, one per chromosome: ``intervals._sorted_entry`` of
-# its indexed rows' numpy (start, end, id) arrays, sorted by start with
-# ties in any order. Coordinates are int64, or object (exact ints) when
-# some end exceeds int64.
-_IndexEntry = tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]
+# An index entry, one per chromosome: an ``intervals`` run set of its
+# indexed rows' numpy (start, end, id) arrays, each run sorted by start
+# with ties in any order. A run's coordinates are int64, or object
+# (exact ints) when one of its ends exceeds int64.
+_IndexEntry = tuple[tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"], ...]
 # The index, published as one tuple: its entries by chromosome, then the
 # first ids and names of the datasets it covers, in id order.
 _Index = tuple[dict[str, _IndexEntry], list[int], list[str]]
@@ -129,10 +149,9 @@ def _index_dataset(dataset: DatasetColumns) -> dict[str, tuple]:
 
 def _merge(index: _Index, datasets: dict[str, DatasetColumns]) -> _Index:
     """A new index: ``index`` with ``datasets`` (in id order, after its
-    own) merged in; ``index`` is not changed. Each chromosome that gains
-    rows sorts only its new rows (``_sorted_entry``); where ``index``
-    already has an entry there, the entry and those rows are two sorted
-    runs, which a second ``_sorted_entry`` merges in one pass."""
+    own) added; ``index`` is not changed. The new rows of each
+    chromosome become one new run of its entry (``_with_run``), which
+    merges it only into runs of a comparable size."""
     import numpy as np
 
     entries, first_ids, names = index
@@ -140,12 +159,10 @@ def _merge(index: _Index, datasets: dict[str, DatasetColumns]) -> _Index:
     for ds in datasets.values():
         for chrom, cols in _index_dataset(ds).items():
             grouped.setdefault(chrom, []).append(cols)
-    merged = {}
-    for chrom, cols in grouped.items():
-        entry = _sorted_entry(*map(np.concatenate, zip(*cols)))
-        if chrom in entries:
-            entry = _sorted_entry(*map(np.concatenate, zip(entries[chrom][:3], entry[:3])))
-        merged[chrom] = entry
+    merged = {
+        chrom: _with_run(entries.get(chrom, ()), *map(np.concatenate, zip(*cols)))
+        for chrom, cols in grouped.items()
+    }
     first_ids = first_ids + [ds.first_id for ds in datasets.values()]
     return {**entries, **merged}, first_ids, names + list(datasets)
 
@@ -335,19 +352,34 @@ class RegionStore:
         entry = entries.get(chrom)
         if entry is None:
             return []
-        start, end, ids, _ = entry
-        first, last = lo + 1, hi - 1  # a hit has end >= lo + 1 and start <= hi - 1
-        if not _INT64_MIN <= lo < hi <= _INT64_MAX and start.dtype != object:
-            # Every indexed row has 0 <= start < end <= 2**63 - 1, so
-            # clamping the bounds to int64 changes no comparison.
-            first, last, lo = (min(max(v, _INT64_MIN), _INT64_MAX) for v in (first, last, lo))
-        i, j = _windows(entry, first, last)
-        start, end, ids = start[i:j], end[i:j], ids[i:j]
-        hit = end > lo
+        exact = clamped = lo + 1, hi - 1, lo  # a hit has end >= lo + 1 and start <= hi - 1
+        if not _INT64_MIN <= lo < hi <= _INT64_MAX:
+            # Every row of an int64 run has 0 <= start < end <= 2**63 - 1,
+            # so clamping the bounds to int64 changes none of its comparisons.
+            clamped = tuple(min(max(v, _INT64_MIN), _INT64_MAX) for v in exact)
+        hits = []
+        for run in entry:
+            start, end, ids, _ = run
+            first, last, low = exact if start.dtype.hasobject else clamped
+            i, j = _windows(run, first, last)
+            if j - i > _PYTHON_FILTER_MAX:
+                start, end, ids = start[i:j], end[i:j], ids[i:j]
+                hit = end > low
+                hits += zip(ids[hit].tolist(), start[hit].tolist(), end[hit].tolist())
+            elif j > i:
+                hits += [h for h in zip(ids[i:j].tolist(), start[i:j].tolist(), end[i:j].tolist()) if h[2] > low]
+        hits.sort(key=itemgetter(0))
         return [
             _stored_region(rid, names[bisect_right(first_ids, rid) - 1], _raw_region(chrom, s, e))
-            for rid, s, e in sorted(zip(ids[hit].tolist(), start[hit].tolist(), end[hit].tolist()))
+            for rid, s, e in hits
         ]
+
+
+# A probe's candidates in one run are filtered in Python, about 0.1 us
+# each, up to this many; past it, in numpy, whose mask and gathers cost
+# about 1.5 us more a run but skip the candidates that miss, as most do
+# in the window a long row left of the probe opens.
+_PYTHON_FILTER_MAX = 64
 
 
 def _scan(datasets: dict[str, DatasetColumns], chrom: str, lo: int, hi: int) -> list[StoredRegion]:

@@ -9,10 +9,13 @@ import pytest
 from test_dbadapter import StubConnection
 
 from regmap import bench, dbadapter, sqlgen
+from regmap import intervals as intervals_module
+from regmap import store as store_module
 from regmap.bench import (
     REPORT_COLUMNS,
     BenchmarkReport,
     GenConfig,
+    add_search_writes,
     generate_regions,
     make_invalid_rows,
     report_from_json,
@@ -23,6 +26,7 @@ from regmap.bench import (
     run_search_bench,
     write_report,
 )
+from regmap.cli import main
 from regmap.data import toy_catalog_path
 from regmap.dbadapter import BackendConfig
 from regmap.intervals import GenomicRegion, centre_distance_sql_compat
@@ -166,6 +170,30 @@ class TestSearchBench:
         scan = by_scenario["search_proximity_scan"]
         indexed = by_scenario["search_proximity_indexed"]
         assert indexed.mean_s <= scan.mean_s
+
+
+class TestSearchWrites:
+    def test_ten_timed_writes_into_the_indexed_store(self, capsys):
+        report = BenchmarkReport()
+        add_search_writes(report, [4_000], seed=3)
+        [row] = report.rows
+        assert (row.scenario, row.backend, row.size, row.reps) == ("search_write_indexed", "native", 4_000, 10)
+        assert 0 < row.min_s <= row.mean_s <= row.max_s
+        assert main(["bench", "--scenario", "search", "--sizes", "2000", "--reps", "1"]) == 0
+        scenarios = [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()]
+        assert scenarios[-4:] == [
+            "search_invalid", "search_proximity_scan", "search_proximity_indexed", "search_write_indexed",
+        ]
+
+    def test_an_index_that_loses_a_write_fails(self, monkeypatch):
+        # An index whose entries keep their old runs and drop each write's
+        # rows: the probes after the first write differ from the scan.
+        def kept(runs, *columns):
+            return runs or intervals_module._with_run(runs, *columns)
+
+        monkeypatch.setattr(store_module, "_with_run", kept)
+        with pytest.raises(AssertionError, match="after write 0: indexed and unindexed"):
+            add_search_writes(BenchmarkReport(), [20_000], seed=3)
 
 
 class TestReports:

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -6,12 +7,14 @@ import tracemalloc
 from array import array
 from dataclasses import FrozenInstanceError
 from pathlib import Path
+from random import Random
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regmap import intervals as intervals_module
 from regmap import store as store_module
 from regmap.bedio import BedRecords, parse_bed_file
 from regmap.bench import GenConfig, generate_regions, make_invalid_rows
@@ -972,3 +975,187 @@ class TestBuiltObjects:
             RawRegion("chr 1", 0, 5)
         with pytest.raises(ValueError, match="non-empty"):
             RawRegion("", 0, 5)
+
+
+class TestInvalidRowsBothWays:
+    """``store._dataset`` finds invalid rows in numpy when numpy is
+    loaded and with a loop when it is not; both give one tuple."""
+
+    CASES = {
+        "int64": ([raw("chr1", -1, 5), raw("chr1", 3, 2), raw("chr1", 0, 0), raw("chr2", 5, 9)], (0, 1)),
+        "past int64": ([raw("chr1", 0, 2**70), raw("chr1", 2**70, 3), raw("chr2", -(2**70), 1),
+                        raw("chr1", 2**63, 2**63)], (1, 2)),
+        "empty": ([], ()),
+    }
+
+    @staticmethod
+    def both_ways(monkeypatch, records):
+        import numpy  # noqa: F401  (loaded, so _dataset takes the numpy path)
+
+        rows = store_module.as_records(records)
+        with_numpy = store_module._dataset(1, rows).invalid
+        with monkeypatch.context() as patched:
+            patched.setitem(sys.modules, "numpy", None)  # as in a numpy-free process
+            looped = store_module._dataset(1, rows).invalid
+        return with_numpy, looped
+
+    @pytest.mark.parametrize("records, want", CASES.values(), ids=CASES.keys())
+    def test_numpy_and_loop_agree(self, monkeypatch, records, want):
+        assert self.both_ways(monkeypatch, records) == (want, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.builds(RawRegion, st.sampled_from(["chr1", "chr2"]), COORDS, COORDS), max_size=12))
+    def test_numpy_and_loop_agree_on_any_records(self, records):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            with_numpy, looped = self.both_ways(monkeypatch, records)
+        assert with_numpy == looped == tuple(i for i, r in enumerate(records) if not r.is_valid())
+
+
+def _written(size: int, seed: int, past_int64: bool) -> list[RawRegion]:
+    """``size`` seeded rows on chr1 and chr2 in [0, 2 Mb), 0 bp to 3 kb
+    long, a few invalid; with ``past_int64`` one more ends past int64."""
+    rng = Random(seed)
+    rows = []
+    for _ in range(size):
+        start = rng.randrange(-50, 2_000_000)
+        rows.append(raw(rng.choice(("chr1", "chr2")), start, start + rng.randrange(-20, 3_000)))
+    if past_int64:
+        rows.append(raw(rng.choice(("chr1", "chr2")), rng.choice((5, 2**63 - 7)), 2**63 + rng.randrange(100)))
+    return rows
+
+
+SMALL_RUN = intervals_module._SMALL_RUN
+# write sizes on both sides of the merge rule's floor and ratio
+RUN_WRITE = st.tuples(
+    st.just("write"),
+    st.one_of(st.integers(0, 8), st.integers(0, 1_500), st.sampled_from([SMALL_RUN - 1, SMALL_RUN + 1])),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+RUN_OPS = st.lists(
+    st.one_of(
+        RUN_WRITE, RUN_WRITE, RUN_WRITE,
+        st.just(("long",)),  # one 200 Mb row on chr1
+        st.sampled_from([("drop_index",), ("build_index",)]),
+    ),
+    min_size=2,
+    max_size=12,
+)
+RUN_PROBES = st.lists(
+    st.tuples(
+        st.sampled_from(["chr1", "chr2", "chr3"]),
+        st.one_of(st.integers(-100, 2_100_000), st.sampled_from([2**63 - 5, 2**63 + 50])),
+        st.sampled_from([1, 40, 2_000, 100_000, 2**62]),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def assert_runs_follow_the_merge_rule(store: RegionStore, floor: int = SMALL_RUN) -> None:
+    """Each run of an entry but the last is larger than ``floor`` rows
+    and than twice the run after it, and the runs hold the entry's rows
+    once, each sorted by start."""
+    entries = store._index[0]
+    for chrom, runs in entries.items():
+        sizes = [len(run[0]) for run in runs]
+        assert all(older > max(2 * newer, floor) for older, newer in zip(sizes, sizes[1:])), (chrom, sizes)
+        ids = [i for run in runs for i in run[2].tolist()]
+        assert len(ids) == len(set(ids)) == sum(sizes)
+        for start, _, _, _ in runs:
+            assert (start[1:] >= start[:-1]).all()
+
+
+class TestIndexRuns:
+    """An index entry is a tuple of sorted runs: a write sorts its own
+    rows into a new run, merged only into runs of a comparable size."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([8, SMALL_RUN]), st.integers(0, 2**32 - 1), RUN_OPS, RUN_PROBES)
+    def test_many_small_writes_keep_probes_equal_to_scan(self, floor, seed, ops, probes):
+        # A floor of 8 rows lets small writes stack several runs deep.
+        store = RegionStore()
+        store.build_index()
+        indexed = True
+        # a first run above the floor on each chromosome, for later runs to sit beside
+        ops = [("write", 3 * SMALL_RUN, seed, False)] + ops
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(intervals_module, "_SMALL_RUN", floor)
+            for k, (op, *args) in enumerate(ops):
+                if op == "write":
+                    store.import_dataset(f"w{k}", _written(*args))
+                elif op == "long":
+                    store.import_dataset(f"w{k}", [raw("chr1", 40_000 * k, 40_000 * k + 200_000_000)])
+                else:
+                    getattr(store, op)()
+                    indexed = op == "build_index"
+                assert store.has_index == indexed
+                if indexed:
+                    assert_runs_follow_the_merge_rule(store, floor)
+                for chrom, position, window in probes:
+                    want = store_module._scan(store._datasets, chrom, position - window, position + window)
+                    assert store.proximity_search(chrom, position, window) == want
+
+    @pytest.mark.parametrize("sizes", ["equal", "seeded"])
+    def test_rows_copied_over_writes_grow_as_n_log_n(self, monkeypatch, sizes):
+        # The logarithmic method: a write copies its own rows, then merges
+        # that copy only into runs at most twice its size or of at most
+        # _SMALL_RUN rows, so a row is copied O(log n) times.
+        sorted_entry, copied = intervals_module._sorted_entry, []
+
+        def counted(start, end, rows):
+            copied.append(len(start))
+            return sorted_entry(start, end, rows)
+
+        monkeypatch.setattr(intervals_module, "_sorted_entry", counted)
+        rng = Random(7)
+        writes = 64
+        counts = [3_000] * writes if sizes == "equal" else [rng.randrange(1, 3 * SMALL_RUN) for _ in range(writes)]
+        store = RegionStore()
+        store.build_index()
+        for k, n in enumerate(counts):
+            starts = array("q", (rng.randrange(10**8) for _ in range(n)))
+            ends = array("q", (s + rng.randrange(1, 500) for s in starts))
+            store.import_dataset(f"w{k}", BedRecords(("chr1",), array("i", bytes(4 * n)), starts, ends))
+            rows = sum(counts[: k + 1])
+            assert len(store._index[0]["chr1"]) <= math.log2(rows / SMALL_RUN + 1) + 2
+        rows = sum(counts)
+        assert sum(copied) <= 2 * rows * math.log2(writes) + writes * SMALL_RUN
+        assert_runs_follow_the_merge_rule(store)
+
+    def test_long_row_in_a_later_write_widens_no_window(self, monkeypatch):
+        # 80K narrow rows and one 200 Mb row at the start of chr1, probed
+        # with a 1 kb half-window. Built at once, the long row is in the
+        # narrow rows' run and every probe's window reaches back to it;
+        # written later, it is a run of its own.
+        windows, totals = store_module._windows, []
+
+        def counted(*args):
+            lo, hi = windows(*args)
+            totals.append(max(int(hi - lo), 0))
+            return lo, hi
+
+        monkeypatch.setattr(store_module, "_windows", counted)
+        narrow = [raw("chr1", s, s + 300) for s in range(0, 80_000_000, 1_000)]
+        long = [raw("chr1", 0, 200_000_000)]
+        probes = range(500_000, 80_000_000, 797_000)
+
+        def probed(build_first, datasets):
+            store = RegionStore()
+            if build_first:
+                store.build_index()
+            for name, rows in datasets:
+                store.import_dataset(name, rows)
+            store.build_index()
+            totals.clear()
+            return store, [store.proximity_search("chr1", p, 1_000) for p in probes], sum(totals)
+
+        store, hits, later = probed(True, [("narrow", narrow), ("long", long)])
+        _, single_hits, single = probed(False, [("narrow", narrow), ("long", long)])
+        _, _, without = probed(True, [("narrow", narrow)])
+        assert hits == single_hits == [
+            store_module._scan(store._datasets, "chr1", p - 1_000, p + 1_000) for p in probes
+        ]
+        assert all(len(found) == 3 for found in hits)  # two narrow rows and the long one
+        assert later <= single
+        assert later == without + len(probes)  # the long row's own run adds one candidate a probe
