@@ -314,8 +314,8 @@ def region_length(r: GenomicRegion) -> int:
 
 def _argsort(keys):
     """The order that sorts ``keys``, ties in any order. Keys in one or
-    two ascending runs (a file sorted by chromosome and start, or a
-    store entry followed by a write's sorted rows) take numpy's stable
+    two ascending runs (a file sorted by chromosome and start, or two
+    runs of a store entry being merged) take numpy's stable
     sort, timsort, which merges runs in one pass; any others take the
     default sort, SIMD where the CPU has it, which is faster on shuffled
     keys but O(n log n) on every input."""
@@ -369,8 +369,9 @@ def _windows(entry, first, last):
 # log2(n / _SMALL_RUN) + 2 runs and a row is merged O(log n) times.
 # The floor: merging into a run of at most 4,096 int64 rows costs at
 # most about 50 us more than leaving the new run apart, and each later
-# probe of the entry pays about 3 us for every run it looks in, so such
-# a merge pays for itself within about 15 probes, and a tiny write never
+# probe of the entry pays about 3 us for every run it looks in (both
+# measured on a 2-vCPU Xeon VM, CPython 3.11, numpy 2.4), so such a
+# merge pays for itself within about 15 probes, and a tiny write never
 # leaves a run beside a large one.
 _SMALL_RUN = 4096
 

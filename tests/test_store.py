@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from regmap import intervals as intervals_module
 from regmap import store as store_module
-from regmap.bedio import BedRecords, parse_bed_file
+from regmap.bedio import BedRecords, as_records, parse_bed_file
 from regmap.bench import GenConfig, generate_regions, make_invalid_rows
 from regmap.intervals import GenomicRegion, RawRegion, overlap_coords
 from regmap.store import RegionStore
@@ -992,7 +992,7 @@ class TestInvalidRowsBothWays:
     def both_ways(monkeypatch, records):
         import numpy  # noqa: F401  (loaded, so _dataset takes the numpy path)
 
-        rows = store_module.as_records(records)
+        rows = as_records(records)
         with_numpy = store_module._dataset(1, rows).invalid
         with monkeypatch.context() as patched:
             patched.setitem(sys.modules, "numpy", None)  # as in a numpy-free process
