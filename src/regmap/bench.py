@@ -6,9 +6,9 @@ always runs. Live database backends configured through the environment
 also run insertion, import and overlap (search has no database cell),
 each on a connection of its own; a failed cell becomes an ``error:``
 note. Timings are reported as mean/min/max over repetitions with one
-discarded warm-up repetition; correctness cross-checks (row counts,
-pair counts, result sets) are enforced on every run and never depend
-on timing.
+discarded warm-up repetition; correctness cross-checks (pair counts,
+result sets, and row counts of native imports only) are enforced on
+every run and never depend on timing.
 
 Data generation is fully deterministic for a given seed: a PCG64
 stream drives chromosome, length and start draws, and derived datasets
@@ -263,7 +263,7 @@ def run_import_bench(
     reps: int = 3,
     backends: Sequence[dbadapter.BackendConfig] | None = None,
 ) -> BenchmarkReport:
-    """Three-step staged import of BED files; row counts are verified.
+    """Three-step staged import of BED files; only native row counts are verified.
 
     Malformed lines are skipped; when the files hold any, the note
     ``import files=K: rows=N rejected=M`` counts them."""

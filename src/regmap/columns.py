@@ -14,10 +14,11 @@ with a per-chromosome window join. ``hit_counts`` serves the mining
 report: for k sets at once it counts, for each ordered pair, the
 distinct rows of one that have a pair with the other, building no
 object. Both run on the interval index the store's probes share
-(``intervals``): a join groups each set's rows by chromosome and
-builds one chromosome's entries (``_sorted_entry``, the only sort of a
-set's rows: by start, ties in any order) when it reaches it. An
-entry's rows are a query side in start order and a reference, in
+(``intervals``): a join groups by chromosome each set's rows that
+can pair under the filter's ``min_bp`` (``_by_code``) and builds one
+chromosome's entries (``_sorted_entry``, the only sort of a set's
+rows: by start, ties in any order) when it reaches it. An entry's
+rows are a query side in start order and a reference, in
 which ``_windows`` finds each query row's candidates. A count only
 needs to know whether a row has a pair, so without a centre-distance
 bound the entry's running maximum of ends answers it with one search;
@@ -374,7 +375,7 @@ def window_join(a: RegionColumns, b: RegionColumns, flt: JoinFilter) -> list[Ove
     """
     min_bp, reach, twice_bound = _window_bounds(flt)
     found = []
-    for (_, (a_start, a_end, ar, _)), (_, b_entry) in _aligned([a, b]):
+    for (_, (a_start, a_end, ar, _)), (_, b_entry) in _aligned([a, b], min_bp):
         for a_rows, b_rows, bp, twice in _join_chromosome(
             a_start, a_end, b_entry, min_bp, reach, twice_bound
         ):
@@ -402,38 +403,31 @@ def hit_counts(sets: Sequence[RegionColumns], flt: JoinFilter) -> np.ndarray:
     rows of ``sets[q]`` in at least one pair passing ``flt`` with a row
     of ``sets[r]``. The diagonal is 0: no set is counted against itself.
 
-    Per chromosome name two or more sets hold, every set's index entry
+    Per chromosome name two or more sets hold rows that can pair (an
+    entry admits only those, ``_by_code``), every set's index entry
     there is one reference, and the entries' rows, each set's in its
     start order, form one query side. Each reference in turn fills its
     column with one ``np.bincount`` of the hit rows' set codes. Without
     a centre-distance bound a row hits when some reference row passes,
-    which needs no candidate list: both lengths must be at least
-    ``min_bp`` and, over the reference rows of such a length, the
-    running maximum of the ends up to the last start ``<= q.end -
-    min_bp`` must reach ``q.start + min_bp``, and no candidate is
-    expanded. With a bound, ``_join_chromosome`` runs with the query
-    side as A.
+    which needs no candidate list: the reference's running maximum of
+    the ends up to the last start ``<= q.end - min_bp`` must reach
+    ``q.start + min_bp``, one search, and no candidate is expanded.
+    With a bound, ``_join_chromosome`` runs with the query side as A.
     """
     k = len(sets)
     counts = np.zeros((k, k), dtype=np.int64)
     min_bp, reach, twice_bound = _window_bounds(flt)
-    for parts in _aligned(sets):
+    for parts in _aligned(sets, min_bp):
         q_start = np.concatenate([entry[0] for _, entry in parts])
         q_end = np.concatenate([entry[1] for _, entry in parts])
         q_set = np.repeat([i for i, _ in parts], [len(entry[2]) for _, entry in parts])
         if twice_bound is None:
-            long_enough = (q_end - q_start) >= min_bp
             last_start, first_end = q_end - min_bp, q_start + min_bp
         for r, entry in parts:
             if twice_bound is None:
-                start, end, _, furthest = entry
-                if min_bp > 0:  # a row shorter than min_bp has no pair
-                    long = (end - start) >= min_bp
-                    start, furthest = start[long], np.maximum.accumulate(end[long])
-                    if not len(start):
-                        continue
+                start, _, _, furthest = entry
                 before = start.searchsorted(last_start, "right")  # rows that start early enough
-                hit = long_enough & (before > 0) & (furthest[before - 1] >= first_end)
+                hit = (before > 0) & (furthest[before - 1] >= first_end)
             else:
                 hit = np.zeros(len(q_set), dtype=bool)
                 for a_rows, _, _, _ in _join_chromosome(
@@ -460,16 +454,15 @@ def _window_bounds(flt: JoinFilter):
     return min_bp, max(min_bp, -math.ceil(max_cd)), 2 * max_cd
 
 
-def _aligned(sets: Sequence[RegionColumns]):
-    """Yield one list per chromosome name two or more of ``sets`` hold,
-    in order of first appearance: ``(i, entry)`` for each set ``i`` that
-    holds the name, in set order, with ``entry`` the ``_sorted_entry`` of
-    its rows there. A name's entries are built when it is reached."""
+def _aligned(sets: Sequence[RegionColumns], min_bp: int):
+    """Yield one list per chromosome name on which two or more of
+    ``sets`` hold rows ``_by_code`` admits at ``min_bp``, in order of
+    first appearance: ``(i, entry)`` for each such set ``i``, in set
+    order, ``entry`` the ``_sorted_entry`` of those rows, built here."""
     per_name: dict[str, list[tuple[int, np.ndarray]]] = {}
     for i, cols in enumerate(sets):
-        for name, rows in zip(cols.names, _by_code(cols.chrom, len(cols.names))):
-            if len(rows):
-                per_name.setdefault(name, []).append((i, rows))
+        for name, rows in _by_code(cols.names, cols.chrom, cols.start, cols.end, min_bp):
+            per_name.setdefault(name, []).append((i, rows))
     for parts in per_name.values():
         if len(parts) > 1:
             yield [(i, _sorted_entry(sets[i].start[at], sets[i].end[at], at)) for i, at in parts]

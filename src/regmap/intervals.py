@@ -19,7 +19,8 @@ for callers that work on raw integers, e.g. array pipelines and tests
 that sweep millions of coordinate pairs.
 
 The interval index that joins, mining counts and store probes share
-is three steps here: ``_by_code`` groups rows by chromosome,
+is three steps here: ``_by_code`` groups by chromosome the rows that
+can pair under a ``min_bp`` (the one admission rule of an entry),
 ``_sorted_entry`` builds a chromosome's entry (the one place rows are
 sorted by start; ties in any order) and ``_windows`` finds a query's
 candidates in it. The first two import numpy, in the call, and sort
@@ -325,16 +326,21 @@ def _argsort(keys):
     return np.argsort(keys, kind="stable" if descents < 2 else None)
 
 
-def _by_code(codes, count: int) -> list:
-    """Item k: the rows whose numpy code is k, in any order, int32 when
-    they fit. No caller needs row order, since ``_sorted_entry`` orders
-    each group."""
+def _by_code(names, codes, start, end, min_bp: int) -> list:
+    """``(name, rows)`` for each name with rows that can pair under
+    ``min_bp`` (row i lies on ``names[codes[i]]``): ``start >= 0`` and
+    ``end - start >= max(min_bp, 0)``, as a pair's bp overlap is at most
+    either row's length. Rows in any order, int32 when they fit."""
     import numpy as np
 
+    # end >= start too: only there is end - start free of int64 wrap.
+    admitted = (start >= 0) & (end >= start) & (end - start >= max(min_bp, 0))
+    # The other rows take the code past the last name: sorted last, then dropped.
+    codes = np.where(admitted, codes, np.int32(len(names)))
     order = _argsort(codes)
     order = order.astype(np.int32) if len(order) < 2**31 else order
-    ends = np.bincount(codes, minlength=count).cumsum().tolist()
-    return [order[i:j] for i, j in zip([0] + ends, ends)]
+    ends = np.bincount(codes, minlength=len(names)).cumsum().tolist()
+    return [(name, order[i:j]) for name, i, j in zip(names, [0] + ends, ends) if j > i]
 
 
 def _sorted_entry(start, end, rows) -> tuple:

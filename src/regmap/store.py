@@ -22,8 +22,8 @@ so every read skips the constructors' checks.
 An optional index serves proximity queries. It is the interval index
 the joins use (``intervals._by_code``, ``_sorted_entry`` and
 ``_windows``): one entry per chromosome, covering every dataset, over
-the valid rows of non-zero length (the only rows a probe can hit), with
-their ids as the entry's rows. Each entry is a run set
+the rows ``_by_code`` admits at ``min_bp = 1`` (the only rows a probe
+can hit), with their ids as the entry's rows. Each entry is a run set
 (``intervals._with_run``): a few immutable runs, each sorted by start
 and under half the size of the one before it unless it is small.
 ``build_index`` makes one run per chromosome. A write adds its rows
@@ -130,20 +130,17 @@ _Index = tuple[dict[str, _IndexEntry], list[int], list[str]]
 
 def _index_dataset(dataset: DatasetColumns) -> dict[str, tuple]:
     """One dataset's index part: ``{chrom: (start, end, id)}`` numpy
-    arrays of its valid rows of non-zero length. Coordinates are int64
-    when every such end fits, else exact ``object`` ints."""
+    arrays of the rows ``_by_code`` admits at ``min_bp = 1``. Coordinates
+    are int64 when every such end fits, else exact ``object`` ints."""
     import numpy as np
 
     chrom, start, end = dataset.rows.arrays()
-    rows = np.flatnonzero((start >= 0) & (end > start))
-    chrom, start, end = chrom[rows], start[rows], end[rows]
-    # Here 0 <= start < end, so the ends decide whether both fit int64.
-    dtype = np.int64 if len(end) == 0 or end.max() <= _INT64_MAX else object
-    start, end = start.astype(dtype), end.astype(dtype)
-    ids = rows + dataset.first_id
-    names = dataset.rows.names
-    groups = zip(names, _by_code(chrom, len(names)))
-    return {name: (start[at], end[at], ids[at]) for name, at in groups if len(at)}
+    groups = _by_code(dataset.rows.names, chrom, start, end, 1)
+    # An admitted row has 0 <= start < end, so the ends decide whether both fit int64.
+    fits = not end.dtype.hasobject or all(end[at].max() <= _INT64_MAX for _, at in groups)
+    dtype = np.int64 if fits else object
+    ids = np.arange(len(end)) + dataset.first_id
+    return {name: (start[at].astype(dtype), end[at].astype(dtype), ids[at]) for name, at in groups}
 
 
 def _merge(index: _Index, datasets: dict[str, DatasetColumns]) -> _Index:
@@ -378,7 +375,9 @@ class RegionStore:
 # each, up to this many; past it, in numpy, whose mask and gathers cost
 # about 1.5 us more a run (both on a 2-vCPU Xeon VM, CPython 3.11) but
 # skip the candidates that miss, as most do in the window a long row
-# left of the probe opens.
+# left of the probe opens. That is rare: in replays of store-mixed plans
+# (seeds 1-3, 6 writes and 1,200 probes each) 2 to 5 of 2,171 to 2,407
+# run lookups had more candidates than this.
 _PYTHON_FILTER_MAX = 64
 
 

@@ -758,6 +758,58 @@ class TestTiedStarts:
                     assert store.proximity_search(chrom, position, window) == want
 
 
+class TestIndexAdmission:
+    """An index entry holds only the rows that can pair: a pair's bp
+    overlap is at most either row's length, so a row shorter than
+    ``min_bp`` enters no entry, and at ``min_bp <= 0`` a zero-length row
+    does, since adjacency and gap joins pair it."""
+
+    @staticmethod
+    def recorded_lengths(monkeypatch):
+        sorted_entry, lengths = columns._sorted_entry, []
+
+        def recorded(start, end, rows):
+            lengths.extend((end - start).tolist())
+            return sorted_entry(start, end, rows)
+
+        monkeypatch.setattr(columns, "_sorted_entry", recorded)
+        return lengths
+
+    @staticmethod
+    def joined_and_counted(sets, flt):
+        cols = [RegionColumns.from_id_regions(s) for s in sets]
+        assert window_join(cols[0], cols[1], flt) == nested_loop_join(sets[0], sets[1], flt)
+        assert hit_counts(cols, flt).tolist() == reference_hits(sets, flt)
+
+    SETS = [ids(tied_rows(np.random.default_rng(4), 150), start=1 + 1_000 * k) for k in range(3)]
+
+    def test_rule_at_the_int64_edges(self):
+        # row 0 is invalid, and its end - start wraps int64 to a large length
+        start = np.array([2**62, 0, 5, 7, 2**63 - 1], dtype=np.int64)
+        end = np.array([-(2**62) - 1, 0, 25, 26, 2**63 - 1], dtype=np.int64)
+        codes = np.array([0, 0, 1, 1, 2], dtype=np.int32)
+
+        def admitted(min_bp):
+            groups = intervals._by_code(("chr1", "chr2", "chr3"), codes, start, end, min_bp)
+            return [(name, sorted(rows.tolist())) for name, rows in groups]
+
+        assert admitted(20) == [("chr2", [2])]
+        assert admitted(0) == admitted(-5) == [("chr1", [1]), ("chr2", [2, 3]), ("chr3", [4])]
+
+    @pytest.mark.parametrize("bound", [None, 1000])
+    def test_rows_shorter_than_min_bp_enter_no_entry(self, monkeypatch, bound):
+        lengths = self.recorded_lengths(monkeypatch)
+        self.joined_and_counted(self.SETS, JoinFilter(min_bp=20, max_centre_distance=bound))
+        assert lengths and min(lengths) >= 20
+
+    @pytest.mark.parametrize("min_bp", [0, -30])
+    @pytest.mark.parametrize("bound", [None, 1000])
+    def test_zero_length_rows_enter_at_min_bp_0_and_below(self, monkeypatch, min_bp, bound):
+        lengths = self.recorded_lengths(monkeypatch)
+        self.joined_and_counted(self.SETS, JoinFilter(min_bp=min_bp, max_centre_distance=bound))
+        assert 0 in lengths
+
+
 def narrow_and_long(n, long_start, seed=1):
     """n narrow A rows and n narrow B rows on chr1 in [0, 1 Mb), and the
     B rows plus one 50 Mb row starting at ``long_start``, given last."""

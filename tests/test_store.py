@@ -1123,6 +1123,41 @@ class TestIndexRuns:
         assert sum(copied) <= 2 * rows * math.log2(writes) + writes * SMALL_RUN
         assert_runs_follow_the_merge_rule(store)
 
+    @pytest.mark.parametrize("limit", [0, 10**9])
+    def test_both_candidate_filters_match_scan(self, monkeypatch, limit):
+        # A limit of 0 sends every run's candidates to the numpy filter,
+        # 10**9 every run's to the Python one. A floor of 8 rows keeps
+        # each write a run of its own.
+        monkeypatch.setattr(store_module, "_PYTHON_FILTER_MAX", limit)
+        monkeypatch.setattr(intervals_module, "_SMALL_RUN", 8)
+        writes = [
+            _written(6_000, 11, False),
+            _written(1_000, 12, False),
+            [raw("chr1", 700_000, 50_700_000)] + _written(200, 13, False),
+            _written(30, 14, True),
+        ]
+        store = RegionStore()
+        store.build_index()
+        for k, rows in enumerate(writes):
+            store.import_dataset(f"w{k}", rows)
+        entries = store._index[0]
+        assert all(len(entries[chrom]) >= 3 for chrom in ("chr1", "chr2"))
+        assert any(run[0].dtype.hasobject for chrom in ("chr1", "chr2") for run in entries[chrom])
+        probes = [
+            (chrom, position, window)
+            for chrom in ("chr1", "chr2", "chr3")
+            for position in (-10, 0, 650_000, 1_234_567, 60_000_000, 2**63 - 3, 2**63 + 40)
+            for window in (1, 40, 2_000, 100_000, 2**62)
+        ]
+        # windows that end at a row's end or start at its start, sharing no base with it
+        probes += [
+            (r.chrom, p, window) for rows in writes for r in rows[::40]
+            for window in (1, 2_000) for p in (r.end + window, r.start - window)
+        ]
+        for chrom, position, window in probes:
+            want = store_module._scan(store._datasets, chrom, position - window, position + window)
+            assert store.proximity_search(chrom, position, window) == want
+
     def test_long_row_in_a_later_write_widens_no_window(self, monkeypatch):
         # 80K narrow rows and one 200 Mb row at the start of chr1, probed
         # with a 1 kb half-window. Built at once, the long row is in the
