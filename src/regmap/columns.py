@@ -9,20 +9,18 @@ source is first a ``bedio.BedRecords``, viewed as numpy by
 other records or a store dataset's rows (``from_records``, which drops
 invalid rows) and (id, GenomicRegion) lists (``from_id_regions``).
 
-``window_join`` builds the emitted OverlapPair rows of two region sets
-with a per-chromosome window join. ``hit_counts`` serves the mining
-report: for k sets at once it counts, for each ordered pair, the
-distinct rows of one that have a pair with the other, building no
-object. Both run on the interval index the store's probes share
-(``intervals``): a join groups by chromosome each set's rows that
-can pair under the filter's ``min_bp`` (``_by_code``) and builds one
-chromosome's entries (``_sorted_entry``, the only sort of a set's
-rows: by start, ties in any order) when it reaches it. An entry's
-rows are a query side in start order and a reference, in
-which ``_windows`` finds each query row's candidates. A count only
-needs to know whether a row has a pair, so without a centre-distance
-bound the entry's running maximum of ends answers it with one search;
-with a bound the window join's kernel marks the rows.
+``window_join`` builds the emitted OverlapPair rows of two region sets,
+and ``hit_counts`` serves the mining report: for k sets at once it
+counts, for each ordered pair, the distinct rows of one that have a
+pair with the other, building no object. Both run one kernel,
+``_join_chromosome``, on the interval index of ``intervals``: they
+group by chromosome each set's rows that can pair under the filter's
+``min_bp`` (``_by_code``), and put every set's rows of one chromosome
+into one entry (``_sorted_entry``, the only sort of a set's rows: by
+start, ties in any order) when they reach it, each row tagged with its
+set. The kernel finds each pair of rows of different sets once, from
+the row that starts first (a forward scan), so a row's candidates are
+one range of later starts and a long row costs linear work.
 ``RegionColumns.to_id_regions`` gives the (id, GenomicRegion) lists the
 reference join takes.
 
@@ -62,7 +60,7 @@ import numpy as np
 
 from .bedio import _SKIP_PREFIXES, BedRecords, ParseReport, as_records, parse_bed_file
 from .bedio import scan_numbered, scan_text
-from .intervals import GenomicRegion, RawRegion, _by_code, _chrom_reason, _sorted_entry, _windows
+from .intervals import GenomicRegion, RawRegion, _by_code, _chrom_reason, _sorted_entry
 from .joins import JoinFilter, OverlapPair
 
 __all__ = [
@@ -75,10 +73,10 @@ __all__ = [
 ]
 
 COORD_LIMIT = 1 << 62
-# Candidate pairs expanded at once. A long region in B opens the window
-# of every A row that starts inside it; expanding all candidates
-# together could then allocate |A_chr| * |B_chr| int64s. One chunk holds
-# about this many candidates, or one A row's window when that is larger.
+# Candidate pairs expanded at once. A row's window holds every row that
+# starts inside it, so the candidates of a chromosome whose rows all
+# overlap number about n**2 / 2; one chunk holds about this many
+# candidates, or one row's window when that is larger.
 CANDIDATE_CHUNK = 1 << 16
 # Bytes of whole lines the BED reader parses at once; bounds the size of
 # its temporaries. A line longer than this is one block.
@@ -366,20 +364,17 @@ def _reject(chrom: str, start: int, end: int) -> NoReturn:
 def window_join(a: RegionColumns, b: RegionColumns, flt: JoinFilter) -> list[OverlapPair]:
     """Pairs of A x B passing ``flt``, ordered by (a_id, b_id).
 
-    Per chromosome, B is one index entry. Each A row's candidates run
-    from the first B row whose running maximum of ends reaches
-    ``a.start + min_bp`` to the last B start ``<= a.end - min_bp``
-    (``_windows``): a bounded window for every ``min_bp``. They are
-    expanded with ``np.repeat``, gathered and filtered exactly, in
-    chunks of CANDIDATE_CHUNK.
+    Per chromosome, the rows of A and B form one index entry, and
+    ``_join_chromosome`` finds each pair from its row that starts first;
+    the pair is then turned so that its A row comes first.
     """
     min_bp, reach, twice_bound = _window_bounds(flt)
     found = []
-    for (_, (a_start, a_end, ar, _)), (_, b_entry) in _aligned([a, b], min_bp):
-        for a_rows, b_rows, bp, twice in _join_chromosome(
-            a_start, a_end, b_entry, min_bp, reach, twice_bound
-        ):
-            found.append((ar[a_rows], b_rows, bp, twice))
+    for entry, side in _aligned([a, b], min_bp):
+        rows = entry[2]
+        for x, y, bp, twice in _join_chromosome(entry, side, reach, twice_bound):
+            x_in_a = side[x] == 0
+            found.append((rows[np.where(x_in_a, x, y)], rows[np.where(x_in_a, y, x)], bp, twice))
     if not found:
         return []
     a_rows, b_rows, bp, twice = (np.concatenate(col) for col in zip(*found))
@@ -403,40 +398,21 @@ def hit_counts(sets: Sequence[RegionColumns], flt: JoinFilter) -> np.ndarray:
     rows of ``sets[q]`` in at least one pair passing ``flt`` with a row
     of ``sets[r]``. The diagonal is 0: no set is counted against itself.
 
-    Per chromosome name two or more sets hold rows that can pair (an
-    entry admits only those, ``_by_code``), every set's index entry
-    there is one reference, and the entries' rows, each set's in its
-    start order, form one query side. Each reference in turn fills its
-    column with one ``np.bincount`` of the hit rows' set codes. Without
-    a centre-distance bound a row hits when some reference row passes,
-    which needs no candidate list: the reference's running maximum of
-    the ends up to the last start ``<= q.end - min_bp`` must reach
-    ``q.start + min_bp``, one search, and no candidate is expanded.
-    With a bound, ``_join_chromosome`` runs with the query side as A.
+    Per chromosome, the sets' rows form one entry (``_aligned``), joined
+    with itself across sets. Each pair flags both its rows against the
+    other row's set in a rows x k array, and one ``np.bincount`` of the
+    flags' (set, set) cells adds the chromosome to the matrix.
     """
     k = len(sets)
-    counts = np.zeros((k, k), dtype=np.int64)
+    counts = np.zeros(k * k, dtype=np.int64)
     min_bp, reach, twice_bound = _window_bounds(flt)
-    for parts in _aligned(sets, min_bp):
-        q_start = np.concatenate([entry[0] for _, entry in parts])
-        q_end = np.concatenate([entry[1] for _, entry in parts])
-        q_set = np.repeat([i for i, _ in parts], [len(entry[2]) for _, entry in parts])
-        if twice_bound is None:
-            last_start, first_end = q_end - min_bp, q_start + min_bp
-        for r, entry in parts:
-            if twice_bound is None:
-                start, _, _, furthest = entry
-                before = start.searchsorted(last_start, "right")  # rows that start early enough
-                hit = (before > 0) & (furthest[before - 1] >= first_end)
-            else:
-                hit = np.zeros(len(q_set), dtype=bool)
-                for a_rows, _, _, _ in _join_chromosome(
-                    q_start, q_end, entry, min_bp, reach, twice_bound
-                ):
-                    hit[a_rows] = True
-            counts[:, r] += np.bincount(q_set[hit], minlength=k)
-    np.fill_diagonal(counts, 0)
-    return counts
+    for entry, side in _aligned(sets, min_bp):
+        hit = np.zeros((len(side), k), dtype=bool)
+        for x, y, _, _ in _join_chromosome(entry, side, reach, twice_bound):
+            hit[x, side[y]] = hit[y, side[x]] = True
+        row, r = np.nonzero(hit)
+        counts += np.bincount(side[row] * k + r, minlength=k * k)
+    return counts.reshape(k, k)
 
 
 def _window_bounds(flt: JoinFilter):
@@ -455,28 +431,39 @@ def _window_bounds(flt: JoinFilter):
 
 
 def _aligned(sets: Sequence[RegionColumns], min_bp: int):
-    """Yield one list per chromosome name on which two or more of
-    ``sets`` hold rows ``_by_code`` admits at ``min_bp``, in order of
-    first appearance: ``(i, entry)`` for each such set ``i``, in set
-    order, ``entry`` the ``_sorted_entry`` of those rows, built here."""
+    """Yield ``(entry, side)`` for each chromosome name on which two or
+    more of ``sets`` hold rows ``_by_code`` admits at ``min_bp``, in
+    order of first appearance: ``entry`` is the ``_sorted_entry`` of all
+    those rows, built here, and entry row i is row ``entry[2][i]`` of
+    ``sets[side[i]]``."""
     per_name: dict[str, list[tuple[int, np.ndarray]]] = {}
     for i, cols in enumerate(sets):
         for name, rows in _by_code(cols.names, cols.chrom, cols.start, cols.end, min_bp):
             per_name.setdefault(name, []).append((i, rows))
     for parts in per_name.values():
         if len(parts) > 1:
-            yield [(i, _sorted_entry(sets[i].start[at], sets[i].end[at], at)) for i, at in parts]
+            side = np.repeat([i for i, _ in parts], [len(at) for _, at in parts])
+            cols = zip(*[(sets[i].start[at], sets[i].end[at], at) for i, at in parts])
+            start, end, rows = map(np.concatenate, cols)
+            start, end, order = _sorted_entry(start, end, np.arange(len(side)))
+            yield (start, end, rows[order]), side[order]
 
 
-def _join_chromosome(a_start, a_end, entry, min_bp, reach, twice_bound):
-    """Yield (A rows, B rows, bp overlap, twice the centre distance) of
-    the passing pairs of one chromosome, one chunk of A at a time.
+def _join_chromosome(entry, side, reach, twice_bound):
+    """Yield (earlier rows, later rows, bp overlap, twice the centre
+    distance) of the passing pairs of rows of different sets (``side``)
+    in one entry, as entry positions, CANDIDATE_CHUNK candidates at a time.
 
-    B is an index entry; its ``rows`` are the B rows yielded.
+    Each pair is found from its row x that starts first (the forward scan
+    of Bouros & Mamoulis, PVLDB 2017): x's candidates are the later rows
+    that start at or before ``x.end - reach`` (``_forward_windows``).
+    Their bp overlap with x is ``min(x.end, y.end) - y.start``, at least
+    ``reach`` or y's length, so at least the ``min_bp`` that admitted y
+    and gave ``reach``; only a centre-distance bound drops a candidate.
     """
-    b_start, b_end, b_row, _ = entry
-    lo, hi = _windows(entry, a_start + reach, a_end - reach)
-    counts = np.maximum(hi - lo, 0)
+    start, end, _ = entry
+    lo, hi = _forward_windows(start, end - reach)
+    counts = hi - lo
     ends = np.cumsum(counts)
     r0, rows = 0, len(counts)
     while r0 < rows:
@@ -486,15 +473,21 @@ def _join_chromosome(a_start, a_end, entry, min_bp, reach, twice_bound):
         total = int(ends[r1 - 1]) - done
         if total:
             first = ends[r0:r1] - n - done  # each row's first candidate in the chunk
-            a_rows = np.repeat(np.arange(r0, r1), n)
-            b_rows = np.arange(total) + np.repeat(lo[r0:r1] - first, n)
-            s1, e1 = a_start[a_rows], a_end[a_rows]
-            s2, e2 = b_start[b_rows], b_end[b_rows]
-            bp = np.minimum(e1, e2) - np.maximum(s1, s2)
+            x = np.repeat(np.arange(r0, r1), n)
+            y = np.arange(total) + np.repeat(lo[r0:r1] - first, n)
+            across = side[x] != side[y]
+            x, y = x[across], y[across]
+            s1, e1, s2, e2 = start[x], end[x], start[y], end[y]
+            bp = np.minimum(e1, e2) - s2
             twice = np.abs((s1 + e1) - (s2 + e2))
-            keep = bp >= min_bp
             if twice_bound is not None:
-                keep &= twice < twice_bound
-            yield a_rows[keep], b_row[b_rows[keep]], bp[keep], twice[keep]
+                keep = twice < twice_bound
+                x, y, bp, twice = x[keep], y[keep], bp[keep], twice[keep]
+            yield x, y, bp, twice
         r0 = r1
 
+
+def _forward_windows(start, last):
+    """``(lo, hi)``: the rows after row i of an entry that start at or
+    before ``last[i] >= start[i]`` are ``lo[i]:hi[i]``."""
+    return np.arange(1, len(start) + 1), start.searchsorted(last, "right")

@@ -19,14 +19,15 @@ for callers that work on raw integers, e.g. array pipelines and tests
 that sweep millions of coordinate pairs.
 
 The interval index that joins, mining counts and store probes share
-is three steps here: ``_by_code`` groups by chromosome the rows that
-can pair under a ``min_bp`` (the one admission rule of an entry),
+is two steps here: ``_by_code`` groups by chromosome the rows that can
+pair under a ``min_bp`` (the one admission rule of an entry) and
 ``_sorted_entry`` builds a chromosome's entry (the one place rows are
-sorted by start; ties in any order) and ``_windows`` finds a query's
-candidates in it. The first two import numpy, in the call, and sort
-with ``_argsort``. The store, which grows, holds each chromosome's
-entry as a run set, a tuple of such entries that ``_with_run`` extends
-by the logarithmic method; the joins build one entry at once.
+sorted by start; ties in any order). Both import numpy, in the call,
+and sort with ``_argsort``. The joins build one entry at once and scan
+it forward (``columns``). The store, which grows, holds each
+chromosome's entry as a run set, a tuple of runs that ``_with_run``
+extends by the logarithmic method; each run keeps the running maximum
+of its ends, in which ``_windows`` finds a probe's candidates.
 
 All functions here are pure and operate on immutable values; they are
 safe to call concurrently from any number of threads.
@@ -344,34 +345,30 @@ def _by_code(names, codes, start, end, min_bp: int) -> list:
 
 
 def _sorted_entry(start, end, rows) -> tuple:
-    """An index entry ``(start, end, rows, furthest)``: the numpy arrays
-    sorted by start, ties in any order, and the running maximum of the
-    ends (the "max end" of the Augmented Interval List); int64 or exact
-    ``object`` ints. No result depends on the order of tied starts:
-    joins order their pairs by id, counts count rows, and probes sort
-    their hits by id."""
-    import numpy as np
-
+    """An index entry ``(start, end, rows)``: the numpy arrays sorted by
+    start, ties in any order; int64 or exact ``object`` ints. No result
+    depends on the order of tied starts: joins order their pairs by id,
+    counts count rows, and probes sort their hits by id."""
     order = _argsort(start)
-    end = end[order]
-    return start[order], end, rows[order], np.maximum.accumulate(end)
+    return start[order], end[order], rows[order]
 
 
-def _windows(entry, first, last):
-    """``(lo, hi)``: the entry rows with ``end >= first`` and ``start <=
-    last`` lie in ``lo:hi``, for scalar or array bounds."""
-    start, _, _, furthest = entry
+def _windows(run, first, last):
+    """``(lo, hi)``: the rows of a store run with ``end >= first`` and
+    ``start <= last`` lie in ``lo:hi``, for scalar or array bounds."""
+    start, _, _, furthest = run
     return furthest.searchsorted(first), start.searchsorted(last, "right")
 
 
-# A run set: an entry held as a tuple of runs, each a ``_sorted_entry``
-# that is never changed once built, oldest and largest first. A row
-# added to a run set sorts with its own rows only, then merges (the
-# logarithmic method of Bentley & Saxe, J. Algorithms 1980): while the
-# newer run is at least half the older's size, or the older holds at
-# most ``_SMALL_RUN`` rows, the two merge into one. Each run is then
-# under half the size of the one before it, apart from runs of at most
-# ``_SMALL_RUN`` rows, so a set of n rows holds at most about
+# A run set: a store entry held as a tuple of runs, each a
+# ``_sorted_entry`` and the running maximum of its ends (the Augmented
+# Interval List's "max end"), never changed once built, oldest and
+# largest first. A row added to a run set sorts with its own rows only,
+# then merges (the logarithmic method of Bentley & Saxe, J. Algorithms
+# 1980): while the newer run is at least half the older's size, or the
+# older holds at most ``_SMALL_RUN`` rows, the two merge into one. Each
+# run is then under half the size of the one before it, apart from runs
+# of at most ``_SMALL_RUN`` rows, so a set of n rows holds at most about
 # log2(n / _SMALL_RUN) + 2 runs and a row is merged O(log n) times.
 # The floor: merging into a run of at most 4,096 int64 rows costs at
 # most about 50 us more than leaving the new run apart, and each later
@@ -390,6 +387,6 @@ def _with_run(runs: tuple, start, end, rows) -> tuple:
 
     run = _sorted_entry(start, end, rows)
     while runs and (len(runs[-1][0]) <= max(2 * len(run[0]), _SMALL_RUN)):
-        run = _sorted_entry(*map(np.concatenate, zip(runs[-1][:3], run[:3])))
+        run = _sorted_entry(*map(np.concatenate, zip(runs[-1][:3], run)))
         runs = runs[:-1]
-    return runs + (run,)
+    return runs + (run + (np.maximum.accumulate(run[1]),),)

@@ -5,11 +5,10 @@ Two join implementations produce identical output:
 - ``nested_loop_join`` pairs every same-chromosome combination and is
   the executable reference for the SQL view semantics (it evaluates the
   four-branch case analysis per pair); the tests compare against it;
-- ``sweep_join`` runs the one window-join kernel,
-  ``columns.window_join``: each chromosome's B side is sorted by start,
-  and every A region's window starts where the running maximum of B's
-  ends reaches it; ``min_bp`` bounds the window for any ``min_bp``, so
-  non-overlap (gap) joins need no centre-distance bound.
+- ``sweep_join`` runs the one join kernel, ``columns.window_join``:
+  A and B sorted by start together, each pair is found from its row that
+  starts first, among the later rows that start before that row's end
+  less ``min_bp``, so gap joins need no centre-distance bound.
 
 A pair (a, b) is emitted when its signed bp overlap is at least
 ``min_bp`` and, if a bound is set, its exact centre distance is
@@ -38,6 +37,8 @@ Joins are pure functions over immutable inputs and thread-safe.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from collections import Counter
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
@@ -91,8 +92,9 @@ class JoinFilter:
     """Emission conditions: bp_overlap >= min_bp, centre distance < bound.
 
     ``min_bp`` must be an integer (``operator.index``; a ``bool`` is
-    refused), and is kept as an ``int``. An infinite bound is no bound;
-    NaN is refused.
+    refused), and is kept as an ``int``. A bound, kept as given, must be
+    a real number a float holds (not a ``bool``) and not NaN; an
+    infinite bound is no bound.
     """
 
     min_bp: int = 1
@@ -103,6 +105,11 @@ class JoinFilter:
         bound = self.max_centre_distance
         if bound is None:
             return
+        # A finite bound past float's range is an int or a Fraction.
+        if bound.__class__ is bool or not isinstance(bound, numbers.Real) or (
+            sys.float_info.max < abs(bound) < math.inf
+        ):
+            raise ValueError(f"max_centre_distance must be a real number, got {bound!r}")
         if math.isnan(bound):
             raise ValueError("max_centre_distance must not be NaN")
         if bound < 0:

@@ -20,12 +20,13 @@ equal to what was imported; a ``BedRecords`` holds only checked names,
 so every read skips the constructors' checks.
 
 An optional index serves proximity queries. It is the interval index
-the joins use (``intervals._by_code``, ``_sorted_entry`` and
-``_windows``): one entry per chromosome, covering every dataset, over
-the rows ``_by_code`` admits at ``min_bp = 1`` (the only rows a probe
-can hit), with their ids as the entry's rows. Each entry is a run set
+the joins use (``intervals._by_code`` and ``_sorted_entry``): one
+entry per chromosome, covering every dataset, over the rows
+``_by_code`` admits at ``min_bp = 1`` (the only rows a probe can hit),
+with their ids as the entry's rows. Each entry is a run set
 (``intervals._with_run``): a few immutable runs, each sorted by start
-and under half the size of the one before it unless it is small.
+with a running maximum of ends, and under half the size of the one
+before it unless it is small.
 ``build_index`` makes one run per chromosome. A write adds its rows
 as a new run, sorting only them, and merges that run into the runs
 before it only while they are at most twice its size or small, so a

@@ -45,7 +45,7 @@ def gen(seed, count, upper=5000):
 
 def long_region_case(n_a, n_b, seed=0):
     """n_a narrow A regions and n_b narrow B regions on chr1, plus one
-    200 Mb B region that puts every B row in every A row's window."""
+    200 Mb B region at 0 that overlaps every other row."""
     rng = np.random.default_rng(seed)
     a_start = rng.integers(0, 199_000_000, n_a)
     b_start = rng.integers(0, 199_000_000, n_b)
@@ -615,6 +615,36 @@ def region_sets(draw):
     return sets
 
 
+def count_candidates(monkeypatch):
+    """A list that gains the number of candidates of each window search
+    of ``_join_chromosome``."""
+    windows, totals = columns._forward_windows, []
+
+    def counted(*args):
+        lo, hi = windows(*args)
+        totals.append(int((hi - lo).sum()))
+        return lo, hi
+
+    monkeypatch.setattr(columns, "_forward_windows", counted)
+    return totals
+
+
+def entry_pairs(sets, flt):
+    """Pairs of distinct rows passing ``flt`` among all the rows of every
+    chromosome on which two or more sets hold rows at least ``min_bp``
+    long: the row pairs of the merged index entries, same-set pairs
+    included, from the reference join."""
+    admitted = [[r for _, r in s if r.length >= max(flt.min_bp, 0)] for s in sets]
+    total = 0
+    for chrom in {r.chrom for rows in admitted for r in rows}:
+        on = [[r for r in rows if r.chrom == chrom] for rows in admitted]
+        if sum(map(bool, on)) > 1:
+            merged = ids([r for rows in on for r in rows])
+            # each pair of distinct rows twice, and every row with itself
+            total += (len(nested_loop_join(merged, merged, flt)) - len(merged)) // 2
+    return total
+
+
 def reference_hits(sets, flt):
     """hit_counts' matrix from distinct a_ids of the reference join."""
     k = len(sets)
@@ -633,24 +663,28 @@ class TestHitCounts:
     )
     def test_matches_reference_join(self, sets, min_bp, bound):
         flt = JoinFilter(min_bp=min_bp, max_centre_distance=bound)
-        got = hit_counts([RegionColumns.from_id_regions(s) for s in sets], flt)
+        cols = [RegionColumns.from_id_regions(s) for s in sets]
+        got = hit_counts(cols, flt)
         assert got.dtype == np.int64 and got.shape == (len(sets), len(sets))
         want = reference_hits(sets, flt)
         assert got.tolist() == want
         assert count_overlapping(sets[0], sets[1], flt) == (want[0][1], len(sets[0]))
+        assert window_join(cols[0], cols[1], flt) == nested_loop_join(sets[0], sets[1], flt)
 
     @pytest.mark.parametrize("bound", [None, float("inf")])
-    def test_unbounded_filter_expands_no_candidates(self, monkeypatch, bound):
-        def expand(*args):
-            raise AssertionError("the unbounded count expanded candidates")
-
-        monkeypatch.setattr(columns, "_join_chromosome", expand)
+    def test_unbounded_candidates_are_the_passing_pairs_of_the_entry(self, monkeypatch, bound):
+        # Without a centre bound every candidate passes: the forward scan
+        # expands exactly the passing pairs of each chromosome's merged
+        # entry, same-set pairs included, and no other.
+        candidates = count_candidates(monkeypatch)
         a, b = long_region_case(300, 50)
         sets = [a, b, ids(gen(5, 200), start=1_000)]
         for min_bp in (1, 0, -500, 200):
             flt = JoinFilter(min_bp=min_bp, max_centre_distance=bound)
+            candidates.clear()
             got = hit_counts([RegionColumns.from_id_regions(s) for s in sets], flt)
             assert got.tolist() == reference_hits(sets, flt), min_bp
+            assert sum(candidates) == entry_pairs(sets, flt), min_bp
 
     def test_no_sets_and_one_set(self):
         assert hit_counts([], JoinFilter()).shape == (0, 0)
@@ -824,21 +858,37 @@ def narrow_and_long(n, long_start, seed=1):
 
 class TestLongRowWindows:
     def test_long_row_right_of_every_a_row_widens_no_window(self, monkeypatch):
-        windows = columns._windows
-        totals = []
-
-        def counted(*args):
-            lo, hi = windows(*args)
-            totals.append(int(np.maximum(hi - lo, 0).sum()))
-            return lo, hi
-
-        monkeypatch.setattr(columns, "_windows", counted)
+        candidates = count_candidates(monkeypatch)
         a, b, with_long = narrow_and_long(2_000, 150_000_000)
         a_cols = RegionColumns.from_id_regions(a)
         plain = window_join(a_cols, RegionColumns.from_id_regions(b), JoinFilter())
+        without = sum(candidates)
+        candidates.clear()
         widened = window_join(a_cols, RegionColumns.from_id_regions(with_long), JoinFilter())
         assert widened == plain
-        assert len(totals) == 2 and totals[0] == totals[1]
+        assert sum(candidates) == without
+
+    @pytest.mark.parametrize("run", ["join", "count"])
+    def test_long_row_at_0_adds_at_most_a_candidate_a_row(self, monkeypatch, run):
+        # The 200 Mb row starts first, so it is found by no other row and
+        # finds each of the 4,000 narrow rows once: linear, not 4,000 x 4,000.
+        candidates = count_candidates(monkeypatch)
+        a, b, _ = narrow_and_long(2_000, 0)
+        with_long = b + [(2 * len(b) + 1, GenomicRegion("chr1", 0, 200_000_000))]
+        flt = JoinFilter(max_centre_distance=300)
+        a_cols = RegionColumns.from_id_regions(a)
+        results = []
+        for b_rows in (b, with_long):
+            b_cols = RegionColumns.from_id_regions(b_rows)
+            candidates.clear()
+            if run == "join":
+                results.append(window_join(a_cols, b_cols, flt))
+            else:
+                results.append(hit_counts([a_cols, b_cols], flt).tolist())
+            results.append(sum(candidates))
+        plain, without, widened, with_row = results
+        assert widened == plain  # the long row's centre is 99 Mb from every narrow row
+        assert without < with_row <= without + len(a) + len(with_long)
 
     @pytest.mark.parametrize("long_start", [0, 500_000, 150_000_000])
     def test_long_row_anywhere_matches_reference(self, long_start):

@@ -192,6 +192,17 @@ class TestFilterProperties:
         with pytest.raises(ValueError, match="must not be NaN"):
             JoinFilter(max_centre_distance=float("nan"))
 
+    @pytest.mark.parametrize("bound", [10**400, "5", True])
+    def test_bound_that_is_no_real_float_refused(self, bound):
+        # 10**400 used to raise OverflowError and "5" TypeError, which the
+        # CLI does not catch; True was taken as 1.
+        with pytest.raises(ValueError, match="^max_centre_distance must be a real number, got "):
+            JoinFilter(max_centre_distance=bound)
+
+    @pytest.mark.parametrize("bound", [300, 2**1000, 0.5, np.float64(7.5), float("inf")])
+    def test_real_bound_kept_as_given(self, bound):
+        assert JoinFilter(max_centre_distance=bound).max_centre_distance is bound
+
     @pytest.mark.parametrize("min_bp", [float("nan"), 1.5, True, "3"])
     def test_non_integer_min_bp_refused(self, min_bp):
         # NaN used to reach the joins, which then disagreed on the same rows.
