@@ -443,8 +443,8 @@ def _aligned(sets: Sequence[RegionColumns], min_bp: int):
     for parts in per_name.values():
         if len(parts) > 1:
             side = np.repeat([i for i, _ in parts], [len(at) for _, at in parts])
-            cols = zip(*[(sets[i].start[at], sets[i].end[at], at) for i, at in parts])
-            start, end, rows = map(np.concatenate, cols)
+            picked = [(sets[i].start[at], sets[i].end[at], at) for i, at in parts]
+            start, end, rows = map(np.concatenate, zip(*picked))
             start, end, order = _sorted_entry(start, end, np.arange(len(side)))
             yield (start, end, rows[order]), side[order]
 
@@ -457,7 +457,7 @@ def _join_chromosome(entry, side, reach, twice_bound):
     Each pair is found from its row x that starts first (the forward scan
     of Bouros & Mamoulis, PVLDB 2017): x's candidates are the later rows
     that start at or before ``x.end - reach`` (``_forward_windows``).
-    Their bp overlap with x is ``min(x.end, y.end) - y.start``, at least
+    A candidate y's bp overlap is ``min(x.end, y.end) - y.start``, at least
     ``reach`` or y's length, so at least the ``min_bp`` that admitted y
     and gave ``reach``; only a centre-distance bound drops a candidate.
     """

@@ -5,10 +5,10 @@ Two join implementations produce identical output:
 - ``nested_loop_join`` pairs every same-chromosome combination and is
   the executable reference for the SQL view semantics (it evaluates the
   four-branch case analysis per pair); the tests compare against it;
-- ``sweep_join`` runs the one join kernel, ``columns.window_join``:
-  A and B sorted by start together, each pair is found from its row that
-  starts first, among the later rows that start before that row's end
-  less ``min_bp``, so gap joins need no centre-distance bound.
+- ``sweep_join`` runs the one join kernel, ``columns.window_join``: A
+  and B are sorted by start together, and each pair is found from its
+  row that starts first, among the later rows that start by that row's
+  end less ``min_bp``, so gap joins need no centre-distance bound.
 
 A pair (a, b) is emitted when its signed bp overlap is at least
 ``min_bp`` and, if a bound is set, its exact centre distance is
