@@ -7,7 +7,8 @@ flags win over the file, the file wins over built-in defaults.
 
 ``mine`` builds no RegionStore: a dataset with a same-assembly partner
 becomes ``columns.RegionColumns`` as soon as its file is parsed, and
-the file's records are released before the next one is read. numpy is
+the file's records are released before the next one is read; each
+report row is written as ``joins.mining_report`` yields it. numpy is
 imported only inside the commands that use it (overlap, mine, gen,
 bench), so importing this module, ``search`` and ``sqlgen`` never load
 it; ``search`` builds no index, because one probe is a scan. Those four

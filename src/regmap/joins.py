@@ -20,9 +20,13 @@ The mining report, ``mining_report``, runs over one
 same-assembly partner (``paired_datasets``) and builds no region or
 pair objects: each assembly is one ``columns.hit_counts`` matrix, whose
 entry [q, r] is the number of distinct rows of dataset q that have a
-pair with a row of dataset r. ``pairwise_mining`` feeds it from a
-RegionStore's columns; ``regmap mine`` feeds it from the BED files,
-converting each once. ``count_overlapping`` gives the same count for
+pair with a row of dataset r. It takes the assemblies, and each
+assembly's datasets, in name order, so it yields its rows already in
+report order and sorts none. ``pairwise_mining`` feeds it from a
+RegionStore's columns and returns its rows as a list; ``regmap mine``
+feeds it from the BED files, converting each once, and writes each row
+as it is built, so the report is never held whole.
+``count_overlapping`` gives the same count for
 two (id, GenomicRegion) lists. Percentages are rounded half up in
 exact integer arithmetic.
 
@@ -41,6 +45,8 @@ import numbers
 import sys
 from collections import Counter
 from dataclasses import astuple, dataclass, fields
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
@@ -249,23 +255,21 @@ def mining_report(
     catalog: Sequence[CatalogEntry],
     columns: Mapping[str, RegionColumns],
     flt: JoinFilter = JoinFilter(),
-) -> list[MiningRow]:
-    """Overlap counts for every ordered pair of same-assembly datasets.
+) -> Iterator[MiningRow]:
+    """Yield the overlap counts of every ordered pair of same-assembly
+    datasets, by assembly, then by (query name, reference name).
 
     ``columns`` maps each name of ``paired_datasets(catalog)`` to its
     valid rows. Pairs across assemblies are never computed: each
-    assembly's counts are one ``columns.hit_counts`` matrix. Rows are
-    grouped by assembly, then ordered by (query name, reference name).
+    assembly's counts are one ``columns.hit_counts`` matrix, made when
+    its first row is asked for.
     """
     from .columns import hit_counts
 
-    per_assembly: dict[str, list[CatalogEntry]] = {}
-    for entry in catalog:
-        per_assembly.setdefault(entry.assembly, []).append(entry)
-    rows: list[MiningRow] = []
-    for entries in per_assembly.values():
-        if len(entries) < 2:
-            continue
+    paired = set(paired_datasets(catalog))
+    ordered = sorted((e for e in catalog if e.name in paired), key=attrgetter("assembly", "name"))
+    for assembly, group in groupby(ordered, attrgetter("assembly")):
+        entries = list(group)
         sets = [columns[entry.name] for entry in entries]
         # A CatalogEntry's first four fields are a MiningRow's query_ or
         # ref_ columns, in field order.
@@ -274,13 +278,10 @@ def mining_report(
         for query, q, a, hits in zip(entries, described, sets, counts):
             total = len(a)
             for ref, r, overlapping in zip(entries, described, hits):
-                if query.name == ref.name:
-                    continue
-                rows.append(MiningRow(
-                    query.assembly, *q, *r, total, overlapping, overlap_percentage(overlapping, total)
-                ))
-    rows.sort(key=lambda r: (r.assembly, r.query_name, r.ref_name))
-    return rows
+                # names are unique: load_catalog refuses a duplicate
+                if query.name != ref.name:
+                    percentage = overlap_percentage(overlapping, total)
+                    yield MiningRow(assembly, *q, *r, total, overlapping, percentage)
 
 
 def pairwise_mining(
@@ -300,7 +301,7 @@ def pairwise_mining(
             raise ValueError(f"catalog dataset {entry.name!r} not imported")
     stored = {name: store.columns(name) for name in paired_datasets(catalog)}
     columns = {name: RegionColumns.from_records(d.rows, d.first_id) for name, d in stored.items()}
-    return mining_report(catalog, columns, flt)
+    return list(mining_report(catalog, columns, flt))
 
 
 def _format_distance(cd: float) -> str:

@@ -35,9 +35,9 @@ the size of the index. A probe looks in every run: one ``_windows``
 lookup each, a filter of the candidates (in Python when they are few,
 else vectorised), then one sort of the hits by id; a bisect over the
 datasets' first ids, kept in the index, names each hit's dataset.
-Results are identical with and without the index. Without an index a
-probe is a linear scan of the columns, the reference the tests compare
-the index against.
+Results are identical with and without the index. Without an index,
+or for a window that leaves int64, a probe is a linear scan of the
+columns, the reference the tests compare the index against.
 
 numpy loads at the first ``build_index``, never for writes,
 ``find_invalid`` or an unindexed probe, so ``import regmap`` and
@@ -51,10 +51,11 @@ and publish new structures instead of mutating published ones; no
 published column, array or run is written after it is published (a
 write publishes a new index, whose entries share the runs it did not
 merge). A query reads each published structure once (an indexed probe
-reads only the index, which names the dataset of every id it holds),
-so its result is correct for the store before or after a concurrent
-write; a rowwise insert's dataset is seen either absent or with every
-record it committed. Query results are fresh lists of fresh objects.
+reads only the index, which names the dataset of every id it holds; a
+probe whose window leaves int64 reads only the datasets), so its
+result is correct for the store before or after a concurrent write; a
+rowwise insert's dataset is seen either absent or with every record it
+committed. Query results are fresh lists of fresh objects.
 """
 
 from __future__ import annotations
@@ -343,28 +344,24 @@ class RegionStore:
         lo, hi = position - window, position + window
         # One read: the index names the dataset of every id it holds.
         index = self._index
-        if index is None:
+        # A window that leaves int64 is scanned, so an indexed probe's
+        # bounds lie in int64, where int64 and object runs compare exactly.
+        if index is None or not _INT64_MIN <= lo < hi <= _INT64_MAX:
             return _scan(self._datasets, chrom, lo, hi)
         entries, first_ids, names = index
         entry = entries.get(chrom)
         if entry is None:
             return []
-        exact = clamped = lo + 1, hi - 1, lo  # a hit has end >= lo + 1 and start <= hi - 1
-        if not _INT64_MIN <= lo < hi <= _INT64_MAX:
-            # Every row of an int64 run has 0 <= start < end <= 2**63 - 1,
-            # so clamping the bounds to int64 changes none of its comparisons.
-            clamped = tuple(min(max(v, _INT64_MIN), _INT64_MAX) for v in exact)
         hits = []
         for run in entry:
             start, end, ids, _ = run
-            first, last, low = exact if start.dtype.hasobject else clamped
-            i, j = _windows(run, first, last)
+            i, j = _windows(run, lo + 1, hi - 1)  # a hit has end >= lo + 1 and start <= hi - 1
             if j - i > _PYTHON_FILTER_MAX:
                 start, end, ids = start[i:j], end[i:j], ids[i:j]
-                hit = end > low
+                hit = end > lo
                 hits += zip(ids[hit].tolist(), start[hit].tolist(), end[hit].tolist())
             elif j > i:
-                hits += [h for h in zip(ids[i:j].tolist(), start[i:j].tolist(), end[i:j].tolist()) if h[2] > low]
+                hits += [h for h in zip(ids[i:j].tolist(), start[i:j].tolist(), end[i:j].tolist()) if h[2] > lo]
         hits.sort()  # ids are unique, so this orders by id
         return [
             _stored_region(rid, names[bisect_right(first_ids, rid) - 1], _raw_region(chrom, s, e))

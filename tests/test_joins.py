@@ -1,20 +1,24 @@
 import io
 import re
 from decimal import ROUND_HALF_UP, Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import regmap.columns as columns_module
 from regmap.bedio import CatalogEntry, load_catalog_file, parse_bed_file
 from regmap.bench import GenConfig, generate_regions
+from regmap.columns import RegionColumns
 from regmap.data import toy_catalog_path
 from regmap.intervals import GenomicRegion, RawRegion
 from regmap.joins import (
     JoinFilter,
     OverlapPair,
     count_overlapping,
+    mining_report,
     nested_loop_join,
     overlap_percentage,
     pairwise_mining,
@@ -471,6 +475,46 @@ class TestMiningDifferential:
         message = f"coordinate {2**62 + 7} out of range: coordinates must be below 2**62"
         with pytest.raises(ValueError, match=re.escape(message)):
             pairwise_mining(catalog, store)
+
+
+# mm10, hg38, mm10, hg38, hg38 and a lone dm6, names out of order
+ORDER_CATALOG = Path(__file__).parent / "mining" / "order" / "catalog.tsv"
+
+
+def load_order_catalog():
+    """The catalog, each paired dataset's columns, and a store holding
+    every dataset, all from the same files."""
+    catalog = load_catalog_file(ORDER_CATALOG)
+    columns, store = {}, RegionStore()
+    for e in catalog:
+        regions, _ = parse_bed_file(ORDER_CATALOG.parent / e.path, mode="permissive")
+        store.import_dataset(e.name, regions)
+        columns[e.name] = RegionColumns.from_records(regions)
+    return catalog, columns, store
+
+
+class TestStreamedReport:
+    def test_first_row_counts_one_assembly(self, monkeypatch):
+        calls = []
+        real = columns_module.hit_counts
+
+        def counted(sets, flt):
+            calls.append(len(sets))
+            return real(sets, flt)
+
+        monkeypatch.setattr(columns_module, "hit_counts", counted)
+        catalog, columns, _ = load_order_catalog()
+        first = next(iter(mining_report(catalog, columns)))
+        assert calls == [3]
+        assert (first.assembly, first.query_name, first.ref_name) == ("hg38", "Omega", "beta")
+
+    def test_rows_come_in_report_order(self):
+        catalog, columns, store = load_order_catalog()
+        assert [e.assembly for e in catalog] == ["mm10", "hg38", "mm10", "hg38", "hg38", "dm6"]
+        rows = list(mining_report(catalog, columns))
+        assert rows == sorted(rows, key=lambda r: (r.assembly, r.query_name, r.ref_name))
+        assert len(rows) == 3 * 2 + 2 * 1
+        assert rows == pairwise_mining(catalog, store)
 
 
 class TestTsvOutput:

@@ -1149,14 +1149,31 @@ class TestIndexRuns:
             for position in (-10, 0, 650_000, 1_234_567, 60_000_000, 2**63 - 3, 2**63 + 40)
             for window in (1, 40, 2_000, 100_000, 2**62)
         ]
+        # windows that leave int64 at either end, and windows that end on its bounds
+        probes += [
+            ("chr1", 0, 2**63 + 5),
+            ("chr1", 2**63 + 40, 1),
+            ("chr1", -(2**63), 3),
+            ("chr1", 2**63 - 3, 2),
+            ("chr1", 3 - 2**63, 3),
+        ]
         # windows that end at a row's end or start at its start, sharing no base with it
         probes += [
             (r.chrom, p, window) for rows in writes for r in rows[::40]
             for window in (1, 2_000) for p in (r.end + window, r.start - window)
         ]
+        # every run, int64 or not, is searched with bounds int64 holds
+        windows, bounds = store_module._windows, []
+
+        def spy(run, first, last):
+            bounds.extend((first, last))
+            return windows(run, first, last)
+
+        monkeypatch.setattr(store_module, "_windows", spy)
         for chrom, position, window in probes:
             want = store_module._scan(store._datasets, chrom, position - window, position + window)
             assert store.proximity_search(chrom, position, window) == want
+        assert bounds and all(-(2**63) <= b < 2**63 for b in bounds)
 
     def test_long_row_in_a_later_write_widens_no_window(self, monkeypatch):
         # 80K narrow rows and one 200 Mb row at the start of chr1, probed
