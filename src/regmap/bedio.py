@@ -23,12 +23,17 @@ dataset as one, and ``columns.RegionColumns`` views one as numpy.
 decides that a line is malformed, and why. It accepts at once a line
 whose name it accepted before and whose coordinates are ASCII digits.
 ``parse_bed`` runs it over a stream, or over a path read whole as text
-with universal newlines (``scan_text``). When numpy is already loaded,
-it reads a path with the numpy reader ``columns._read_bed`` instead,
-whose fast path only accepts and sends every other line to
-``scan_numbered``. Each of these readers returns ``(BedRecords,
-ParseReport)``. This module never imports numpy itself, so a parse in a
-numpy-free process stays numpy-free.
+with universal newlines (``scan_text``). When numpy is loaded, it
+reads a path with the numpy reader ``columns._read_bed`` instead, whose
+fast path only accepts and sends every other line to ``scan_numbered``.
+Each of these readers returns ``(BedRecords, ParseReport)``. A parse
+imports numpy itself only once the paths a process has parsed without
+it reach ``_NUMPY_AFTER`` bytes (2 MiB), about where the numpy reader's
+saving pays for the import. A process that parses less by path stays
+numpy-free; the worst case, a process that parses just past it and no
+more, pays the import (about 0.09 s) for little saving, at most about
+twice the cheaper choice. Streams never count. Without numpy, or with
+its import blocked, every path is scanned in Python.
 
 Every table regmap writes goes through ``write_lines``: to an open
 stream as given, or to a path as UTF-8 with ``\n`` line ends, through a
@@ -39,6 +44,7 @@ read back.
 
 from __future__ import annotations
 
+import math
 import operator
 import os
 import stat
@@ -77,6 +83,21 @@ _SKIP_PREFIXES = ("#", "track", "browser")
 # and ``array.fromlist`` build a chunk's columns faster than appending
 # record by record, and a chunk of records is all it holds at once.
 _RECORD_CHUNK = 4096
+# The path bytes ``parse_bed`` may still send to the Python scanner in
+# this process before it imports numpy for the numpy reader (ski rental,
+# Karlin et al., "Competitive snoopy caching", Algorithmica 1988). A
+# path parsed while numpy is not loaded spends its size first, so the
+# path that exhausts the budget is the first the numpy reader reads; a
+# failed import sets it to ``math.inf``, so the import is tried once.
+# Threads may lose a spend, which only delays the import.
+# The start: in a store-only process ``import numpy`` took 0.086-0.10 s
+# (median 0.091 s), and a path byte took 34-42 ns in the Python scanner
+# and ``store._dataset``'s loop against 12-15 ns in the numpy reader and
+# ``_dataset``'s numpy form (median saving 23 ns; 7.09 MB of BED text on
+# a 2-vCPU Xeon VM, CPython 3.11, numpy 2.4): import / saving is 3.9 MB,
+# rounded down to a power of two, so a process that never needed numpy
+# pays at most about twice the cheaper of the two choices.
+_NUMPY_AFTER = 1 << 21
 
 CATALOG_HEADER = ("name", "factor", "cell_line", "treatment", "assembly", "path")
 
@@ -236,16 +257,29 @@ def parse_bed(
     coordinates are rejected. Each distinct chromosome name is checked
     once. In strict mode the first malformed line raises BedParseError;
     in permissive mode malformed lines are recorded in the report and
-    skipped, and the parse itself never fails on tab-separated text. A
-    path goes through the numpy reader when numpy is already loaded,
-    else through ``scan_text``; a stream goes through ``scan_numbered``.
+    skipped, and the parse itself never fails on tab-separated text.
+
+    A stream goes through ``scan_numbered``. A path goes through the
+    numpy reader when numpy is loaded, else through ``scan_text``. While
+    numpy is not loaded, each path spends its size from
+    ``_NUMPY_AFTER``; the path that exhausts it imports numpy (numpy's
+    defaults) and goes to the numpy reader, as does every later one. A
+    failed import is not tried again, and a ``None`` entry in
+    ``sys.modules`` (a blocked import) keeps every parse on
+    ``scan_text``. Either reader gives the same result.
     """
+    global _NUMPY_AFTER
     if mode not in ("strict", "permissive"):
         raise ValueError(f"unknown parse mode: {mode!r}")
     strict = mode == "strict"
     if isinstance(source, (str, Path)):
-        # Only a numpy already loaded picks the columnar reader, so a parse
-        # never pays numpy's import; a None entry is a blocked import.
+        if "numpy" not in sys.modules:
+            _NUMPY_AFTER -= os.path.getsize(source)
+            if _NUMPY_AFTER <= 0:
+                try:
+                    import numpy  # noqa: F401
+                except ImportError:
+                    _NUMPY_AFTER = math.inf
         if sys.modules.get("numpy") is not None:
             from .columns import _read_bed
 

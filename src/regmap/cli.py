@@ -10,12 +10,14 @@ becomes ``columns.RegionColumns`` as soon as its file is parsed, and
 the file's records are released before the next one is read; each
 report row is written as ``joins.mining_report`` yields it. numpy is
 imported only inside the commands that use it (overlap, mine, gen,
-bench), so importing this module, ``search`` and ``sqlgen`` never load
-it; ``search`` builds no index, because one probe is a scan. Those four
-commands import it through ``_import_numpy``, with one OpenBLAS thread
-unless the caller sets ``OPENBLAS_NUM_THREADS``: regmap calls no BLAS
-routine, and OpenBLAS's worker pool costs about half of numpy's import
-time. Library use keeps numpy's defaults. Likewise the store,
+bench), so importing this module and ``sqlgen`` never load it. Those
+four commands import it through ``_import_numpy``, with one OpenBLAS
+thread unless the caller sets ``OPENBLAS_NUM_THREADS``: regmap calls no
+BLAS routine, and OpenBLAS's worker pool costs about half of numpy's
+import time. Library use keeps numpy's defaults, and so does
+``search``: it builds no index, because one probe is a scan, but its
+files' parse loads numpy once they reach ``bedio._NUMPY_AFTER`` bytes
+(2 MiB), so a search over fewer bytes stays numpy-free. Likewise the store,
 ``sqlgen`` and ``dbadapter`` load only in the commands that use them,
 so ``overlap`` and ``mine`` start without them.
 """

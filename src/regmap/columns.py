@@ -25,8 +25,9 @@ one range of later starts and a long row costs linear work.
 reference join takes.
 
 ``_read_bed`` parses a BED file with numpy for ``bedio.parse_bed``, on
-a path once numpy is loaded, and returns ``(BedRecords, ParseReport)``
-as bedio's readers do. Its fast path only accepts: it has no reject
+a path once numpy is loaded (``parse_bed`` imports it once a process
+has parsed ``bedio._NUMPY_AFTER`` bytes of paths without it), and
+returns ``(BedRecords, ParseReport)`` as bedio's readers do. Its fast path only accepts: it has no reject
 reasons of its own, and every line it does not accept goes through
 ``bedio.scan_numbered``, so bedio's Python scanner stays the one
 rulebook and the reference reader.

@@ -39,11 +39,14 @@ Results are identical with and without the index. Without an index,
 or for a window that leaves int64, a probe is a linear scan of the
 columns, the reference the tests compare the index against.
 
-numpy loads at the first ``build_index``, never for writes,
-``find_invalid`` or an unindexed probe, so ``import regmap`` and
-``regmap search`` stay numpy-free. A write's parse
-(``bedio.parse_bed_file``) and its search for invalid rows use numpy
-only when it is already loaded.
+The store loads numpy at the first ``build_index``, never for writes,
+``find_invalid`` or an unindexed probe, so ``import regmap`` stays
+numpy-free. A file's parse (``bedio.parse_bed_file``) loads it once the
+paths the process parsed without it reach ``bedio._NUMPY_AFTER`` bytes
+(2 MiB), so a store loaded from more than that has numpy before its
+first ``build_index``, and ``regmap search`` over such files loads it
+too. A dataset's search for invalid rows uses numpy only when it is
+already loaded.
 
 Concurrency: any number of reader threads may run beside writers.
 Writes and index builds and drops are serialized on an internal lock

@@ -1,8 +1,13 @@
 import io
+import json
+import os
+import random
 import re
+import subprocess
 import sys
 from array import array
 from collections.abc import Sequence
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -309,6 +314,192 @@ class TestScanAgainstReference:
             assert [(r.chrom, r.start, r.end) for r in records] == rows
             assert report.rejects == rejects
             assert (report.accepted, report.rejected) == (len(rows), len(rejects))
+
+
+# Parses path and stream sources in a fresh interpreter, after setting
+# bedio._NUMPY_AFTER when the config gives a value. Each call is
+# [kind, path, mode], kind "path" or "stream"; in every thread it records
+# whether numpy was loaded before and after it, its outcome and the
+# outcome of scan_text over the file's text read with universal newlines.
+SWITCH_CHILD = r"""
+import json, sys, threading
+config = json.loads(sys.argv[1])
+if config["block"]:
+    sys.modules["numpy"] = None
+refused = []
+if config["refuse"]:
+    class Refuse:
+        def find_spec(self, name, path=None, target=None):
+            if name == "numpy":
+                refused.append(name)
+                raise ImportError("numpy refused")
+    sys.meta_path.insert(0, Refuse())
+from regmap import bedio
+assert "numpy" not in sys.modules or config["block"]
+if config["after"] is not None:
+    bedio._NUMPY_AFTER = config["after"]
+
+def outcome(parse):
+    try:
+        records, report = parse()
+    except bedio.BedParseError as exc:
+        return ["error", exc.lineno, exc.reason]
+    return [list(records.names), list(records.codes), list(records.starts), list(records.ends),
+            report.accepted, report.rejected, [list(reject) for reject in report.rejects]]
+
+def loaded():
+    return sys.modules.get("numpy") is not None
+
+def run(rows):
+    for kind, path, mode in config["calls"]:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        before = loaded()
+        if kind == "path":
+            got = outcome(lambda: bedio.parse_bed_file(path, mode))
+        else:
+            with open(path, encoding="utf-8") as fh:
+                got = outcome(lambda: bedio.parse_bed(fh, mode))
+        want = outcome(lambda: bedio.scan_text(text, mode == "strict"))
+        rows.append([before, loaded(), got, want])
+
+results = [[] for _ in range(config["threads"])]
+if config["threads"] == 1:
+    run(results[0])
+else:
+    start = threading.Barrier(config["threads"])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=lambda rows=rows: (start.wait(), run(rows))) for rows in results]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+print(json.dumps({"results": results, "refused": len(refused), "loaded": loaded(),
+                  "after": bedio._NUMPY_AFTER}))
+"""
+
+
+def switch_child(calls, after=None, block=False, refuse=False, threads=1):
+    config = dict(calls=[[kind, str(path), mode] for kind, path, mode in calls],
+                  after=after, block=block, refuse=refuse, threads=threads)
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", SWITCH_CHILD, json.dumps(config)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def bed_file(path, rows, extra="", newline="\n", seed=0):
+    """``rows`` seeded rows on three chromosomes, then ``extra``; every
+    line ends with ``newline``."""
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(rows):
+        start = rng.randrange(0, 10**7)
+        lines.append(f"chr{rng.randrange(1, 4)}\t{start}\t{start + rng.randrange(1, 500)}\n")
+    text = "".join(lines) + extra
+    path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+    return path
+
+
+MALFORMED = (
+    "# comment\ntrack name=x\n\nchr1\t300\nchr1\tx\t9\nchr 1\t1\t2\n\t5\t9\n"
+    "chr2\t5\tz\nchr2\t-5\t3\nchr3\t9\t2\n"
+)
+
+
+class TestNumpySwitch:
+    @staticmethod
+    def files(tmp_path):
+        """Plain rows, malformed lines (ASCII, so the numpy reader's fast
+        path declines them), a CRLF copy, a non-ASCII name and
+        coordinates past int64."""
+        return [
+            bed_file(tmp_path / "plain.bed", 300, seed=1),
+            bed_file(tmp_path / "malformed.bed", 300, MALFORMED, seed=2),
+            bed_file(tmp_path / "crlf.bed", 300, MALFORMED, newline="\r\n", seed=3),
+            bed_file(tmp_path / "nonascii.bed", 300, "chrÜn\t10\t20\nchr1\t5\tx\n", seed=4),
+            bed_file(tmp_path / "big.bed", 300, f"chr2\t5\t{2**70}\nchr3\t{2**64}\t1\n", seed=5),
+        ]
+
+    @staticmethod
+    def assert_equal_to_scan_text(results):
+        for rows in results:
+            for _, _, got, want in rows:
+                assert got == want
+
+    def test_numpy_loads_at_the_path_that_crosses_the_constant(self, tmp_path):
+        files = self.files(tmp_path)
+        # every file in both modes, twice: the first round spends one
+        # byte less than the constant, so the second round's first path
+        # crosses it
+        calls = [("path", f, mode) for f in files for mode in ("strict", "permissive")] * 2
+        after = sum(os.path.getsize(f) for f in files) * 2 + 1
+        crossing = len(calls) // 2
+        out = switch_child(calls, after=after)
+        rows = out["results"][0]
+        assert [before for before, _, _, _ in rows] == [i > crossing for i in range(len(calls))]
+        assert [now for _, now, _, _ in rows] == [i >= crossing for i in range(len(calls))]
+        assert sum(got[0] == "error" for _, _, got, _ in rows) > 0
+        self.assert_equal_to_scan_text(out["results"])
+
+    def test_streams_never_count(self, tmp_path):
+        files = self.files(tmp_path)
+        calls = [("stream", f, mode) for f in files for mode in ("strict", "permissive")]
+        out = switch_child(calls, after=100)
+        assert out["after"] == 100 and not out["loaded"]
+        assert not any(before or now for before, now, _, _ in out["results"][0])
+        self.assert_equal_to_scan_text(out["results"])
+
+    def test_a_blocked_numpy_never_loads(self, tmp_path):
+        calls = [("path", f, mode) for f in self.files(tmp_path) for mode in ("strict", "permissive")]
+        out = switch_child(calls, after=100, block=True)
+        assert not out["loaded"]
+        assert not any(before or now for before, now, _, _ in out["results"][0])
+        self.assert_equal_to_scan_text(out["results"])
+
+    def test_a_file_below_the_default_constant_leaves_numpy_unloaded(self, tmp_path):
+        # the budget a fresh process starts with; this one may have spent some
+        default = switch_child([])["after"]
+        below = tmp_path / "below.bed"
+        with open(below, "w", encoding="utf-8", newline="") as fh:
+            row = "chr1\t100\t200\n"
+            count, rest = divmod(default - 1, len(row))
+            fh.write(row * count + "\n" * rest)
+        assert os.path.getsize(below) == default - 1
+        one_byte = tmp_path / "one.bed"
+        one_byte.write_text("\n")
+        out = switch_child([("path", below, "strict"), ("path", one_byte, "strict")])
+        (first, second) = out["results"][0]
+        assert first[:2] == [False, False] and second[:2] == [False, True]
+        self.assert_equal_to_scan_text(out["results"])
+
+    def test_a_failed_import_is_tried_once(self, tmp_path):
+        files = [bed_file(tmp_path / f"{i}.bed", 50, MALFORMED, seed=i) for i in range(20)]
+        calls = [("path", f, "permissive") for f in files]
+        out = switch_child(calls, after=100, refuse=True)
+        assert out["refused"] == 1 and not out["loaded"]
+        assert out["after"] == float("inf")
+        self.assert_equal_to_scan_text(out["results"])
+
+    def test_threads_parse_across_the_switch(self, tmp_path):
+        files = self.files(tmp_path)
+        calls = [("path", f, mode) for f in files for mode in ("strict", "permissive")] * 2
+        after = sum(os.path.getsize(f) for f in files) * 2
+        out = switch_child(calls, after=after, threads=4)
+        assert out["loaded"] and len(out["results"]) == 4
+        assert all(len(rows) == len(calls) for rows in out["results"])
+        self.assert_equal_to_scan_text(out["results"])
 
 
 class TestChromosomeRule:
