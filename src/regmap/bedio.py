@@ -263,10 +263,11 @@ def parse_bed(
     numpy reader when numpy is loaded, else through ``scan_text``. While
     numpy is not loaded, each path spends its size from
     ``_NUMPY_AFTER``; the path that exhausts it imports numpy (numpy's
-    defaults) and goes to the numpy reader, as does every later one. A
-    failed import is not tried again, and a ``None`` entry in
-    ``sys.modules`` (a blocked import) keeps every parse on
-    ``scan_text``. Either reader gives the same result.
+    defaults, or one OpenBLAS thread under ``cli.main``) and goes to the
+    numpy reader, as does every later one. A failed import is not tried
+    again, and a ``None`` entry in ``sys.modules`` (a blocked import)
+    keeps every parse on ``scan_text``. Either reader gives the same
+    result.
     """
     global _NUMPY_AFTER
     if mode not in ("strict", "permissive"):
@@ -371,8 +372,9 @@ def write_lines(lines: Iterable[str], sink: str | Path | IO) -> None:
     A path naming a regular file, or nothing yet, is written to a new
     file in the same directory that then replaces it (``os.replace``;
     an old file's permission bits are kept), so a write that fails
-    leaves the old file, or no file. Any other path, such as
-    ``/dev/null`` or a FIFO, is written in place."""
+    leaves the old file, or no file, and raises an OSError that names
+    ``sink``, not the new file. Any other path, such as ``/dev/null``
+    or a FIFO, is written in place."""
     if not isinstance(sink, (str, Path)):
         sink.writelines(lines)
         return
@@ -393,9 +395,12 @@ def write_lines(lines: Iterable[str], sink: str | Path | IO) -> None:
                 os.chmod(fh.fileno(), stat.S_IMODE(mode))
             fh.writelines(lines)
         os.replace(temporary, target)
-    except BaseException:
+    except BaseException as exc:
         with suppress(FileNotFoundError):
             os.remove(temporary)
+        if isinstance(exc, OSError) and exc.filename == temporary:
+            # name the path the caller gave, not the temporary file
+            raise OSError(exc.errno, exc.strerror, os.fspath(sink)) from exc
         raise
 
 

@@ -9,22 +9,23 @@ flags win over the file, the file wins over built-in defaults.
 becomes ``columns.RegionColumns`` as soon as its file is parsed, and
 the file's records are released before the next one is read; each
 report row is written as ``joins.mining_report`` yields it. numpy is
-imported only inside the commands that use it (overlap, mine, gen,
-bench), so importing this module and ``sqlgen`` never load it. Those
-four commands import it through ``_import_numpy``, with one OpenBLAS
-thread unless the caller sets ``OPENBLAS_NUM_THREADS``: regmap calls no
-BLAS routine, and OpenBLAS's worker pool costs about half of numpy's
-import time. Library use keeps numpy's defaults, and so does
-``search``: it builds no index, because one probe is a scan, but its
-files' parse loads numpy once they reach ``bedio._NUMPY_AFTER`` bytes
-(2 MiB), so a search over fewer bytes stays numpy-free. Likewise the store,
-``sqlgen`` and ``dbadapter`` load only in the commands that use them,
-so ``overlap`` and ``mine`` start without them.
+imported only inside the commands that use it, so importing this module
+and ``sqlgen`` never load it; ``search`` builds no index, because one
+probe is a scan, so it loads numpy only once its files' parse reaches
+``bedio._NUMPY_AFTER`` bytes (2 MiB). ``main`` runs every command with
+one OpenBLAS thread when numpy is not loaded yet and the caller has not
+set ``OPENBLAS_NUM_THREADS``: regmap calls no BLAS routine, and
+OpenBLAS's worker pool costs about half of numpy's import time. The
+variable is removed again afterwards, and library use keeps numpy's
+defaults. Likewise the store, ``sqlgen`` and ``dbadapter`` load only in
+the commands that use them, so ``overlap`` and ``mine`` start without
+them.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -47,30 +48,11 @@ def _sink(path: str | None):
     return sys.stdout if path is None or path == "-" else path
 
 
-def _import_numpy() -> None:
-    """Import numpy for a command, starting OpenBLAS with one thread.
-
-    Only while numpy first loads, ``OPENBLAS_NUM_THREADS`` defaults to
-    1; a value the caller set is kept, and ``os.environ`` is left as it
-    was. regmap calls no BLAS routine, so the pool OpenBLAS would start
-    at load time would only idle. A process that already loaded numpy
-    keeps its pool."""
-    if "numpy" in sys.modules:
-        return
-    import os
-
-    default = "OPENBLAS_NUM_THREADS" not in os.environ
-    if default:
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        import numpy  # noqa: F401
-    finally:
-        if default:
-            del os.environ["OPENBLAS_NUM_THREADS"]
+def _join_filter(args) -> JoinFilter:
+    return JoinFilter(min_bp=args.min_bp, max_centre_distance=args.max_centre_distance)
 
 
 def cmd_gen(args) -> int:
-    _import_numpy()
     from . import bench
 
     config = bench.GenConfig(
@@ -87,12 +69,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_overlap(args) -> int:
-    _import_numpy()
     from .columns import read_bed_columns, window_join
 
     a = read_bed_columns(args.a, first_id=1)
     b = read_bed_columns(args.b, first_id=len(a) + 1)
-    flt = JoinFilter(min_bp=args.min_bp, max_centre_distance=args.max_centre_distance)
+    flt = _join_filter(args)
     if args.algorithm == "sweep":
         pairs = window_join(a, b, flt)
     else:
@@ -102,12 +83,11 @@ def cmd_overlap(args) -> int:
 
 
 def cmd_mine(args) -> int:
-    _import_numpy()
     from .columns import RegionColumns
 
     catalog_path = Path(args.catalog)
     catalog = load_catalog_file(catalog_path)
-    flt = JoinFilter(min_bp=args.min_bp, max_centre_distance=args.max_centre_distance)
+    flt = _join_filter(args)
     paired = set(paired_datasets(catalog))
     columns = {}
     for entry in catalog:
@@ -189,7 +169,6 @@ def cmd_sqlgen(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    _import_numpy()
     from . import bench, dbadapter
 
     sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else [5000]
@@ -246,24 +225,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output BED file (default stdout)")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("overlap", help="overlap-join two BED files")
-    p.add_argument("--a", required=True, metavar="FILE", help="query regions (BED)")
-    p.add_argument("--b", required=True, metavar="FILE", help="reference regions (BED)")
-    p.add_argument("--min-bp", type=int, default=1, help="minimum bp overlap to emit a pair")
-    p.add_argument(
+    # the join filter's flags, read by _join_filter
+    join_filter = argparse.ArgumentParser(add_help=False)
+    join_filter.add_argument("--min-bp", type=int, default=1, help="minimum bp overlap to emit a pair")
+    join_filter.add_argument(
         "--max-centre-distance",
         type=float,
         default=None,
         help="emit only pairs with centre distance strictly below this",
     )
+
+    p = sub.add_parser("overlap", parents=[join_filter], help="overlap-join two BED files")
+    p.add_argument("--a", required=True, metavar="FILE", help="query regions (BED)")
+    p.add_argument("--b", required=True, metavar="FILE", help="reference regions (BED)")
     p.add_argument("--algorithm", choices=("nested", "sweep"), default="sweep")
     p.add_argument("--out", help="output TSV file (default stdout)")
     p.set_defaults(func=cmd_overlap)
 
-    p = sub.add_parser("mine", help="pairwise overlap report over a dataset catalog")
+    p = sub.add_parser("mine", parents=[join_filter], help="pairwise overlap report over a dataset catalog")
     p.add_argument("--catalog", required=True, metavar="FILE", help="catalog TSV")
-    p.add_argument("--min-bp", type=int, default=1)
-    p.add_argument("--max-centre-distance", type=float, default=None)
     p.add_argument("--out", help="output TSV file (default stdout)")
     p.set_defaults(func=cmd_mine)
 
@@ -400,6 +380,12 @@ def main(argv: list[str] | None = None) -> int:
     for command, members, dest, value in deferred:
         if args.func is command and all(getattr(args, a.dest) == a.default for a in members):
             setattr(args, dest, value)
+    # One OpenBLAS thread for a numpy this command loads, set only for
+    # the command, so os.environ ends as it began; a caller's value and
+    # an already loaded numpy's pool are kept.
+    one_thread = "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ
+    if one_thread:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         return args.func(args)
     except BrokenPipeError:
@@ -407,6 +393,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, AssertionError) as exc:
         print(f"regmap: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if one_thread:
+            del os.environ["OPENBLAS_NUM_THREADS"]
 
 
 if __name__ == "__main__":

@@ -45,8 +45,9 @@ numpy-free. A file's parse (``bedio.parse_bed_file``) loads it once the
 paths the process parsed without it reach ``bedio._NUMPY_AFTER`` bytes
 (2 MiB), so a store loaded from more than that has numpy before its
 first ``build_index``, and ``regmap search`` over such files loads it
-too. A dataset's search for invalid rows uses numpy only when it is
-already loaded.
+too, with the one OpenBLAS thread ``cli.main`` gives every command. A
+dataset's search for invalid rows uses numpy only when it is already
+loaded.
 
 Concurrency: any number of reader threads may run beside writers.
 Writes and index builds and drops are serialized on an internal lock

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regmap import bedio
 from regmap.bedio import load_catalog_file, parse_bed_file
 from regmap.cli import build_parser, main
 from regmap.data import toy_catalog_path, toy_data_dir
@@ -626,6 +627,38 @@ class TestUsage:
             for flag in flags:
                 assert flag in help_text, (command, flag)
 
+    def test_mine_and_overlap_share_the_join_filter_flags(self, capsys):
+        parser = build_parser()
+
+        def filter_help(command):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--help"])
+            lines = capsys.readouterr().out.splitlines()
+            first = lines.index("  --min-bp MIN_BP       minimum bp overlap to emit a pair")
+            last = next(i for i in range(first + 2, len(lines)) if lines[i].startswith("  -"))
+            return lines[first:last]
+
+        shown = filter_help("overlap")
+        assert shown == filter_help("mine")
+        assert "strictly below" in "\n".join(shown)
+        flags = ["--min-bp", "-5", "--max-centre-distance", "2.5"]
+        overlap = parser.parse_args(["overlap", "--a", "x", "--b", "y", *flags])
+        mine = parser.parse_args(["mine", "--catalog", "c", *flags])
+        assert (overlap.min_bp, overlap.max_centre_distance) == (mine.min_bp, mine.max_centre_distance) == (-5, 2.5)
+
+    @pytest.mark.parametrize("command", ["overlap", "search"])
+    def test_write_error_names_the_requested_path(self, capsys, tmp_path, command):
+        bed = str(toy_data_dir() / "hnf4g_hepg2.bed")
+        out = str(tmp_path / "missing" / "x.tsv")
+        argv = {
+            "overlap": ["overlap", "--a", bed, "--b", bed],
+            "search": ["search", "--store-from", bed, "--near", "chr1:150", "--window", "10"],
+        }[command]
+        rc, _, err = run_cli(capsys, *argv, "--out", out)
+        assert rc == 1
+        assert repr(out) in err
+        assert ".tmp" not in err
+
     def test_missing_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -643,7 +676,7 @@ class TestUsage:
 
 
 def test_cli_import_search_and_sqlgen_leave_numpy_unloaded(tmp_path):
-    # Only overlap, mine, gen and bench import numpy, inside the command.
+    # A search under bedio._NUMPY_AFTER bytes and sqlgen never load numpy.
     bed = str(toy_data_dir() / "hnf4g_hepg2.bed")
     code = (
         "import sys; from regmap.cli import main; "
@@ -722,33 +755,52 @@ def numpy_command_child(argv, **env):
     return ast.literal_eval(result.stderr)
 
 
-def numpy_commands(tmp_path):
+@pytest.fixture(scope="module")
+def large_bed(tmp_path_factory):
+    """A generated BED file larger than ``bedio._NUMPY_AFTER``, whose
+    parse alone loads numpy."""
+    path = tmp_path_factory.mktemp("large") / "large.bed"
+    assert main(["gen", "--count", "150000", "--out", str(path)]) == 0
+    assert path.stat().st_size > bedio._NUMPY_AFTER
+    return str(path)
+
+
+@pytest.fixture()
+def numpy_commands(tmp_path, large_bed):
     bed = str(toy_data_dir() / "hnf4g_hepg2.bed")
     return {
+        "gen": ["gen", "--count", "50", "--out", str(tmp_path / "g.bed")],
         "overlap": ["overlap", "--a", bed, "--b", bed, "--out", str(tmp_path / "o.tsv")],
         "mine": ["mine", "--catalog", str(toy_catalog_path()), "--out", str(tmp_path / "m.tsv")],
+        "bench": ["bench", "--scenario", "overlap", "--sizes", "200", "--reps", "1",
+                  "--report", str(tmp_path / "b.tsv")],
+        "search": ["search", "--store-from", large_bed, "--near", "chr1:150000", "--window", "1000",
+                   "--out", str(tmp_path / "s.tsv")],
     }
 
 
-@pytest.mark.parametrize("command", ["overlap", "mine"])
-def test_numpy_commands_start_without_a_blas_thread_pool(tmp_path, command):
+NUMPY_COMMANDS = ["gen", "overlap", "mine", "bench", "search"]
+
+
+@pytest.mark.parametrize("command", NUMPY_COMMANDS)
+def test_numpy_commands_start_without_a_blas_thread_pool(numpy_commands, command):
     # OpenBLAS starts with one thread, and the variable is gone again.
-    rc, loaded, threads, value = numpy_command_child(numpy_commands(tmp_path)[command])
+    rc, loaded, threads, value = numpy_command_child(numpy_commands[command])
     assert (rc, loaded, value) == (0, True, None)
     if threads is not None:
         assert threads == 1
 
 
-def test_numpy_commands_keep_the_callers_blas_threads(tmp_path):
-    argv = numpy_commands(tmp_path)["overlap"]
-    rc, loaded, _, value = numpy_command_child(argv, **{BLAS_THREADS: "2"})
-    assert (rc, loaded, value) == (0, True, "2")
+def test_numpy_commands_keep_the_callers_blas_threads(numpy_commands):
+    for command in ("overlap", "search"):
+        rc, loaded, _, value = numpy_command_child(numpy_commands[command], **{BLAS_THREADS: "2"})
+        assert (rc, loaded, value) == (0, True, "2"), command
 
 
-@pytest.mark.parametrize("command", ["overlap", "mine"])
-def test_numpy_commands_leave_a_loaded_numpy_and_the_environment_alone(tmp_path, monkeypatch, command):
+@pytest.mark.parametrize("command", NUMPY_COMMANDS)
+def test_numpy_commands_leave_a_loaded_numpy_and_the_environment_alone(numpy_commands, monkeypatch, command):
     import numpy  # noqa: F401 - loaded before the command runs
     monkeypatch.delenv(BLAS_THREADS, raising=False)
     before = dict(os.environ)
-    assert main(numpy_commands(tmp_path)[command]) == 0
+    assert main(numpy_commands[command]) == 0
     assert dict(os.environ) == before
