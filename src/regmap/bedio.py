@@ -199,8 +199,8 @@ class BedRecords(Sequence):
 def as_records(regions) -> BedRecords:
     """``regions`` as columns: a ``BedRecords`` as it is, any other
     iterable of region-shaped records in one pass that keeps no record
-    past its chunk. A coordinate that is not an integer or a rejected
-    name (each distinct one checked once) raises ValueError."""
+    past its chunk. A coordinate that is not an integer or is a bool, or
+    a rejected name (each distinct one checked once), raises ValueError."""
     if isinstance(regions, BedRecords):
         return regions
     names: dict[str, int] = {}
@@ -212,6 +212,9 @@ def as_records(regions) -> BedRecords:
             names.setdefault(chrom, len(names))
         codes.fromlist([names[chrom] for chrom in chroms])
         start, end = [r.start for r in chunk], [r.end for r in chunk]
+        if bool in {*map(type, start), *map(type, end)}:  # array("q") would keep it as 0 or 1
+            bad = next(v for v in start + end if v.__class__ is bool)
+            raise ValueError(f"coordinate {bad!r} is not an integer")
         if isinstance(starts, array):
             try:
                 starts.fromlist(start)

@@ -12,14 +12,15 @@ psycopg2, MySQL tries pymysql then MySQLdb.
 
 Connections run with autocommit enabled so the transaction statements
 inside emitted scripts (and their deliberate absence, for rowwise
-inserts) control transaction boundaries.
+inserts) control transaction boundaries. The functions that run SQL
+take a connection from their caller, who opened it with ``connect`` and
+closes it (``bench._db_cells``); none opens one itself.
 """
 
 from __future__ import annotations
 
 import os
 import urllib.parse
-from contextlib import closing, nullcontext
 from dataclasses import dataclass
 
 from .sqlgen import SqlDialect, SqlScript, emit_ddl
@@ -127,13 +128,6 @@ def _stringify(row) -> tuple[str, ...]:
     return tuple("" if v is None else str(v) for v in row)
 
 
-def _using(config: BackendConfig, conn):
-    """The given connection, or one opened for the call and closed at
-    its end."""
-    _require_enabled(config)
-    return nullcontext(conn) if conn is not None else closing(connect(config))
-
-
 def execute_statement(conn, statement: str):
     """Run one statement; rows for queries, affected count otherwise."""
     cur = conn.cursor()
@@ -146,23 +140,23 @@ def execute_statement(conn, statement: str):
         cur.close()
 
 
-def execute_script(config: BackendConfig, script: SqlScript, conn=None):
-    """Run every statement of a script in order.
+def execute_script(config: BackendConfig, script: SqlScript, conn):
+    """Run every statement of a script in order on the caller's ``conn``.
 
     Returns the result rows of the last row-returning statement, or the
     total affected-row count when nothing returned rows. Server errors
-    propagate with the driver's message intact.
+    propagate with the driver's message intact; a disabled backend
+    raises ValueError.
     """
-    with _using(config, conn) as conn:
-        rows = None
-        affected = 0
-        for statement in script.statements():
-            result = execute_statement(conn, statement)
-            if isinstance(result, list):
-                rows = result
-            elif result > 0:
-                affected += result
-        return rows if rows is not None else affected
+    _require_enabled(config)
+    rows, affected = None, 0
+    for statement in script.statements():
+        result = execute_statement(conn, statement)
+        if isinstance(result, list):
+            rows = result
+        elif result > 0:
+            affected += result
+    return rows if rows is not None else affected
 
 
 _DROP_STATEMENTS = (
@@ -173,19 +167,16 @@ _DROP_STATEMENTS = (
 )
 
 
-def reset_schema(config: BackendConfig, conn=None) -> None:
-    """Drop and recreate the benchmark schema so runs are independent."""
-    with _using(config, conn) as conn:
-        for stmt in _DROP_STATEMENTS:
-            execute_statement(conn, stmt)
-        for statement in emit_ddl(config.dialect).statements():
-            execute_statement(conn, statement)
+def reset_schema(config: BackendConfig, conn) -> None:
+    """Drop and recreate the benchmark schema on ``conn`` so runs are independent."""
+    _require_enabled(config)
+    for stmt in (*_DROP_STATEMENTS, *emit_ddl(config.dialect).statements()):
+        execute_statement(conn, stmt)
 
 
-def fetch_rows(config: BackendConfig, query_script: SqlScript, conn=None) -> list[tuple[str, ...]]:
+def fetch_rows(config: BackendConfig, query_script: SqlScript, conn) -> list[tuple[str, ...]]:
     """execute_script specialized to scripts whose last statement selects."""
-    result = execute_script(config, query_script, conn=conn)
+    result = execute_script(config, query_script, conn)
     if not isinstance(result, list):
-        kind = query_script.kind.value
-        raise RuntimeError(f"script {kind} returned no result rows")
+        raise RuntimeError(f"script {query_script.kind.value} returned no result rows")
     return result

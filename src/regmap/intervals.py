@@ -329,15 +329,15 @@ def _argsort(keys):
 
 def _by_code(names, codes, start, end, min_bp: int) -> list:
     """``(name, rows)`` for each name with rows that can pair under
-    ``min_bp`` (row i lies on ``names[codes[i]]``): ``start >= 0`` and
-    ``end - start >= max(min_bp, 0)``, as a pair's bp overlap is at most
-    either row's length. Rows in any order, int32 when they fit."""
+    ``min_bp`` (row i lies on ``names[codes[i]]``): ``end - start >=
+    max(min_bp, 0)``, as a pair's bp overlap is at most either row's
+    length. Every row is valid (``0 <= start <= end``: no int64 wrap) or
+    has the code ``len(names)``, which drops it. Rows in any order,
+    int32 when they fit."""
     import numpy as np
 
-    # end >= start too: only there is end - start free of int64 wrap.
-    admitted = (start >= 0) & (end >= start) & (end - start >= max(min_bp, 0))
     # The other rows take the code past the last name: sorted last, then dropped.
-    codes = np.where(admitted, codes, np.int32(len(names)))
+    codes = np.where(end - start >= max(min_bp, 0), codes, np.int32(len(names)))
     order = _argsort(codes)
     order = order.astype(np.int32) if len(order) < 2**31 else order
     ends = np.bincount(codes, minlength=len(names)).cumsum().tolist()

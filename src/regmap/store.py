@@ -21,7 +21,7 @@ so every read skips the constructors' checks.
 
 An optional index serves proximity queries. It is the interval index
 the joins use (``intervals._by_code`` and ``_sorted_entry``): one
-entry per chromosome, covering every dataset, over the rows
+entry per chromosome, covering every dataset, over the valid rows
 ``_by_code`` admits at ``min_bp = 1`` (the only rows a probe can hit),
 with their ids as the entry's rows. Each entry is a run set
 (``intervals._with_run``): a few immutable runs, each sorted by start
@@ -136,11 +136,14 @@ _Index = tuple[dict[str, _IndexEntry], list[int], list[str]]
 
 def _index_dataset(dataset: DatasetColumns) -> dict[str, tuple]:
     """One dataset's index part: ``{chrom: (start, end, id)}`` numpy
-    arrays of the rows ``_by_code`` admits at ``min_bp = 1``. Coordinates
-    are int64 when every such end fits, else exact ``object`` ints."""
+    arrays of the valid rows ``_by_code`` admits at ``min_bp = 1``.
+    Coordinates are int64 when every such end fits, else exact ``object`` ints."""
     import numpy as np
 
     chrom, start, end = dataset.rows.arrays()
+    if dataset.invalid:  # the code past the last name, which _by_code drops
+        chrom = chrom.copy()
+        chrom[list(dataset.invalid)] = len(dataset.rows.names)
     groups = _by_code(dataset.rows.names, chrom, start, end, 1)
     # An admitted row has 0 <= start < end, so the ends decide whether both fit int64.
     fits = not end.dtype.hasobject or all(end[at].max() <= _INT64_MAX for _, at in groups)
@@ -172,16 +175,15 @@ def _merge(index: _Index, datasets: dict[str, DatasetColumns]) -> _Index:
 class RegionStore:
     """Region storage with staged imports, searches and an optional index.
 
-    ``capacity`` bounds the number of production rows; exceeding it is
-    the allocation-failure path (batch-style writes fail whole, rowwise
-    writes keep the prefix already committed).
+    A write fails only on its own input (a name already imported, a
+    refused record, a failing source or attribute): a batch-style write
+    then keeps nothing, a rowwise one the records before the failure.
     """
 
-    def __init__(self, capacity: int | None = None):
+    def __init__(self):
         self._datasets: dict[str, DatasetColumns] = {}
         self._staging: DatasetColumns | None = None
         self._next_id = 1
-        self._capacity = capacity
         self._index: _Index | None = None
         self._write_lock = threading.Lock()
 
@@ -222,13 +224,6 @@ class RegionStore:
             if 0 <= s <= e
         ]
 
-    def _check_capacity(self, extra: int) -> None:
-        if self._capacity is not None and len(self) + extra > self._capacity:
-            raise ValueError(
-                f"store capacity {self._capacity} exceeded "
-                f"({len(self)} rows + {extra} new)"
-            )
-
     def _check_new(self, name: str) -> None:
         if name in self._datasets:
             raise ValueError(f"dataset {name!r} already imported")
@@ -257,7 +252,6 @@ class RegionStore:
             self._check_new(name)
             try:
                 self._staging = _dataset(self._next_id, as_records(regions))
-                self._check_capacity(len(self._staging))
                 return self._commit(name, self._staging)
             finally:
                 self._staging = None
@@ -271,9 +265,9 @@ class RegionStore:
 
         Each record is refused as ``import_dataset`` would refuse it, by
         ``bedio.as_records``. On failure at record k (a refused record,
-        an attribute or the iterator raising, the capacity reached) the
-        first k-1 records stay committed; they are published together
-        when the call ends. The records stream through one
+        an attribute or the iterator raising) the first k-1 records stay
+        committed; they are published together when the call ends. The
+        records stream through one
         ``as_records``, so the call keeps their columns, not the records.
         An interrupt (a ``BaseException`` that is not an ``Exception``,
         such as ``KeyboardInterrupt``) commits nothing.
@@ -288,8 +282,7 @@ class RegionStore:
                 ``stopped``."""
                 chroms = set()
                 try:
-                    for n, r in enumerate(regions, 1):
-                        self._check_capacity(n)
+                    for r in regions:
                         # Only a new name or a coordinate not of class int
                         # can be refused, so each name is checked once.
                         if (r.chrom not in chroms or r.start.__class__ is not int

@@ -624,3 +624,14 @@ class TestLoadCatalog:
     def test_empty_assembly(self):
         with pytest.raises(ValueError, match="assembly"):
             load_catalog(io.StringIO(CATALOG_HEADER + "ds1\tA\tc\t\t\ta.bed\n"))
+
+    def test_empty_source(self):
+        with pytest.raises(ValueError, match="^catalog is empty, expected a header line$"):
+            load_catalog(io.StringIO(""))
+
+    def test_blank_lines_between_rows_are_skipped(self):
+        text = CATALOG_HEADER + "\n" + "a\tF\tc\t\thg19\ta.bed\n" + " \t\r\n" + "b\tF\tc\t\thg19\tb.bed\n\n"
+        assert [e.name for e in load_catalog(io.StringIO(text))] == ["a", "b"]
+        # line numbers still count the blank lines
+        with pytest.raises(ValueError, match="^line 4: duplicate dataset name 'a'$"):
+            load_catalog(io.StringIO(CATALOG_HEADER + "a\tF\tc\t\thg19\ta.bed\n\na\tF\tc\t\thg19\ta.bed\n"))

@@ -68,6 +68,8 @@ class TestGenerateRegions:
             GenConfig(coord_lower=0, coord_upper=400, max_size=500)
         with pytest.raises(ValueError):
             GenConfig(max_size=0)
+        with pytest.raises(ValueError, match="^count must be >= 0$"):
+            GenConfig(count=-1)
 
     def test_invalid_row_factory(self):
         rows = make_invalid_rows(24, seed=3)

@@ -483,6 +483,10 @@ class TestBench:
         assert rc == 0
         assert out.count("# skipped:") == 3
 
+    def test_zero_reps_exits_1(self, capsys):
+        rc, out, err = run_cli(capsys, "bench", "--scenario", "insertion", "--sizes", "10", "--reps", "0")
+        assert (rc, out, err) == (1, "", "regmap: error: reps must be >= 1\n")
+
     def test_import_scenario_requires_files(self, capsys):
         rc, _, err = run_cli(capsys, "bench", "--scenario", "import")
         assert rc == 2

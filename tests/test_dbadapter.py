@@ -4,7 +4,6 @@ configured."""
 
 import pytest
 
-from regmap import dbadapter
 from regmap.dbadapter import (
     MYSQL_ENV,
     PG_ENV,
@@ -12,6 +11,7 @@ from regmap.dbadapter import (
     backends_from_env,
     execute_script,
     execute_statement,
+    fetch_rows,
     reset_schema,
 )
 from regmap.sqlgen import SqlDialect, emit_ddl, emit_rowwise_insert
@@ -88,8 +88,15 @@ class TestBackendsFromEnv:
 class TestExecution:
     def test_disabled_backend_is_an_error_when_called_directly(self):
         disabled = BackendConfig(SqlDialect.POSTGRES, None)
-        with pytest.raises(ValueError, match="disabled"):
-            execute_script(disabled, emit_ddl(SqlDialect.POSTGRES))
+        conn = StubConnection()
+        message = "^backend postgres is disabled \\(no connection URL\\)$"
+        with pytest.raises(ValueError, match=message):
+            execute_script(disabled, emit_ddl(SqlDialect.POSTGRES), conn)
+        with pytest.raises(ValueError, match=message):
+            reset_schema(disabled, conn)
+        with pytest.raises(ValueError, match=message):
+            fetch_rows(disabled, emit_ddl(SqlDialect.POSTGRES), conn)
+        assert conn.statements == []
 
     def test_statements_run_in_order(self):
         conn = StubConnection()
@@ -120,15 +127,9 @@ class TestExecution:
         assert len(creates) == 3
         assert conn.statements.index(creates[0]) > conn.statements.index(drops[-1])
 
-    def test_a_connection_opened_for_the_call_is_closed(self, monkeypatch):
-        opened = []
-
-        def connect(config):
-            opened.append(StubConnection())
-            return opened[-1]
-
-        monkeypatch.setattr(dbadapter, "connect", connect)
-        execute_script(pg_config(), emit_rowwise_insert(SqlDialect.POSTGRES))
-        reset_schema(pg_config())
-        assert len(opened) == 2 and all(conn.closed for conn in opened)
-        assert opened[1].statements[0] == "drop view if exists vwregions;"
+    def test_fetch_rows_of_a_script_that_returns_none_is_an_error(self):
+        conn = StubConnection()
+        script = emit_ddl(SqlDialect.POSTGRES)
+        with pytest.raises(RuntimeError, match="^script ddl returned no result rows$"):
+            fetch_rows(pg_config(), script, conn)
+        assert conn.statements == script.statements()

@@ -159,6 +159,8 @@ class TestRandomGen:
             emit_random_gen(SqlDialect.POSTGRES, count=0)
         with pytest.raises(ValueError):
             emit_random_gen(SqlDialect.POSTGRES, count=10, coord_lower=0, coord_upper=400)
+        with pytest.raises(ValueError, match="^max_size must be >= 1, got 0$"):
+            emit_random_gen(SqlDialect.POSTGRES, count=10, max_size=0)
 
 
 class TestInsertScripts:

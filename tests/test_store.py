@@ -27,6 +27,9 @@ def raw(chrom, start, end):
 
 
 VALID = [raw("chr1", 0, 10), raw("chr1", 50, 80), raw("chr2", 5, 6)]
+# Records every write refuses: a coordinate that is not an integer, a
+# bool coordinate and a chromosome name with whitespace.
+REFUSED = [raw("chr1", 1.5, 9), raw("chr1", True, 5), SimpleNamespace(chrom="chr 1", start=0, end=5)]
 
 
 class TestImport:
@@ -52,11 +55,11 @@ class TestImport:
         assert store.staging_size == 0
 
     def test_failed_import_leaves_production_untouched(self):
-        store = RegionStore(capacity=4)
+        store = RegionStore()
         store.import_dataset("d1", VALID)
         before = store.rows()
-        with pytest.raises(ValueError, match="capacity"):
-            store.import_dataset("d2", VALID)  # 3 more rows > capacity 4
+        with pytest.raises(ValueError, match="not an integer"):
+            store.import_dataset("d2", [VALID[0], REFUSED[0], VALID[2]])
         assert store.rows() == before
         assert store.staging_size == 0
         # the failed name is not considered imported
@@ -85,7 +88,8 @@ class TestImport:
         assert len(store) == kept and store.staging_size == 0
         assert [row.region for row in store.rows()] == [raw("chr1", 0, 5)][:kept]
 
-    @pytest.mark.parametrize("bad", [1.5, "7", None])
+    # a bool too, which array("q") would keep as 0 or 1
+    @pytest.mark.parametrize("bad", [1.5, "7", None, True, False])
     def test_non_integer_coordinate_is_refused(self, bad):
         store = RegionStore()
         rows = [raw("chr1", 0, 5), SimpleNamespace(chrom="chr1", start=2, end=bad)]
@@ -177,9 +181,9 @@ class TestBatchVsRowwise:
         store.insert_regions_batch("ds", VALID[:1])
 
     def test_batch_failure_is_all_or_nothing(self):
-        store = RegionStore(capacity=2)
-        with pytest.raises(ValueError, match="capacity"):
-            store.insert_regions_batch("ds", VALID)
+        store = RegionStore()
+        with pytest.raises(ValueError, match="not an integer"):
+            store.insert_regions_batch("ds", [*VALID[:2], REFUSED[0]])
         assert len(store) == 0
 
     def test_rowwise_insert_keeps_columns_not_records(self):
@@ -203,9 +207,9 @@ class TestBatchVsRowwise:
         assert store.regions("ds")[-1].region == raw("chr15", 199_999_000, 199_999_100)
 
     def test_rowwise_failure_keeps_prefix(self):
-        store = RegionStore(capacity=2)
-        with pytest.raises(ValueError, match="capacity"):
-            store.insert_regions_rowwise("ds", VALID)
+        store = RegionStore()
+        with pytest.raises(ValueError, match="not an integer"):
+            store.insert_regions_rowwise("ds", [*VALID[:2], REFUSED[0]])
         assert [row.id for row in store.rows()] == [1, 2]
         assert [row.region for row in store.rows()] == VALID[:2]
 
@@ -407,6 +411,23 @@ class TestIndexLifecycle:
         hits = store.proximity_search("chr1", 6, 3)
         assert [row.id for row in hits] == [2]
 
+    def test_invalid_row_whose_length_wraps_int64_is_not_indexed(self):
+        # In int64 this row's end - start wraps to a large length, which
+        # intervals._by_code would admit; the store gives its invalid rows
+        # the code _by_code drops.
+        rows = [raw("chr1", 0, 10), raw("chr1", 2**62, -(2**62) - 1), raw("chr1", 2**62 - 5, 2**62 + 5)]
+        store = RegionStore()
+        store.import_dataset("d1", rows)
+        store.build_index()
+        entries, _, _ = store._index
+        assert sorted(rid for run in entries["chr1"] for rid in run[2].tolist()) == [1, 3]
+        assert [row.id for row in store.find_invalid()] == [2]
+        for position in (0, 5, 2**61, 2**62, -(2**62)):
+            for window in (1, 10, 2**61):
+                lo, hi = position - window, position + window
+                assert store.proximity_search("chr1", position, window) == store_module._scan(
+                    store._datasets, "chr1", lo, hi)
+
 
 WRITE_OPS = st.tuples(
     st.sampled_from(["import_dataset", "insert_regions_batch", "insert_regions_rowwise"]),
@@ -416,6 +437,8 @@ WRITE_OPS = st.tuples(
                   st.integers(-20, 200), st.integers(-20, 200)),
         max_size=8,
     ),
+    # where a refused record goes into the write, if anywhere
+    st.one_of(st.none(), st.tuples(st.integers(0, 8), st.sampled_from(REFUSED))),
 )
 INDEX_OPS = st.sampled_from([("build_index",), ("drop_index",)])
 PROBES = [(c, p, w) for c in ("chr1", "chr2", "chr3") for p in range(-10, 220, 30) for w in (1, 25)]
@@ -423,10 +446,9 @@ PROBES = [(c, p, w) for c in ("chr1", "chr2", "chr3") for p in range(-10, 220, 3
 
 class TestIndexInvariant:
     @settings(max_examples=80, deadline=None)
-    @given(st.one_of(st.none(), st.integers(0, 30)),
-           st.lists(st.one_of(WRITE_OPS, INDEX_OPS), max_size=15))
-    def test_writes_and_index_ops_keep_index_equal_to_scan(self, capacity, ops):
-        store = RegionStore(capacity=capacity)
+    @given(st.lists(st.one_of(WRITE_OPS, INDEX_OPS), max_size=15))
+    def test_writes_and_index_ops_keep_index_equal_to_scan(self, ops):
+        store = RegionStore()
         committed = []  # (id, dataset, region) of every row, in id order
         indexed = False
         for op, *args in ops:
@@ -434,14 +456,17 @@ class TestIndexInvariant:
                 getattr(store, op)()
                 indexed = op == "build_index"
             else:
-                name, regions = args
-                room = len(regions) if capacity is None else capacity - len(committed)
+                name, regions, refused = args
+                good = len(regions)  # the records before the refused one
+                if refused is not None:
+                    good = min(refused[0], good)
+                    regions = [*regions[:good], refused[1], *regions[good:]]
                 if name in {row[1] for row in committed}:
                     fails, kept = True, []
-                elif op == "insert_regions_rowwise":  # keeps the prefix that fits
-                    fails, kept = len(regions) > room, regions[:room]
+                elif op == "insert_regions_rowwise":  # keeps the prefix before the refused record
+                    fails, kept = refused is not None, regions[:good]
                 else:  # all or nothing
-                    fails = len(regions) > room
+                    fails = refused is not None
                     kept = [] if fails else regions
                 if fails:
                     with pytest.raises(ValueError):
