@@ -524,12 +524,12 @@ def test_numpy_path_parse_equals_scan_text_with_the_same_column_types(tmp_path, 
 REFUSED_RECORDS = [
     ([RawRegion("chr1", 1.5, 3)], "coordinate 1.5 is not an integer"),
     ([RawRegion("chr1", "1", "3")], "coordinate '1' is not an integer"),
-    # array("q") would keep a bool as 0 or 1
-    ([RawRegion("chr1", 0, 5), RawRegion("chr1", True, 5)], "coordinate True is not an integer"),
     (
         [RawRegion("chr1", 0, 5), SimpleNamespace(chrom="chr 1", start=0, end=5)],
         "chromosome name contains whitespace: 'chr 1'",
     ),
+    # array("q") would keep a bool as 0 or 1
+    ([RawRegion("chr1", 0, 5), RawRegion("chr1", True, 5)], "coordinate True is not an integer"),
 ]
 
 
