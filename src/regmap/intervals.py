@@ -345,10 +345,10 @@ def _by_code(names, codes, start, end, min_bp: int) -> list:
 
 
 def _sorted_entry(start, end, rows) -> tuple:
-    """An index entry ``(start, end, rows)``: the numpy arrays sorted by
-    start, ties in any order; int64 or exact ``object`` ints. No result
-    depends on the order of tied starts: joins order their pairs by id,
-    counts count rows, and probes sort their hits by id."""
+    """An index entry ``(start, end, rows)``: the int64 numpy arrays
+    sorted by start, ties in any order. No result depends on the order
+    of tied starts: joins order their pairs by id, counts count rows,
+    and probes sort their hits by id."""
     order = _argsort(start)
     return start[order], end[order], rows[order]
 

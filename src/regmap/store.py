@@ -34,7 +34,8 @@ row is copied O(log n) times and a write costs about its own rows, not
 the size of the index. A probe looks in every run: one ``_windows``
 lookup each, a filter of the candidates (in Python when they are few,
 else vectorised), then one sort of the hits by id; a bisect over the
-datasets' first ids, kept in the index, names each hit's dataset.
+first ids of the index's datasets gives each hit its dataset's name
+and, for an end clamped to int64 (``_index_dataset``), its exact end.
 Results are identical with and without the index. Without an index,
 or for a window that leaves int64, a probe is a linear scan of the
 columns, the reference the tests compare the index against.
@@ -55,7 +56,7 @@ and publish new structures instead of mutating published ones; no
 published column, array or run is written after it is published (a
 write publishes a new index, whose entries share the runs it did not
 merge). A query reads each published structure once (an indexed probe
-reads only the index, which names the dataset of every id it holds; a
+reads only the index, which holds the dataset of every id in it; a
 probe whose window leaves int64 reads only the datasets), so its
 result is correct for the store before or after a concurrent write; a
 rowwise insert's dataset is seen either absent or with every record it
@@ -125,31 +126,31 @@ def _dataset(first_id: int, rows: BedRecords) -> DatasetColumns:
 
 
 # An index entry, one per chromosome: an ``intervals`` run set of its
-# indexed rows' numpy (start, end, id) arrays, each run sorted by start
-# with ties in any order. A run's coordinates are int64, or object
-# (exact ints) when one of its ends exceeds int64.
+# indexed rows' int64 (start, end, id) arrays from ``_index_dataset``,
+# each run sorted by start with ties in any order.
 _IndexEntry = tuple[tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"], ...]
 # The index, published as one tuple: its entries by chromosome, then the
-# first ids and names of the datasets it covers, in id order.
-_Index = tuple[dict[str, _IndexEntry], list[int], list[str]]
+# first ids and the (name, columns) of the datasets it covers, in id order.
+_Index = tuple[dict[str, _IndexEntry], list[int], list[tuple[str, DatasetColumns]]]
 
 
 def _index_dataset(dataset: DatasetColumns) -> dict[str, tuple]:
-    """One dataset's index part: ``{chrom: (start, end, id)}`` numpy
-    arrays of the valid rows ``_by_code`` admits at ``min_bp = 1``.
-    Coordinates are int64 when every such end fits, else exact ``object`` ints."""
+    """One dataset's index part: ``{chrom: (start, end, id)}`` int64
+    arrays of the valid rows ``_by_code`` admits at ``min_bp = 1``, with
+    coordinates past int64 clamped into ``[0, _INT64_MAX]``. No indexed
+    window, which lies in int64, can tell: a row starting at
+    ``_INT64_MAX`` or later is empty, so left out, and a clamped end
+    lies past the window; a hit reads its exact end from the dataset."""
     import numpy as np
 
     chrom, start, end = dataset.rows.arrays()
     if dataset.invalid:  # the code past the last name, which _by_code drops
         chrom = chrom.copy()
         chrom[list(dataset.invalid)] = len(dataset.rows.names)
+    start, end = (c.clip(0, _INT64_MAX).astype(np.int64) if c.dtype.hasobject else c for c in (start, end))
     groups = _by_code(dataset.rows.names, chrom, start, end, 1)
-    # An admitted row has 0 <= start < end, so the ends decide whether both fit int64.
-    fits = not end.dtype.hasobject or all(end[at].max() <= _INT64_MAX for _, at in groups)
-    dtype = np.int64 if fits else object
     ids = np.arange(len(end)) + dataset.first_id
-    return {name: (start[at].astype(dtype), end[at].astype(dtype), ids[at]) for name, at in groups}
+    return {name: (start[at], end[at], ids[at]) for name, at in groups}
 
 
 def _merge(index: _Index, datasets: dict[str, DatasetColumns]) -> _Index:
@@ -159,7 +160,7 @@ def _merge(index: _Index, datasets: dict[str, DatasetColumns]) -> _Index:
     merges it only into runs of a comparable size."""
     import numpy as np
 
-    entries, first_ids, names = index
+    entries, first_ids, named = index
     grouped: dict[str, list[tuple]] = {}
     for ds in datasets.values():
         for chrom, cols in _index_dataset(ds).items():
@@ -169,7 +170,7 @@ def _merge(index: _Index, datasets: dict[str, DatasetColumns]) -> _Index:
         for chrom, cols in grouped.items()
     }
     first_ids = first_ids + [ds.first_id for ds in datasets.values()]
-    return {**entries, **merged}, first_ids, names + list(datasets)
+    return {**entries, **merged}, first_ids, named + list(datasets.items())
 
 
 class RegionStore:
@@ -339,31 +340,29 @@ class RegionStore:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         lo, hi = position - window, position + window
-        # One read: the index names the dataset of every id it holds.
+        # One read: the index holds the dataset of every id in it.
         index = self._index
         # A window that leaves int64 is scanned, so an indexed probe's
-        # bounds lie in int64, where int64 and object runs compare exactly.
+        # bounds lie in int64 and below every clamped end.
         if index is None or not _INT64_MIN <= lo < hi <= _INT64_MAX:
             return _scan(self._datasets, chrom, lo, hi)
-        entries, first_ids, names = index
-        entry = entries.get(chrom)
-        if entry is None:
-            return []
+        entries, first_ids, named = index
         hits = []
-        for run in entry:
+        for run in entries.get(chrom, ()):
             start, end, ids, _ = run
             i, j = _windows(run, lo + 1, hi - 1)  # a hit has end >= lo + 1 and start <= hi - 1
             if j - i > _PYTHON_FILTER_MAX:
-                start, end, ids = start[i:j], end[i:j], ids[i:j]
-                hit = end > lo
+                hit = (end[i:j] > lo).nonzero()[0] + i
                 hits += zip(ids[hit].tolist(), start[hit].tolist(), end[hit].tolist())
             elif j > i:
                 hits += [h for h in zip(ids[i:j].tolist(), start[i:j].tolist(), end[i:j].tolist()) if h[2] > lo]
         hits.sort()  # ids are unique, so this orders by id
-        return [
-            _stored_region(rid, names[bisect_right(first_ids, rid) - 1], _raw_region(chrom, s, e))
-            for rid, s, e in hits
-        ]
+        found = []
+        for rid, s, e in hits:
+            name, ds = named[bisect_right(first_ids, rid) - 1]
+            e = e if e < _INT64_MAX else ds.rows.ends[rid - ds.first_id]  # exact where clamped
+            found.append(_stored_region(rid, name, _raw_region(chrom, s, e)))
+        return found
 
 
 # A probe's candidates in one run are filtered in Python, about 0.1 us

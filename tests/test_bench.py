@@ -198,6 +198,63 @@ class TestSearchWrites:
             add_search_writes(BenchmarkReport(), [20_000], seed=3)
 
 
+class TestCorrectnessGates:
+    """Each of the bench's correctness checks raises its AssertionError
+    when one component it checks is made wrong."""
+
+    def test_an_import_that_loses_a_row_fails(self, monkeypatch):
+        imported = bench.RegionStore.import_dataset
+        monkeypatch.setattr(
+            bench.RegionStore, "import_dataset", lambda store, name, rows: imported(store, name, rows) - 1
+        )
+        files = sorted(toy_catalog_path().parent.glob("*.bed"))
+        with pytest.raises(AssertionError, match="^import row-count check failed$"):
+            run_import_bench(files, reps=1)
+
+    def test_a_nested_loop_that_drops_a_pair_fails(self, monkeypatch):
+        counts = []
+
+        def dropped(a, b):
+            pairs = nested_loop_join(a, b)
+            counts.append(len(pairs))
+            return pairs[:-1]
+
+        monkeypatch.setattr(bench, "nested_loop_join", dropped)
+        with pytest.raises(AssertionError) as raised:
+            run_overlap_bench([1000], reps=1, seed=12)
+        n = counts[0]
+        assert n > 0
+        assert str(raised.value) == f"join variants disagree: nested={n - 1} sweep={n}"
+
+    def test_a_geo_join_below_the_overlap_join_fails(self, monkeypatch):
+        join, counts = bench.window_join, []
+
+        def fewer(a, b, join_filter):
+            pairs = join(a, b, join_filter)
+            if join_filter.min_bp:
+                counts.append(len(pairs))
+                return pairs
+            return pairs[: counts[-1] - 1]
+
+        monkeypatch.setattr(bench, "window_join", fewer)
+        with pytest.raises(AssertionError) as raised:
+            run_overlap_bench([1000], reps=1, seed=12)
+        n = counts[-1]
+        assert str(raised.value) == f"geo count {n - 1} below overlap count {n}"
+
+    def test_a_lost_invalid_row_fails(self, monkeypatch):
+        monkeypatch.setattr(bench, "make_invalid_rows", lambda count, seed: make_invalid_rows(count, seed)[:-1])
+        with pytest.raises(AssertionError, match="^expected 24 invalid rows, found 23$"):
+            run_search_bench([2_000], reps=1, seed=5, invalid_rows=24)
+
+    def test_an_index_that_finds_nothing_fails(self, monkeypatch):
+        report = run_search_bench([30_000], reps=1, seed=0)
+        assert report.context[-1] == "search size=30000: proximity hits=4"
+        monkeypatch.setattr(store_module, "_windows", lambda run, first, last: (0, 0))
+        with pytest.raises(AssertionError, match="^indexed and unindexed proximity results differ$"):
+            run_search_bench([30_000], reps=1, seed=0)
+
+
 class TestReports:
     def make_report(self):
         report = BenchmarkReport()

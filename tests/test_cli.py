@@ -678,6 +678,34 @@ class TestUsage:
         assert result.returncode == 0
         assert len(result.stdout.splitlines()) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--count", "10"],
+        ["search", "--store-from", str(toy_data_dir() / "hnf4g_hepg2.bed"), "--invalid"],
+    ])
+    def test_a_closed_stdout_exits_1_silently(self, capsys, monkeypatch, argv):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def writelines(self, lines):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(argv) == 1
+        assert capsys.readouterr().err == ""
+
+    def test_a_reader_that_closes_the_pipe_ends_the_child_with_1_silently(self):
+        child = subprocess.Popen(
+            [sys.executable, "-m", "regmap.cli", "gen", "--count", "300000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert child.stdout.readline().count(b"\t") == 2
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 1
+        assert err == b""
+
 
 def test_cli_import_search_and_sqlgen_leave_numpy_unloaded(tmp_path):
     # A search under bedio._NUMPY_AFTER bytes and sqlgen never load numpy.

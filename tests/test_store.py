@@ -582,6 +582,66 @@ class TestMergedIndexAgainstScan:
                 assert store.proximity_search(chrom, position, window) == want
 
 
+def assert_int64_runs(store: RegionStore) -> None:
+    """Every array of every run of every index entry is int64."""
+    for chrom, runs in store._index[0].items():
+        assert all(array.dtype == "int64" for run in runs for array in run), chrom
+
+
+class TestInt64Runs:
+    """The index clamps coordinates past int64 into ``[0, 2**63 - 1]``,
+    so every run is int64, and a hit reads its exact end from its
+    dataset."""
+
+    @pytest.mark.parametrize("build_first", [False, True])
+    def test_a_start_column_past_int64_gives_int64_runs(self, build_first):
+        rows = [raw("chr1", -(2**70), 5), raw("chr1", 0, 10), raw("chr1", 50, 80), raw("chr2", 5, 6)]
+        store = RegionStore()
+        if build_first:
+            store.build_index()
+        store.import_dataset("d", rows)
+        store.build_index()
+        _, start, end = store.columns("d").rows.arrays()
+        assert start.dtype.hasobject and not end.dtype.hasobject
+        assert_int64_runs(store)
+        for chrom, position, window in PROBES:
+            want = store_module._scan(store._datasets, chrom, position - window, position + window)
+            assert store.proximity_search(chrom, position, window) == want
+
+    def test_a_clamped_end_is_read_exactly_from_the_dataset(self, monkeypatch):
+        rows = [raw("chr1", 150, 100000000000000000000), raw("chr1", 2**63 - 3, 2**63 - 1)]
+        store = RegionStore()
+        store.import_dataset("big", rows)
+        store.build_index()
+        assert_int64_runs(store)
+        scan = store_module._scan
+
+        def refused(*args):
+            raise AssertionError("a window inside int64 took the scan")
+
+        monkeypatch.setattr(store_module, "_scan", refused)
+        for position, window in [(2**63 - 2, 1), (2**63 - 10, 8), (2**63 - 5, 3), (2**63 - 3, 1)]:
+            want = scan(store._datasets, "chr1", position - window, position + window)
+            assert [(r.id, r.region.end) for r in want] == [(1, 10**20), (2, 2**63 - 1)]
+            assert store.proximity_search("chr1", position, window) == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.lists(any_record(), max_size=8), max_size=5), st.lists(PROBE, min_size=1, max_size=6))
+    def test_runs_are_int64_after_build_and_after_every_write(self, writes, probes):
+        built, written = RegionStore(), RegionStore()
+        written.build_index()
+        for k, records in enumerate(writes):
+            built.import_dataset(f"w{k}", records)
+            written.import_dataset(f"w{k}", records)
+            assert_int64_runs(written)
+        built.build_index()
+        assert_int64_runs(built)
+        for chrom, position, window in probes + PROBES:
+            want = store_module._scan(built._datasets, chrom, position - window, position + window)
+            assert built.proximity_search(chrom, position, window) == want
+            assert written.proximity_search(chrom, position, window) == want
+
+
 class TestRecordModel:
     """The store against a plain list of (id, dataset, record) rows."""
 
@@ -1167,7 +1227,7 @@ class TestIndexRuns:
             store.import_dataset(f"w{k}", rows)
         entries = store._index[0]
         assert all(len(entries[chrom]) >= 3 for chrom in ("chr1", "chr2"))
-        assert any(run[0].dtype.hasobject for chrom in ("chr1", "chr2") for run in entries[chrom])
+        assert_int64_runs(store)
         probes = [
             (chrom, position, window)
             for chrom in ("chr1", "chr2", "chr3")
@@ -1187,7 +1247,7 @@ class TestIndexRuns:
             (r.chrom, p, window) for rows in writes for r in rows[::40]
             for window in (1, 2_000) for p in (r.end + window, r.start - window)
         ]
-        # every run, int64 or not, is searched with bounds int64 holds
+        # every run is searched with bounds int64 holds
         windows, bounds = store_module._windows, []
 
         def spy(run, first, last):
