@@ -263,7 +263,7 @@ def run_import_bench(
     reps: int = 3,
     backends: Sequence[dbadapter.BackendConfig] | None = None,
 ) -> BenchmarkReport:
-    """Three-step staged import of BED files; only native row counts are verified.
+    """Three-step staged import of BED files; each engine must load the native row count.
 
     Malformed lines are skipped; when the files hold any, the note
     ``import files=K: rows=N rejected=M`` counts them."""
@@ -300,7 +300,11 @@ def _db_import_cell(report, files, total, reps, backend, conn) -> None:
             dbadapter.execute_script(backend, script, conn=conn)
 
     reset = partial(dbadapter.reset_schema, backend, conn=conn)
-    report.add("import_staged", backend.name, total, _time_reps(run, reps, setup=reset))
+    timings = _time_reps(run, reps, setup=reset)
+    ((count,),) = dbadapter.execute_statement(conn, "select count(*) from regions;")
+    if count != str(total):
+        raise AssertionError(f"database rows {count} != native rows {total}")
+    report.add("import_staged", backend.name, total, timings)
 
 
 NESTED_LOOP_CAP = 10_000
@@ -415,7 +419,8 @@ def run_search_bench(
 ) -> BenchmarkReport:
     """Invalid-row scans and windowed proximity queries, with and
     without the index, over synthetic stores seeded with a known number
-    of invalid rows."""
+    of invalid rows. The index must give the timed probe's hits and
+    those of a probe at a generated row."""
     report = _new_report(CONTEXT_SEARCH, backends)
     chrom, position, window = "chr8", 128_748_314, 100_000  # the proximity probe
     for size in store_sizes:
@@ -432,15 +437,16 @@ def run_search_bench(
         report.add("search_invalid", "native", size, _time_reps(store.find_invalid, reps))
 
         probe = partial(store.proximity_search, chrom, position, window)
+        on_row = partial(store.proximity_search, regions[0].chrom, regions[0].start, window)
         store.drop_index()
-        unindexed = probe()
+        unindexed = probe(), on_row()
         report.add("search_proximity_scan", "native", size, _time_reps(probe, reps))
         store.build_index()
-        indexed = probe()
+        indexed = probe(), on_row()
         if indexed != unindexed:
             raise AssertionError("indexed and unindexed proximity results differ")
         report.add("search_proximity_indexed", "native", size, _time_reps(probe, reps))
-        report.note(f"search size={size}: proximity hits={len(indexed)}")
+        report.note(f"search size={size}: proximity hits={len(indexed[0])}")
     return report
 
 

@@ -51,7 +51,6 @@ package imports this module only inside the calls that join, and in
 from __future__ import annotations
 
 import io
-import math
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -418,17 +417,17 @@ def hit_counts(sets: Sequence[RegionColumns], flt: JoinFilter) -> np.ndarray:
 
 def _window_bounds(flt: JoinFilter):
     """``(min_bp, reach, twice_bound)``: ``min_bp`` clamped into int64's
-    range, the lowest bp overlap a passing pair can have, and twice the
-    centre-distance bound, None for no bound (None or inf)."""
+    range, the lowest bp overlap a passing pair can have, and the
+    filter's ``twice_bound`` (None for no bound)."""
     # Signed overlaps of coordinates in [0, 2**62) lie in (-2**62, 2**62),
     # so clamping min_bp changes no result and keeps the bounds in int64.
     min_bp = min(max(flt.min_bp, 1 - COORD_LIMIT), COORD_LIMIT)
-    max_cd = flt.max_centre_distance
-    if max_cd is None or math.isinf(max_cd):
+    twice_bound = flt.twice_bound
+    if twice_bound is None:
         return min_bp, min_bp, None
-    # A pair with centre distance < D has bp overlap >= -ceil(D), which
-    # can narrow the window of a gap join.
-    return min_bp, max(min_bp, -math.ceil(max_cd)), 2 * max_cd
+    # A gap of g bp makes a doubled distance of at least 2g, which can narrow
+    # a gap join's window; the clamp keeps reach <= 0 at twice_bound 0.
+    return min_bp, max(min_bp, -(max(twice_bound - 1, 0) // 2)), twice_bound
 
 
 def _aligned(sets: Sequence[RegionColumns], min_bp: int):

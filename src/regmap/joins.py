@@ -51,12 +51,7 @@ from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .bedio import CatalogEntry, write_lines
-from .intervals import (
-    GenomicRegion,
-    _integer,
-    case_overlap_coords,
-    centre_distance_coords,
-)
+from .intervals import _INT64_MAX, GenomicRegion, _integer, case_overlap_coords
 
 if TYPE_CHECKING:
     from .columns import RegionColumns
@@ -100,7 +95,8 @@ class JoinFilter:
     ``min_bp`` must be an integer (``operator.index``; a ``bool`` is
     refused), and is kept as an ``int``. A bound, kept as given, must be
     a real number a float holds (not a ``bool``) and not NaN; an
-    infinite bound is no bound.
+    infinite bound is no bound. The joins' kernel and the emitted SQL
+    test the bound as ``twice_bound``.
     """
 
     min_bp: int = 1
@@ -120,6 +116,16 @@ class JoinFilter:
             raise ValueError("max_centre_distance must not be NaN")
         if bound < 0:
             raise ValueError("max_centre_distance must be non-negative")
+
+    @property
+    def twice_bound(self) -> int | None:
+        """The exact integer ``ceil(2 * max_centre_distance)``, which a
+        passing pair's doubled centre distance is below. None for no bound,
+        and when it would pass int64: no pair of coordinates below 2**62 is that far."""
+        bound = self.max_centre_distance
+        if bound is None or 2 * bound > _INT64_MAX:
+            return None
+        return math.ceil(2 * bound)
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,10 +150,11 @@ PAIRS_TSV_HEADER = tuple(f.name for f in fields(OverlapPair))
 MINING_TSV_HEADER = tuple(f.name for f in fields(MiningRow))
 
 
-def _check_unique_ids(regions: Sequence[IdRegion], label: str) -> None:
-    ids = [rid for rid, _ in regions]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate region ids in input {label}")
+def _check_unique_ids(a_regions: Sequence[IdRegion], b_regions: Sequence[IdRegion]) -> None:
+    for regions, label in ((a_regions, "A"), (b_regions, "B")):
+        ids = [rid for rid, _ in regions]
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"duplicate region ids in input {label}")
 
 
 def _by_chrom(regions: Sequence[IdRegion]) -> dict[str, list[tuple[int, int, int]]]:
@@ -165,14 +172,15 @@ def nested_loop_join(
     """Reference join: evaluate every same-chromosome pair of A x B.
 
     bp overlap goes through the four-branch case analysis, exactly as
-    the SQL view computes it.
+    the SQL view computes it. The doubled centre distance is compared
+    with twice the bound as given, not with ``JoinFilter.twice_bound``.
     """
-    _check_unique_ids(a_regions, "A")
-    _check_unique_ids(b_regions, "B")
+    _check_unique_ids(a_regions, b_regions)
     a_by_chrom = _by_chrom(a_regions)
     b_by_chrom = _by_chrom(b_regions)
-    min_bp = flt.min_bp
-    max_cd = flt.max_centre_distance
+    min_bp, max_cd = flt.min_bp, flt.max_centre_distance
+    # An int compares exactly with a float or a Fraction; an overflowed double is inf.
+    twice_max = math.inf if max_cd is None else 2 * max_cd
     pairs: list[OverlapPair] = []
     for chrom, a_rows in a_by_chrom.items():
         b_rows = b_by_chrom.get(chrom)
@@ -183,10 +191,10 @@ def nested_loop_join(
                 bp = case_overlap_coords(a_start, a_end, b_start, b_end)
                 if bp < min_bp:
                     continue
-                cd = centre_distance_coords(a_start, a_end, b_start, b_end)
-                if max_cd is not None and not cd < max_cd:
+                twice = abs((a_start + a_end) - (b_start + b_end))
+                if not twice < twice_max:
                     continue
-                pairs.append(OverlapPair(a_id, b_id, chrom, bp, cd))
+                pairs.append(OverlapPair(a_id, b_id, chrom, bp, twice / 2))
     pairs.sort(key=lambda p: (p.a_id, p.b_id))
     return pairs
 
@@ -205,13 +213,9 @@ def sweep_join(
     # numpy, which would add about 14 MB to every store-only process.
     from .columns import RegionColumns, window_join
 
-    _check_unique_ids(a_regions, "A")
-    _check_unique_ids(b_regions, "B")
-    return window_join(
-        RegionColumns.from_id_regions(a_regions),
-        RegionColumns.from_id_regions(b_regions),
-        flt,
-    )
+    _check_unique_ids(a_regions, b_regions)
+    a, b = RegionColumns.from_id_regions(a_regions), RegionColumns.from_id_regions(b_regions)
+    return window_join(a, b, flt)
 
 
 def count_overlapping(
@@ -228,8 +232,7 @@ def count_overlapping(
     """
     from .columns import RegionColumns, hit_counts
 
-    _check_unique_ids(a_regions, "A")
-    _check_unique_ids(b_regions, "B")
+    _check_unique_ids(a_regions, b_regions)
     a = RegionColumns.from_id_regions(a_regions)
     return int(hit_counts([a, RegionColumns.from_id_regions(b_regions)], flt)[0, 1]), len(a)
 

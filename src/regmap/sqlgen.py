@@ -14,9 +14,10 @@ lie in the bigint range [-2**63, 2**63 - 1], else ValueError: a wider
 value is refused by PostgreSQL's and MySQL's BIGINT and read back as a
 REAL by SQLite. A dataset number written into a row must also fit
 ``regiondesc_id integer``, [-2**31, 2**31 - 1], and a chromosome name
-``varchar(64)``. Filter literals (``min_bp``, the centre-distance bound)
-are compared, not stored, and are written as given; the dataset numbers
-a query compares need only the bigint range.
+``varchar(64)``. Filter literals are compared, not stored: ``min_bp``
+is written as given and the centre-distance bound as
+``JoinFilter.twice_bound``, an integer; the dataset numbers a query
+compares need only the bigint range.
 
 Column naming: ``start``/``end`` are reserved words in at least one
 target dialect, so the physical columns are ``start_pos``/``end_pos``.
@@ -27,7 +28,6 @@ The overlap view keeps its historical column names ``bpooverlap`` and
 from __future__ import annotations
 
 import enum
-import math
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -189,12 +189,6 @@ _BP_CASE = """\
     end as bpooverlap"""
 
 
-def _format_bound(value: float | int) -> str:
-    if isinstance(value, int) or float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
-
-
 def _region_pairs(query_dataset: int, ref_dataset: int) -> str:
     """The from and where lines that pair the rows of two datasets on
     one chromosome, as the overlap view and the geometry query do."""
@@ -219,19 +213,17 @@ def emit_regmap_query(
     The view computes bp overlap through the four-branch case analysis
     and centre distance with integer division, exactly as the native
     sql-compat mode models it. MySQL needs ``div`` for integer
-    division; PostgreSQL truncates ``/`` on integers. A centre-distance
-    bound filters on twice the exact distance, as the native join
-    does; a bound whose double is infinite emits no clause, as the
-    native join treats it as none. Rows with ``start_pos < 0`` or
-    ``end_pos < start_pos`` take part on neither side, as in the native
-    joins.
+    division; PostgreSQL truncates ``/`` on integers. Twice the exact
+    distance must be below the filter's integer ``twice_bound``, as in
+    the native join; with no ``twice_bound`` there is no clause. Rows
+    with ``start_pos < 0`` or ``end_pos < start_pos`` take part on
+    neither side, as in the native joins.
     """
     pairs = _region_pairs(query_dataset, ref_dataset)
     div = "div" if dialect.is_mysql else "/"
     where = [f"where bpooverlap >= {flt.min_bp}"]  # JoinFilter checks min_bp
-    bound = flt.max_centre_distance
-    if bound is not None and math.isfinite(2 * bound):
-        where.append(f"  and twicecentredistance < {_format_bound(2 * bound)}")
+    if (twice_bound := flt.twice_bound) is not None:
+        where.append(f"  and twicecentredistance < {twice_bound}")
     where_clause = "\n".join(where)
     text = f"""\
 create or replace view vwregions as

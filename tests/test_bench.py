@@ -11,6 +11,7 @@ from test_dbadapter import StubConnection
 from regmap import bench, dbadapter, sqlgen
 from regmap import intervals as intervals_module
 from regmap import store as store_module
+from regmap.bedio import parse_bed_file
 from regmap.bench import (
     REPORT_COLUMNS,
     BenchmarkReport,
@@ -254,6 +255,13 @@ class TestCorrectnessGates:
         with pytest.raises(AssertionError, match="^indexed and unindexed proximity results differ$"):
             run_search_bench([30_000], reps=1, seed=0)
 
+    def test_an_index_that_finds_nothing_fails_where_the_timed_probe_has_no_hits(self, monkeypatch):
+        report = run_search_bench([20_000], reps=1, seed=5)
+        assert report.context[-1] == "search size=20000: proximity hits=0"
+        monkeypatch.setattr(store_module, "_windows", lambda run, first, last: (0, 0))
+        with pytest.raises(AssertionError, match="^indexed and unindexed proximity results differ$"):
+            run_search_bench([20_000], reps=1, seed=5)
+
 
 class TestReports:
     def make_report(self):
@@ -327,12 +335,18 @@ SKIPPED_NOTE = "skipped: mysql_innodb (no connection URL configured)"
 INSERTED_ROW = re.compile(r"^    \((\d+), (\d+), '([^']*)', (-?\d+), (-?\d+)\)", re.MULTILINE)
 
 
+# The file a bulk import script copies into the staging table.
+COPIED_FILE = re.compile(r"^copy staging_regions \(chromosome, start_pos, end_pos\) from '([^']*)'")
+
+
 class StubServer:
     """``dbadapter.connect`` stand-in: each call opens a new stub
     connection. Its regmap and geo selects answer with the rows a
     database holding the regions batch-inserted since the last schema
-    reset returns, computed by the reference join; ``edit[kind]``, for
-    kind "regmap" or "geo", then changes them."""
+    reset returns, computed by the reference join, and its row count
+    with the rows of the files copied since then that the native reader
+    keeps; ``edit[kind]``, for kind "regmap", "geo" or "count", then
+    changes them."""
 
     def __init__(self):
         self.edit = {}
@@ -350,7 +364,11 @@ class StubServer:
             for rid, ds, chrom, start, end in INSERTED_ROW.findall(text):
                 datasets[int(ds)].append((int(rid), GenomicRegion(chrom, int(start), int(end))))
         a, b = datasets[1], datasets[2]
-        if "from vwregions" in statement:
+        if statement == "select count(*) from regions;":
+            copied = [m[1] for m in map(COPIED_FILE.match, conn.statements[reset:]) if m]
+            count = sum(len(parse_bed_file(path, mode="permissive")[0]) for path in copied)
+            kind, rows = "count", [(count,)]
+        elif "from vwregions" in statement:
             region = dict(a + b)
             kind, rows = "regmap", [
                 (p.a_id, p.b_id, p.chrom, p.bp_overlap,
@@ -422,6 +440,26 @@ class TestDatabaseCells:
         assert len(server.connections) == 1 and server.connections[0].closed
         copies = [s for s in server.connections[0].statements if s.startswith("copy ")]
         assert len(copies) == 2 * len(files)  # warm-up plus one measured repetition
+
+    def test_import_reads_back_the_native_row_count(self, server):
+        files = sorted(toy_catalog_path().parent.glob("*.bed"))
+        report = run_import_bench(files, reps=2, backends=self.BACKENDS)
+        assert report.context[1:] == [SKIPPED_NOTE]
+        statements = server.connections[0].statements
+        assert statements[-1] == "select count(*) from regions;"
+        assert statements[-2] == "truncate table staging_regions;"
+
+    def test_import_count_mismatch_becomes_a_note(self, server):
+        files = sorted(toy_catalog_path().parent.glob("*.bed"))
+        server.edit["count"] = lambda rows: [(rows[0][0] - 1,)]
+        report = run_import_bench(files, reps=1, backends=self.BACKENDS)
+        total = report.rows[0].size
+        assert [r.backend for r in report.rows] == ["native"]
+        assert report.context[1:] == [
+            SKIPPED_NOTE,
+            f"error: postgres import: database rows {total - 1} != native rows {total}",
+        ]
+        assert len(server.connections) == 1 and server.connections[0].closed
 
     def test_overlap(self, server, dense):
         pairs, geo = self.native_pairs(300, seed=9)

@@ -216,6 +216,18 @@ class TestOverlapColumnar:
         for rc, out, err in self.overlap(capsys, tmp_path, a_text, b_text):
             assert (rc, out, err) == (1, "", f"regmap: error: {message}\n")
 
+    @pytest.mark.parametrize("algo", ["sweep", "nested"])
+    def test_far_pair_below_the_bound_is_emitted(self, capsys, algo):
+        # The doubled centre distance 2**54 - 1 is below twice the bound,
+        # 2**54; the printed distance rounds to the bound itself.
+        far = Path(__file__).parent / "overlap" / "far"
+        rc, out, _ = run_cli(capsys, "overlap", "--a", str(far / "a.bed"), "--b", str(far / "b.bed"),
+                             "--algorithm", algo, "--max-centre-distance", "9007199254740992")
+        assert rc == 0
+        rows = ["\t".join(line.split("\t")[:4]) for line in out.splitlines()]
+        assert rows == (far / "pairs-f1-4.tsv").read_text().splitlines()
+        assert out.splitlines()[1].endswith("\t9007199254740992")
+
 
 class TestMine:
     def test_toy_catalog(self, capsys, tmp_path):

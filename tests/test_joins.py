@@ -1,6 +1,9 @@
 import io
+import math
 import re
+import sys
 from decimal import ROUND_HALF_UP, Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +229,50 @@ class TestFilterProperties:
         assert len(expected) == (min_bp < 0)
         assert sweep_join(a, b, flt) == expected
         assert count_overlapping(a, b, flt) == (len(expected), 1)
+
+
+# Centre-distance bounds of every kind JoinFilter takes: floats from 0,
+# -0.0 and the subnormals up to float's largest, those from 2**52 to
+# 2**62 (where float spacing passes 1), ints, Fractions, inf and None.
+BOUNDS = st.one_of(
+    st.none(),
+    st.sampled_from([0.0, -0.0, 5e-324, sys.float_info.max, math.inf, Fraction(sys.float_info.max)]),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    st.floats(min_value=2.0**52, max_value=2.0**62),
+    st.integers(0, 2**64),
+    st.fractions(min_value=0, max_value=2**64),
+    st.fractions(min_value=2**61, max_value=2**63, max_denominator=10**6),
+)
+
+
+class TestTwiceBound:
+    """``JoinFilter.twice_bound`` is the exact test on the doubled centre
+    distance: t < twice_bound exactly when t < 2 * max_centre_distance."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_the_exact_comparison(self, data):
+        bound = data.draw(BOUNDS, label="bound")
+        flt = JoinFilter(max_centre_distance=bound)
+        exact = None if bound is None or math.isinf(bound) else 2 * Fraction(bound)
+        doubled = st.integers(0, 2**63 - 1)
+        if exact is not None and exact < 2**63 + 2:
+            near = {min(max(math.floor(exact) + d, 0), 2**63 - 1) for d in (-1, 0, 1, 2)}
+            doubled = st.sampled_from(sorted(near)) | doubled
+        t = data.draw(doubled, label="doubled distance")
+        twice_bound = flt.twice_bound
+        assert twice_bound is None or (type(twice_bound) is int and 0 <= twice_bound < 2**63)
+        assert (twice_bound is None or t < twice_bound) == (exact is None or t < exact)
+
+    @pytest.mark.parametrize(
+        "bound, twice_bound",
+        [(None, None), (math.inf, None), (0, 0), (-0.0, 0), (5e-324, 1), (30.25, 61), (30.5, 61),
+         (2.0**53, 2**54), (Fraction(2001, 2) - Fraction(1, 10**30), 2001),
+         (2**62 - 1, 2**63 - 2), (Fraction(2**63 - 1, 2), 2**63 - 1), (2**62, None),
+         (Fraction(sys.float_info.max), None), (sys.float_info.max, None)],
+    )
+    def test_fixed_bounds(self, bound, twice_bound):
+        assert JoinFilter(max_centre_distance=bound).twice_bound == twice_bound
 
 
 class TestCountOverlapping:

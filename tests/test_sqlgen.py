@@ -1,7 +1,9 @@
 import math
 import re
 import sqlite3
+import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regmap.bench import GenConfig, generate_regions
-from regmap.intervals import RawRegion, centre_distance_sql_compat
-from regmap.joins import JoinFilter, nested_loop_join
+from regmap.intervals import GenomicRegion, RawRegion, centre_distance_sql_compat
+from regmap.joins import JoinFilter, nested_loop_join, sweep_join
 from regmap.sqlgen import (
     DEMO_REGIONS,
     ScriptKind,
@@ -464,3 +466,84 @@ class TestRunsInSqlite:
         invalid, _ = emit_search_queries(dialect)
         rows = run_sqlite(tmp_path / "regmap.db", emit_ddl(dialect), batch, invalid)
         assert rows == [(hi, 2**31 - 1, "chr1", lo, hi)]
+
+
+def agreed_pairs(a, b, flt):
+    """The pairs of A x B (ids from 1 and from 1001) once ``sweep_join``,
+    ``nested_loop_join`` and the emitted PostgreSQL text run in sqlite3
+    are checked to agree on them."""
+    a_ids, b_ids = list(enumerate(a, start=1)), list(enumerate(b, start=1001))
+    dialect = SqlDialect.POSTGRES
+    with tempfile.TemporaryDirectory() as tmp:
+        rows = run_sqlite(
+            Path(tmp) / "regmap.db",
+            emit_ddl(dialect),
+            emit_batch_insert(dialect, a, dataset=1, start_id=1),
+            emit_batch_insert(dialect, b, dataset=2, start_id=1001),
+            emit_regmap_query(dialect, flt),
+        )
+    nested = nested_loop_join(a_ids, b_ids, flt)
+    assert sweep_join(a_ids, b_ids, flt) == nested
+    region = dict(a_ids + b_ids)
+    assert rows == [
+        (p.a_id, p.b_id, p.chrom, p.bp_overlap, centre_distance_sql_compat(region[p.a_id], region[p.b_id]))
+        for p in nested
+    ]
+    return nested
+
+
+# Rows far from 0, where a doubled distance has no float of its own.
+FAR_ROWS = st.lists(
+    st.builds(
+        lambda start, length: GenomicRegion("chr1", start, start + length),
+        st.integers(2**53, 2**61),
+        st.sampled_from([0, 1, 2, 3, 1000]) | st.integers(0, 2**40),
+    ),
+    min_size=1,
+    max_size=4,
+)
+# Offsets from half a doubled distance, each within 1.
+NEAR_HALF = st.sampled_from(
+    [-1, Fraction(-1, 2), Fraction(-1, 10**30), 0, Fraction(1, 10**30), Fraction(1, 2), 1]
+)
+
+
+class TestCentreDistanceBound:
+    """Sweep, nested and the SQL run in sqlite3 keep the same pairs at
+    every centre-distance bound."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_far_rows_near_the_bound(self, data):
+        a = data.draw(FAR_ROWS, label="a")
+        b = data.draw(FAR_ROWS, label="b")
+        x, y = data.draw(st.sampled_from(a), label="x"), data.draw(st.sampled_from(b), label="y")
+        half = Fraction(abs((x.start + x.end) - (y.start + y.end)), 2) + data.draw(NEAR_HALF, label="offset")
+        kind = data.draw(st.sampled_from([Fraction, float, math.floor]), label="kind")
+        bound = kind(max(half, 0))
+        agreed_pairs(a, b, JoinFilter(min_bp=-(2**62), max_centre_distance=bound))
+
+    @pytest.mark.parametrize("bound", [2.0**53, 2**53])
+    def test_doubled_distance_one_below_twice_the_bound(self, bound):
+        # doubled distance 2**54 - 1 against twice the bound, 2**54
+        flt = JoinFilter(max_centre_distance=bound)
+        pairs = agreed_pairs([GenomicRegion("chr1", 0, 1)], [GenomicRegion("chr1", 0, 2**54)], flt)
+        assert len(pairs) == 1
+
+    def test_fractional_bound_just_below_an_odd_half(self):
+        # doubled distance 2000 against twice the bound, just below 2001
+        flt = JoinFilter(min_bp=-(10**6), max_centre_distance=Fraction(2001, 2) - Fraction(1, 10**30))
+        assert "twicecentredistance < 2001" in emit_regmap_query(SqlDialect.POSTGRES, flt).text
+        pairs = agreed_pairs([GenomicRegion("chr1", 0, 10)], [GenomicRegion("chr1", 1000, 1010)], flt)
+        assert len(pairs) == 1
+
+    def test_bound_past_float_range_as_a_fraction_is_no_bound(self):
+        flt = JoinFilter(max_centre_distance=Fraction(sys.float_info.max))
+        for dialect in ALL_DIALECTS:
+            assert emit_regmap_query(dialect, flt).text == emit_regmap_query(dialect).text
+        pairs = agreed_pairs([GenomicRegion("chr1", 0, 10)], [GenomicRegion("chr1", 5, 2**61)], flt)
+        assert len(pairs) == 1
+
+    def test_fractional_doubled_bound_is_written_rounded_up(self):
+        text = emit_regmap_query(SqlDialect.POSTGRES, JoinFilter(max_centre_distance=30.25)).text
+        assert "  and twicecentredistance < 61\n" in text
