@@ -15,7 +15,7 @@ counts, for each ordered pair, the distinct rows of one that have a
 pair with the other, building no object. Both run one kernel,
 ``_join_chromosome``, on the interval index of ``intervals``: they
 group by chromosome each set's rows that can pair under the filter's
-``min_bp`` (``_by_code``), and put every set's rows of one chromosome
+``min_bp`` (``_grouped``), and put every set's rows of one chromosome
 into one entry (``_sorted_entry``, the only sort of a set's rows: by
 start, ties in any order) when they reach it, each row tagged with its
 set. The kernel finds each pair of rows of different sets once, from
@@ -60,7 +60,7 @@ import numpy as np
 
 from .bedio import _SKIP_PREFIXES, BedRecords, ParseReport, as_records, parse_bed_file
 from .bedio import scan_numbered, scan_text
-from .intervals import GenomicRegion, RawRegion, _by_code, _chrom_reason, _sorted_entry
+from .intervals import GenomicRegion, RawRegion, _chrom_reason, _grouped, _sorted_entry
 from .joins import JoinFilter, OverlapPair
 
 __all__ = [
@@ -432,15 +432,11 @@ def _window_bounds(flt: JoinFilter):
 
 def _aligned(sets: Sequence[RegionColumns], min_bp: int):
     """Yield ``(entry, side)`` for each chromosome name on which two or
-    more of ``sets`` hold rows ``_by_code`` admits at ``min_bp``, in
-    order of first appearance: ``entry`` is the ``_sorted_entry`` of all
-    those rows, built here, and entry row i is row ``entry[2][i]`` of
-    ``sets[side[i]]``."""
-    per_name: dict[str, list[tuple[int, np.ndarray]]] = {}
-    for i, cols in enumerate(sets):
-        for name, rows in _by_code(cols.names, cols.chrom, cols.start, cols.end, min_bp):
-            per_name.setdefault(name, []).append((i, rows))
-    for parts in per_name.values():
+    more of ``sets`` hold rows admitted at ``min_bp``, as
+    ``intervals._grouped`` groups them, in order of first appearance:
+    ``entry`` is the ``_sorted_entry`` of all those rows, built here,
+    and entry row i is row ``entry[2][i]`` of ``sets[side[i]]``."""
+    for parts in _grouped([(c.names, c.chrom, c.start, c.end) for c in sets], min_bp).values():
         if len(parts) > 1:
             side = np.repeat([i for i, _ in parts], [len(at) for _, at in parts])
             picked = [(sets[i].start[at], sets[i].end[at], at) for i, at in parts]

@@ -19,15 +19,17 @@ for callers that work on raw integers, e.g. array pipelines and tests
 that sweep millions of coordinate pairs.
 
 The interval index that joins, mining counts and store probes share
-is two steps here: ``_by_code`` groups by chromosome the rows that can
-pair under a ``min_bp`` (the one admission rule of an entry) and
-``_sorted_entry`` builds a chromosome's entry (the one place rows are
-sorted by start; ties in any order). Both import numpy, in the call,
-and sort with ``_argsort``. The joins build one entry at once and scan
-it forward (``columns``). The store, which grows, holds each
-chromosome's entry as a run set, a tuple of runs that ``_with_run``
-extends by the logarithmic method; each run keeps the running maximum
-of its ends, in which ``_windows`` finds a probe's candidates.
+is two steps here. ``_grouped`` gives, for each chromosome, each
+set's rows that can pair under a ``min_bp``, admitted by ``_by_code``:
+the one admission rule of an entry, total over int64 columns, so no
+caller drops invalid rows first. ``_sorted_entry`` builds an entry
+(the one place rows are sorted by start; ties in any order). They
+import numpy, in the call, and sort with ``_argsort``. The joins build
+one entry at once and scan it forward (``columns``). The store, which
+grows, holds each chromosome's entry as a run set, a tuple of runs that
+``_with_run`` extends by the logarithmic method; each run keeps the
+running maximum of its ends, in which ``_windows`` finds a probe's
+candidates.
 
 All functions here are pure and operate on immutable values; they are
 safe to call concurrently from any number of threads.
@@ -329,19 +331,30 @@ def _argsort(keys):
 
 def _by_code(names, codes, start, end, min_bp: int) -> list:
     """``(name, rows)`` for each name with rows that can pair under
-    ``min_bp`` (row i lies on ``names[codes[i]]``): ``end - start >=
-    max(min_bp, 0)``, as a pair's bp overlap is at most either row's
-    length. Every row is valid (``0 <= start <= end``: no int64 wrap) or
-    has the code ``len(names)``, which drops it. Rows in any order,
-    int32 when they fit."""
+    ``min_bp`` (row i lies on ``names[codes[i]]``): the rows with ``0 <=
+    start <= end`` and ``end - start >= max(min_bp, 0)``, as a pair's bp
+    overlap is at most either row's length. Any int64 columns; rows in
+    any order, int32 when they fit."""
     import numpy as np
 
+    admitted = (start >= 0) & (end >= start) & (end - start >= max(min_bp, 0))
     # The other rows take the code past the last name: sorted last, then dropped.
-    codes = np.where(end - start >= max(min_bp, 0), codes, np.int32(len(names)))
+    codes = np.where(admitted, codes, np.int32(len(names)))
     order = _argsort(codes)
     order = order.astype(np.int32) if len(order) < 2**31 else order
     ends = np.bincount(codes, minlength=len(names)).cumsum().tolist()
     return [(name, order[i:j]) for name, i, j in zip(names, [0] + ends, ends) if j > i]
+
+
+def _grouped(sets, min_bp: int) -> dict:
+    """``{name: [(i, rows), ...]}``: for each chromosome name, in order
+    of first appearance, the rows of each set ``i`` (``(names, codes,
+    start, end)``) that ``_by_code`` admits on it, ``i`` ascending."""
+    grouped: dict = {}
+    for i, (names, codes, start, end) in enumerate(sets):
+        for name, rows in _by_code(names, codes, start, end, min_bp):
+            grouped.setdefault(name, []).append((i, rows))
+    return grouped
 
 
 def _sorted_entry(start, end, rows) -> tuple:

@@ -95,7 +95,8 @@ class JoinFilter:
     ``min_bp`` must be an integer (``operator.index``; a ``bool`` is
     refused), and is kept as an ``int``. A bound, kept as given, must be
     a real number a float holds (not a ``bool``) and not NaN; an
-    infinite bound is no bound. The joins' kernel and the emitted SQL
+    infinite bound is no bound. A numpy scalar bound is tested as the
+    equal Python int or float. The joins' kernel and the emitted SQL
     test the bound as ``twice_bound``.
     """
 
@@ -104,14 +105,15 @@ class JoinFilter:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "min_bp", _integer(self.min_bp, "min_bp"))
-        bound = self.max_centre_distance
-        if bound is None:
+        given = self.max_centre_distance
+        if given is None:
             return
+        bound = _plain(given)
         # A finite bound past float's range is an int or a Fraction.
         if bound.__class__ is bool or not isinstance(bound, numbers.Real) or (
             sys.float_info.max < abs(bound) < math.inf
         ):
-            raise ValueError(f"max_centre_distance must be a real number, got {bound!r}")
+            raise ValueError(f"max_centre_distance must be a real number, got {given!r}")
         if math.isnan(bound):
             raise ValueError("max_centre_distance must not be NaN")
         if bound < 0:
@@ -122,10 +124,18 @@ class JoinFilter:
         """The exact integer ``ceil(2 * max_centre_distance)``, which a
         passing pair's doubled centre distance is below. None for no bound,
         and when it would pass int64: no pair of coordinates below 2**62 is that far."""
-        bound = self.max_centre_distance
+        bound = _plain(self.max_centre_distance)
         if bound is None or 2 * bound > _INT64_MAX:
             return None
         return math.ceil(2 * bound)
+
+
+def _plain(bound):
+    """A numpy scalar as the equal Python int or float, which doubles
+    and compares exactly or to inf, never wrapping or warning; any other
+    value as given. Without numpy loaded, no value is a numpy scalar."""
+    np = sys.modules.get("numpy")
+    return bound.item() if np is not None and isinstance(bound, np.generic) else bound
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,14 +183,14 @@ def nested_loop_join(
 
     bp overlap goes through the four-branch case analysis, exactly as
     the SQL view computes it. The doubled centre distance is compared
-    with twice the bound as given, not with ``JoinFilter.twice_bound``.
+    with twice the bound's Python value, not with ``JoinFilter.twice_bound``.
     """
     _check_unique_ids(a_regions, b_regions)
     a_by_chrom = _by_chrom(a_regions)
     b_by_chrom = _by_chrom(b_regions)
     min_bp, max_cd = flt.min_bp, flt.max_centre_distance
     # An int compares exactly with a float or a Fraction; an overflowed double is inf.
-    twice_max = math.inf if max_cd is None else 2 * max_cd
+    twice_max = math.inf if max_cd is None else 2 * _plain(max_cd)
     pairs: list[OverlapPair] = []
     for chrom, a_rows in a_by_chrom.items():
         b_rows = b_by_chrom.get(chrom)

@@ -20,10 +20,12 @@ equal to what was imported; a ``BedRecords`` holds only checked names,
 so every read skips the constructors' checks.
 
 An optional index serves proximity queries. It is the interval index
-the joins use (``intervals._by_code`` and ``_sorted_entry``): one
-entry per chromosome, covering every dataset, over the valid rows
-``_by_code`` admits at ``min_bp = 1`` (the only rows a probe can hit),
-with their ids as the entry's rows. Each entry is a run set
+the joins use (``intervals._grouped`` and ``_sorted_entry``): one
+entry per chromosome, covering every dataset, over the rows that
+``intervals`` admits at ``min_bp = 1`` (the valid rows of length at
+least 1, the only rows a probe can hit) from each dataset's int64 view
+(``_index_dataset``), with their ids as the entry's rows. The store
+filters no row itself. Each entry is a run set
 (``intervals._with_run``): a few immutable runs, each sorted by start
 with a running maximum of ends, and under half the size of the one
 before it unless it is small.
@@ -74,7 +76,7 @@ from typing import TYPE_CHECKING
 
 from .bedio import BedRecords, as_records
 from .intervals import _INT64_MAX, _INT64_MIN, GenomicRegion, RawRegion, _integer, _raw_region
-from .intervals import _by_code, _unchecked, _windows, _with_run
+from .intervals import _grouped, _unchecked, _windows, _with_run
 
 if TYPE_CHECKING:
     import numpy as np
@@ -134,42 +136,38 @@ _IndexEntry = tuple[tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"
 _Index = tuple[dict[str, _IndexEntry], list[int], list[tuple[str, DatasetColumns]]]
 
 
-def _index_dataset(dataset: DatasetColumns) -> dict[str, tuple]:
-    """One dataset's index part: ``{chrom: (start, end, id)}`` int64
-    arrays of the valid rows ``_by_code`` admits at ``min_bp = 1``, with
-    coordinates past int64 clamped into ``[0, _INT64_MAX]``. No indexed
-    window, which lies in int64, can tell: a row starting at
-    ``_INT64_MAX`` or later is empty, so left out, and a clamped end
-    lies past the window; a hit reads its exact end from the dataset."""
+def _index_dataset(dataset: DatasetColumns) -> tuple:
+    """One dataset's int64 view ``(names, codes, start, end)`` for
+    ``intervals._grouped``, with coordinates past int64 clamped into
+    ``[-1, _INT64_MAX]``. Clamping is monotone, so it keeps every row
+    valid or invalid as it was; no indexed window, which lies in int64,
+    can tell: a row starting at ``_INT64_MAX`` or later is empty, so
+    left out at ``min_bp = 1``, and a clamped end lies past the window;
+    a hit reads its exact end from the dataset."""
     import numpy as np
 
     chrom, start, end = dataset.rows.arrays()
-    if dataset.invalid:  # the code past the last name, which _by_code drops
-        chrom = chrom.copy()
-        chrom[list(dataset.invalid)] = len(dataset.rows.names)
-    start, end = (c.clip(0, _INT64_MAX).astype(np.int64) if c.dtype.hasobject else c for c in (start, end))
-    groups = _by_code(dataset.rows.names, chrom, start, end, 1)
-    ids = np.arange(len(end)) + dataset.first_id
-    return {name: (start[at], end[at], ids[at]) for name, at in groups}
+    start, end = (c.clip(-1, _INT64_MAX).astype(np.int64) if c.dtype.hasobject else c for c in (start, end))
+    return dataset.rows.names, chrom, start, end
 
 
 def _merge(index: _Index, datasets: dict[str, DatasetColumns]) -> _Index:
     """A new index: ``index`` with ``datasets`` (in id order, after its
-    own) added; ``index`` is not changed. The new rows of each
-    chromosome become one new run of its entry (``_with_run``), which
-    merges it only into runs of a comparable size."""
+    own) added; ``index`` is not changed. The rows ``intervals._grouped``
+    admits at ``min_bp = 1``, with their ids, become one new run per
+    chromosome (``_with_run``), which merges it only into runs of a
+    comparable size."""
     import numpy as np
 
     entries, first_ids, named = index
-    grouped: dict[str, list[tuple]] = {}
-    for ds in datasets.values():
-        for chrom, cols in _index_dataset(ds).items():
-            grouped.setdefault(chrom, []).append(cols)
-    merged = {
-        chrom: _with_run(entries.get(chrom, ()), *map(np.concatenate, zip(*cols)))
-        for chrom, cols in grouped.items()
-    }
-    first_ids = first_ids + [ds.first_id for ds in datasets.values()]
+    sets = list(datasets.values())
+    views = [_index_dataset(ds) for ds in sets]
+    merged = {}
+    for chrom, parts in _grouped(views, 1).items():
+        # int64 first ids: int32 rows plus a Python int would stay int32
+        cols = [(views[i][2][at], views[i][3][at], at + np.int64(sets[i].first_id)) for i, at in parts]
+        merged[chrom] = _with_run(entries.get(chrom, ()), *map(np.concatenate, zip(*cols)))
+    first_ids = first_ids + [ds.first_id for ds in sets]
     return {**entries, **merged}, first_ids, named + list(datasets.items())
 
 

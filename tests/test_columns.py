@@ -798,6 +798,19 @@ class TestTiedStarts:
                     assert store.proximity_search(chrom, position, window) == want
 
 
+# Rows of int64 coordinates near the edges: invalid rows whose end - start
+# wraps int64, zero-length rows and rows that start at 2**63 - 1.
+INT64_EDGES = st.one_of(
+    st.integers(-(2**63), 2**63 - 1),
+    st.sampled_from([-(2**63), -(2**62) - 1, -1, 0, 1, 2**62, 2**63 - 2, 2**63 - 1]),
+)
+EDGE_ROW = st.one_of(
+    st.tuples(st.integers(0, 2), INT64_EDGES, INT64_EDGES),
+    st.tuples(st.integers(0, 2), INT64_EDGES, st.integers(-2, 2)).map(
+        lambda row: (row[0], row[1], min(max(row[1] + row[2], -(2**63)), 2**63 - 1))),
+)
+
+
 class TestIndexAdmission:
     """An index entry holds only the rows that can pair: a pair's bp
     overlap is at most either row's length, so a row shorter than
@@ -825,8 +838,8 @@ class TestIndexAdmission:
 
     def test_rule_at_the_int64_edges(self):
         # Row 0 is invalid and its end - start wraps int64 to a large
-        # length; like every invalid store row, it has the code past the
-        # last name, which drops it (the store's own test is in test_store).
+        # length; it also has the code past the last name, which drops
+        # it (the store's own test is in test_store).
         start = np.array([2**62, 0, 5, 7, 2**63 - 1], dtype=np.int64)
         end = np.array([-(2**62) - 1, 0, 25, 26, 2**63 - 1], dtype=np.int64)
         codes = np.array([3, 0, 1, 1, 2], dtype=np.int32)
@@ -837,6 +850,24 @@ class TestIndexAdmission:
 
         assert admitted(20) == [("chr2", [2])]
         assert admitted(0) == admitted(-5) == [("chr1", [1]), ("chr2", [2, 3]), ("chr3", [4])]
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(EDGE_ROW, max_size=12), st.integers(-(2**62), 2**62) | st.integers(-3, 3))
+    @example([(0, 10, -(2**63) + 5)], 1)
+    @example([(1, 2**62, -(2**62) - 1), (2, 0, 0), (0, 2**63 - 1, 2**63 - 1)], 0)
+    def test_admission_is_the_exact_rule_on_any_int64_rows(self, rows, min_bp):
+        # _by_code drops every invalid row itself, whatever its int64
+        # end - start wraps to, and keeps the rows long enough for min_bp.
+        names = ("chr1", "chr2", "chr3")
+        codes = np.array([code for code, _, _ in rows], dtype=np.int32)
+        start = np.array([s for _, s, _ in rows], dtype=np.int64)
+        end = np.array([e for _, _, e in rows], dtype=np.int64)
+        want: dict[str, list[int]] = {}
+        for i, (code, s, e) in enumerate(rows):
+            if 0 <= s <= e and e - s >= max(min_bp, 0):
+                want.setdefault(names[code], []).append(i)
+        got = intervals._by_code(names, codes, start, end, min_bp)
+        assert [(name, sorted(at.tolist())) for name, at in got] == [(n, want[n]) for n in names if n in want]
 
     @pytest.mark.parametrize("bound", [None, 1000])
     def test_rows_shorter_than_min_bp_enter_no_entry(self, monkeypatch, bound):

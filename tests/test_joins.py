@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import regmap.columns as columns_module
 from regmap.bedio import CatalogEntry, load_catalog_file, parse_bed_file
@@ -29,6 +30,7 @@ from regmap.joins import (
     write_mining_tsv,
     write_pairs_tsv,
 )
+from regmap.sqlgen import SqlDialect, emit_regmap_query
 from regmap.store import RegionStore
 
 
@@ -273,6 +275,50 @@ class TestTwiceBound:
     )
     def test_fixed_bounds(self, bound, twice_bound):
         assert JoinFilter(max_centre_distance=bound).twice_bound == twice_bound
+
+
+NUMPY_BOUND_TYPES = ["int8", "int16", "int32", "int64", "uint8", "uint16", "uint32", "uint64",
+                     "float16", "float32", "float64"]
+# B rows whose doubled centre distances from A's row span 0 to about 2**62.
+BOUND_A = ids([GenomicRegion("chr1", 0, 100)])
+BOUND_B = ids([GenomicRegion("chr1", s, s + 100) for s in (0, 1, 50, 10**3, 10**6, 10**12, 10**18, 2**61)],
+              start=10)
+
+
+def bound_outcome(bound):
+    """What the joins and the SQL make of ``bound``: ``twice_bound``, the
+    sweep's and the nested loop's pairs and the query's bound clause, or
+    "refused"."""
+    try:
+        flt = JoinFilter(min_bp=-(2**62), max_centre_distance=bound)
+    except ValueError:
+        return "refused"
+    query = emit_regmap_query(SqlDialect.POSTGRES, flt).text
+    return (flt.twice_bound, sweep_join(BOUND_A, BOUND_B, flt), nested_loop_join(BOUND_A, BOUND_B, flt),
+            re.findall(r"twicecentredistance < \S+", query))
+
+
+class TestNumpyScalarBounds:
+    """A numpy scalar bound is doubled and compared as the equal Python
+    int or float (``.item()``): numpy arithmetic would wrap an integer,
+    make 0 of 2**64 or overflow a float with a RuntimeWarning."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "bound", [np.int64(2**62), np.uint64(2**63), np.float64(sys.float_info.max), np.float32(3e38)])
+    def test_bound_past_int64_is_no_bound(self, bound):
+        a, b = ids([GenomicRegion("chr1", 0, 100)]), ids([GenomicRegion("chr1", 50, 150)], start=2)
+        flt = JoinFilter(max_centre_distance=bound)
+        assert flt.max_centre_distance is bound
+        assert flt.twice_bound is None
+        assert len(sweep_join(a, b, flt)) == len(nested_loop_join(a, b, flt)) == 1
+        assert "twicecentredistance <" not in emit_regmap_query(SqlDialect.POSTGRES, flt).text
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(NUMPY_BOUND_TYPES).flatmap(lambda t: hnp.from_dtype(np.dtype(t))))
+    def test_numpy_bound_acts_as_its_python_value(self, bound):
+        assert bound_outcome(bound) == bound_outcome(bound.item())
 
 
 class TestCountOverlapping:

@@ -413,8 +413,7 @@ class TestIndexLifecycle:
 
     def test_invalid_row_whose_length_wraps_int64_is_not_indexed(self):
         # In int64 this row's end - start wraps to a large length, which
-        # intervals._by_code would admit; the store gives its invalid rows
-        # the code _by_code drops.
+        # intervals._by_code must not take for a length.
         rows = [raw("chr1", 0, 10), raw("chr1", 2**62, -(2**62) - 1), raw("chr1", 2**62 - 5, 2**62 + 5)]
         store = RegionStore()
         store.import_dataset("d1", rows)
@@ -640,6 +639,48 @@ class TestInt64Runs:
             want = store_module._scan(built._datasets, chrom, position - window, position + window)
             assert built.proximity_search(chrom, position, window) == want
             assert written.proximity_search(chrom, position, window) == want
+
+
+# Coordinates near and past the int64 edges, in both directions.
+EDGE_COORDS = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([-(2**70), -(2**63) - 1, -(2**63), 2**62, 2**63 - 2, 2**63 - 1, 2**63, 2**70]),
+    st.integers(-(2**64), 2**64),
+)
+
+
+@st.composite
+def edge_record(draw):
+    chrom = draw(st.sampled_from(["chr1", "chr2"]))
+    start = draw(EDGE_COORDS)
+    end = draw(EDGE_COORDS | st.integers(-2, 2).map(lambda d: start + d))
+    return raw(chrom, start, end)
+
+
+class TestIndexAdmissionAtTheEdges:
+    """The index holds exactly the rows a probe can hit: the valid rows
+    of length at least 1 that start below 2**63 - 1, whatever the int64
+    ``end - start`` of an invalid row wraps to and wherever a column
+    leaves int64."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(edge_record(), max_size=8), min_size=1, max_size=3), st.booleans())
+    def test_runs_hold_exactly_the_rows_a_probe_can_hit(self, writes, build_first):
+        store = RegionStore()
+        if build_first:
+            store.build_index()
+        for k, records in enumerate(writes):
+            store.import_dataset(f"w{k}", records)
+        store.build_index()
+        want: dict[str, list[int]] = {}
+        for row in store.rows():
+            r = row.region
+            if 0 <= r.start <= r.end and r.end - r.start >= 1 and r.start < 2**63 - 1:
+                want.setdefault(r.chrom, []).append(row.id)
+        entries = store._index[0]
+        assert {chrom: sorted(rid for run in runs for rid in run[2].tolist())
+                for chrom, runs in entries.items()} == want
+        assert_int64_runs(store)
 
 
 class TestRecordModel:
